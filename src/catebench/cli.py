@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -23,6 +24,7 @@ from . import dataset, linreg, synth, tlearner, treatcount
 from .errors import (
     DomainError,
     EmptyArm,
+    EmptyInput,
     InvalidScenario,
     ParseError,
     RankDeficient,
@@ -254,6 +256,26 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def _count_flag(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _width_flag(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="catebench",
@@ -269,12 +291,12 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--input", required=True, help="cohort CSV path")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="run seed (default 0)")
-        p.add_argument("--depth", type=int, default=2, help="tree depth (default 2)")
-        p.add_argument("--trees", type=int, default=100, help="forest size (default 100)")
+        p.add_argument("--depth", type=_count_flag, default=2, help="tree depth (default 2)")
+        p.add_argument("--trees", type=_count_flag, default=100, help="forest size (default 100)")
         p.add_argument("--x2", default=None, help="comma-separated session counts for the grid")
-        p.add_argument("--bin", type=float, default=1.0, help="covariate bin width (default 1)")
+        p.add_argument("--bin", type=_width_flag, default=1.0, help="covariate bin width (default 1)")
         p.add_argument("--config", default=None, help="schema config (scenario file for synth)")
-        p.add_argument("--jobs", type=int, default=1, help="threads for forest fitting")
+        p.add_argument("--jobs", type=_count_flag, default=1, help="threads for forest fitting")
         p.add_argument("--quiet", action="store_true", help="suppress the text mirror")
         p.set_defaults(handler=handler)
         return p
@@ -292,10 +314,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (SchemaError, ParseError, InvalidScenario, DomainError) as exc:
+    except (SchemaError, ParseError, InvalidScenario, DomainError, EmptyInput) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeError) as exc:
+        # an input that is missing, a directory, or not UTF-8 text
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except EmptyArm as exc:

@@ -1,6 +1,7 @@
 """Cohort ingestion, validation, partitioning, and naive group summaries.
 
-The on-disk format is a headered, comma-separated, UTF-8 CSV:
+The on-disk format is a headered, comma-separated, UTF-8 CSV (a leading byte
+order mark is skipped on reading; files are written without one):
 
     id,proficiency,f2f,remote,basic_class,exercises,videos,references,diff_deviation
 
@@ -24,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyOrSingleton, ParseError, SchemaError, ZeroVariance
+from .errors import EmptyInput, EmptyOrSingleton, ParseError, SchemaError, ZeroVariance
 
 CANONICAL_COLUMNS = (
     "id",
@@ -151,7 +152,7 @@ class GroupSummary:
 
 def summarize(cohort: Cohort) -> GroupSummary:
     if cohort.n == 0:
-        raise ValueError("cohort is empty")
+        raise EmptyInput("cohort is empty")
 
     def means(indices):
         if not indices:
@@ -179,7 +180,7 @@ class SchemaConfig:
     def from_file(cls, path) -> "SchemaConfig":
         columns = {name: name for name in CANONICAL_COLUMNS}
         for lineno, raw in enumerate(
-            Path(path).read_text(encoding="utf-8").splitlines(), start=1
+            Path(path).read_text(encoding="utf-8-sig").splitlines(), start=1
         ):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -239,7 +240,7 @@ def load_cohort(path, config: SchemaConfig | None = None, precision=1.0):
     """
     cfg = config or SchemaConfig.default()
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = [h.strip() for h in next(reader)]

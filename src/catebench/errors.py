@@ -22,7 +22,7 @@ class SchemaError(CatebenchError):
 
 
 class EmptyInput(CatebenchError):
-    """No training rows were supplied."""
+    """No rows were supplied: no training rows, or a cohort with no records."""
 
 
 class DimensionMismatch(CatebenchError):

@@ -213,12 +213,40 @@ class RegressionForest:
             raise DimensionMismatch(
                 f"expected an (n, {self.feature_count}) matrix, got shape {X.shape}"
             )
-        # accumulate tree by tree so the summation order is the same for
-        # every batch size (scalar predict goes through here with one row)
-        acc = self.trees[0].predict_many(X)
+        # The forest is constant on each cell of the grid cut by the thresholds
+        # it splits on, so it is evaluated once per occupied cell, at the
+        # cell's first row.  A row's cell along feature j is the number of
+        # thresholds <= x_j; since a value at a threshold routes right, every
+        # row of a cell takes the same path through every tree.  NaN and +inf
+        # land in the last cell, whose rows all go right at every split.
+        # Trees are summed in order and then divided, the arithmetic of a
+        # per-row mean, so the result is bitwise equal to it.
+        n = X.shape[0]
+        first = np.arange(min(n, 1))
+        inverse = np.zeros(n, dtype=np.intp)
+        for j, thr in enumerate(self._thresholds()):
+            if thr.size:
+                # renumbering the cells after each feature keeps the codes
+                # below n times one feature's threshold count
+                code = inverse * (thr.size + 1) + np.searchsorted(thr, X[:, j], side="right")
+                _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+        cells = X[first]
+        acc = self.trees[0].predict_many(cells)
         for tree in self.trees[1:]:
-            acc += tree.predict_many(X)
-        return acc / len(self.trees)
+            acc += tree.predict_many(cells)
+        return (acc / len(self.trees))[inverse]
+
+    def _thresholds(self) -> list:
+        """Sorted distinct split thresholds of every tree, one array per feature."""
+        found = [[] for _ in range(self.feature_count)]
+        stack = list(self.trees)
+        while stack:
+            node = stack.pop()
+            if node.split is not None:
+                found[node.split[0]].append(node.split[1])
+                stack.append(node.left)
+                stack.append(node.right)
+        return [np.unique(np.asarray(values, dtype=float)) for values in found]
 
 
 def fit_forest(

@@ -485,7 +485,7 @@ def _scenario_from_flat(pairs: dict) -> Scenario:
 
 def load_scenario(path) -> Scenario:
     """Read a scenario config: JSON if the file starts with '{', else key=value."""
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8-sig")
     if text.lstrip().startswith("{"):
         try:
             data = json.loads(text)

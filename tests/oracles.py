@@ -7,6 +7,8 @@ the library.
 
 import math
 
+import numpy as np
+
 
 def two_pass_deviation(scores):
     """Mean/sd computed in two explicit passes, then the standardization."""
@@ -83,3 +85,19 @@ def fsum_mean(values):
     """Exactly rounded mean via math.fsum."""
     values = list(values)
     return math.fsum(values) / len(values)
+
+
+def per_row_forest_mean(trees, X):
+    """Forest prediction the per-row way: walk every tree for every row,
+    accumulate tree by tree (acc = t0, then acc += t_i), divide by the count."""
+    out = []
+    for row in X:
+        acc = None
+        for tree in trees:
+            node = tree
+            while node.split is not None:
+                feature, threshold = node.split
+                node = node.left if row[feature] < threshold else node.right
+            acc = node.mean if acc is None else acc + node.mean
+        out.append(acc / len(trees))
+    return np.asarray(out, dtype=float)

@@ -94,6 +94,66 @@ def test_missing_input_file_exit_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["summarize", "tree"])
+def test_header_only_csv_exit_2(tmp_path, capsys, command):
+    path = tmp_path / "header.csv"
+    path.write_text(HEADER + "\n", encoding="utf-8")
+    assert main([command, "--input", str(path), "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_directory_input_exit_2(tmp_path, capsys):
+    assert main(["summarize", "--input", str(tmp_path), "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_non_utf8_input_exit_2(tmp_path, capsys):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes((HEADER + "\nJos\xe9,50,1,0,0,0,0,0,52\n").encode("latin-1"))
+    assert main(["summarize", "--input", str(path), "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_byte_order_mark_is_skipped_in_csv_and_config(tmp_path, synth_csv):
+    text = synth_csv.read_text(encoding="utf-8").replace("proficiency", "placement", 1)
+    cfg_text = "proficiency = placement\n"
+    outputs = []
+    for encoding in ("utf-8", "utf-8-sig"):
+        csv_path = tmp_path / f"{encoding}.csv"
+        cfg_path = tmp_path / f"{encoding}.cfg"
+        csv_path.write_text(text, encoding=encoding)
+        cfg_path.write_text(cfg_text, encoding=encoding)
+        out = tmp_path / f"out-{encoding}"
+        args = ["summarize", "--input", str(csv_path), "--config", str(cfg_path), "--out", str(out)]
+        assert main(args + ["--quiet"]) == 0
+        outputs.append(_read_all(out))
+    assert csv_path.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--depth", "0"),
+        ("--trees", "0"),
+        ("--jobs", "-3"),
+        ("--depth", "two"),
+        ("--bin", "0"),
+        ("--bin", "-1"),
+        ("--bin", "nan"),
+        ("--bin", "inf"),
+    ],
+)
+def test_invalid_flag_exit_2_without_traceback(tmp_path, synth_csv, capsys, flag, value):
+    args = ["cate", "--input", str(synth_csv), "--out", str(tmp_path / "o"), "--trees", "4"]
+    with pytest.raises(SystemExit) as exc:
+        main(args + [flag, value, "--quiet"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}" in err
+    assert "Traceback" not in err
+
+
 # --- cate ----------------------------------------------------------------
 
 

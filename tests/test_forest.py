@@ -158,6 +158,71 @@ def test_predict_many_agrees_with_scalar_predict():
         assert forest.predict(probe[i]) == batch[i]
 
 
+def _split_thresholds(forest):
+    found = set()
+    stack = list(forest.trees)
+    while stack:
+        node = stack.pop()
+        if node.split is not None:
+            found.add(node.split[1])
+            stack += [node.left, node.right]
+    return sorted(found)
+
+
+def _assert_matches_per_row_mean(forest, data):
+    """Probe rows drawn from the split thresholds, their neighbours below,
+    NaN, +-inf and free floats must predict bitwise as the per-row mean."""
+    cuts = _split_thresholds(forest)
+    edges = cuts + [float(np.nextafter(t, -np.inf)) for t in cuts]
+    value = st.sampled_from(edges + [np.nan, np.inf, -np.inf]) | st.floats(-20, 20)
+    d = forest.feature_count
+    rows = data.draw(st.lists(st.lists(value, min_size=d, max_size=d), max_size=40))
+    for probe in (np.array(rows, dtype=float).reshape(len(rows), d), np.empty((0, d))):
+        got = forest.predict_many(probe)
+        want = oracles.per_row_forest_mean(forest.trees, probe)
+        assert got.shape == want.shape == (len(probe),)
+        assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_predict_many_bitwise_equals_per_row_mean(data):
+    seed = data.draw(st.integers(min_value=0, max_value=2**32))
+    d = data.draw(st.integers(min_value=1, max_value=2))
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 60))
+    X = rng.uniform(0, 10, size=(n, d))
+    if data.draw(st.booleans()):
+        X = np.round(X)  # repeated values: shared thresholds, many rows per cell
+    y = rng.normal(0, 1, size=n)
+    forest = fit_forest(
+        [(X[i], y[i]) for i in range(n)],
+        TreeParams(max_depth=data.draw(st.integers(min_value=1, max_value=4))),
+        n_trees=data.draw(st.integers(min_value=1, max_value=8)),
+        seed=seed,
+    )
+    _assert_matches_per_row_mean(forest, data)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_hand_built_forest_splitting_on_second_feature(data):
+    def leaf(v):
+        return TreeNode(n=1, mean=v)
+
+    def node(feature, threshold, left, right):
+        return TreeNode(n=2, mean=0.0, split=(feature, threshold), left=left, right=right)
+
+    trees = (
+        node(1, 2.5, leaf(0.1), node(0, -1.0, leaf(0.2), leaf(0.7))),
+        node(1, 7.5, node(1, 2.5, leaf(-0.0), leaf(1e16)), leaf(0.3)),
+        leaf(-3.0),
+        node(0, 2.5, leaf(1.0), node(1, -1.0, leaf(2.0), leaf(1.0 / 3.0))),
+    )
+    forest = RegressionForest(trees, len(trees), 0, 2, TreeParams())
+    _assert_matches_per_row_mean(forest, data)
+
+
 # --- fit_forest -------------------------------------------------------------
 
 
