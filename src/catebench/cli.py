@@ -296,7 +296,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--x2", default=None, help="comma-separated session counts for the grid")
         p.add_argument("--bin", type=_width_flag, default=1.0, help="covariate bin width (default 1)")
         p.add_argument("--config", default=None, help="schema config (scenario file for synth)")
-        p.add_argument("--jobs", type=_count_flag, default=1, help="threads for forest fitting")
+        p.add_argument(
+            "--jobs", type=_count_flag, default=1,
+            help="accepted and ignored: forest fitting is single-threaded",
+        )
         p.add_argument("--quiet", action="store_true", help="suppress the text mirror")
         p.set_defaults(handler=handler)
         return p

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyInput, EmptyOrSingleton, ParseError, SchemaError, ZeroVariance
+from .errors import DomainError, EmptyInput, EmptyOrSingleton, ParseError, SchemaError, ZeroVariance
 
 CANONICAL_COLUMNS = (
     "id",
@@ -60,7 +60,12 @@ def to_deviation(raw_scores) -> list[float]:
 
 def bin_value(v, precision=1.0):
     """Snap a covariate value to its bin: round(v / precision) * precision."""
-    return round(v / precision) * precision
+    try:
+        return round(v / precision) * precision
+    except (OverflowError, ValueError):  # the quotient is infinite or NaN
+        raise DomainError(
+            f"covariate {v!r} / bin width {precision!r} is not finite; use a wider bin"
+        ) from None
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,8 @@ class EmptyBin(CatebenchError):
 
 
 class DomainError(CatebenchError):
-    """An estimator was evaluated outside its domain (e.g. session count 0)."""
+    """A value lies outside its domain (e.g. session count 0, or a covariate
+    whose quotient by the bin width is not finite)."""
 
 
 class RankDeficient(CatebenchError):

@@ -67,18 +67,79 @@ def brute_force_tree(X, y, max_depth, min_split=2, min_leaf=1, depth=0):
     return node
 
 
-def assert_same_tree(node, ref):
-    """Compare a fitted TreeNode against the reference dict, split for split."""
+def per_node_sort_tree(X, y, max_depth, min_split=2, min_leaf=1, depth=0):
+    """Reference CART that stable-argsorts every feature again at every node.
+
+    Same nested dicts as brute_force_tree, with the library's arithmetic: per
+    feature, the first minimum of the cumulative-sum child SSE over sorted
+    values picks the threshold; across features, the canonical partition SSE
+    (child deviations from their means, squared and summed) picks the feature,
+    first strict minimum winning.  Node means are numpy means in row order.
+    """
+    node = {"n": int(y.size), "mean": float(y.mean()), "split": None}
+    if depth >= max_depth or y.size < min_split or y.min() == y.max():
+        return node
+    best = None
+    for j in range(X.shape[1]):
+        order = np.argsort(X[:, j], kind="stable")
+        sx, sy = X[order, j], y[order]
+        cut = np.nonzero(sx[:-1] < sx[1:])[0]
+        n_left = cut + 1
+        n_right = y.size - n_left
+        ok = (n_left >= min_leaf) & (n_right >= min_leaf)
+        if not ok.any():
+            continue
+        csum, csq = np.cumsum(sy), np.cumsum(sy * sy)
+        sse = (csq[cut] - csum[cut] ** 2 / n_left) + (
+            csq[-1] - csq[cut] - (csum[-1] - csum[cut]) ** 2 / n_right
+        )
+        sse[~ok] = np.inf
+        k = int(np.argmin(sse))
+        if not np.isfinite(sse[k]):
+            continue
+        threshold = float((sx[cut[k]] + sx[cut[k] + 1]) / 2.0)
+        mask = X[:, j] < threshold
+        dl = y[mask] - y[mask].mean()
+        dr = y[~mask] - y[~mask].mean()
+        canonical = float(dl @ dl + dr @ dr)
+        if best is None or canonical < best[0]:
+            best = (canonical, j, threshold)
+    if best is None:
+        return node
+    _, j, threshold = best
+    mask = X[:, j] < threshold
+    node["split"] = (j, threshold)
+    node["left"] = per_node_sort_tree(X[mask], y[mask], max_depth, min_split, min_leaf, depth + 1)
+    node["right"] = per_node_sort_tree(X[~mask], y[~mask], max_depth, min_split, min_leaf, depth + 1)
+    return node
+
+
+def per_node_sort_forest(X, y, n_trees, seed, max_depth, min_split=2, min_leaf=1):
+    """Bagged per_node_sort_tree: tree i fits the rows drawn by
+    ``default_rng([seed mod 2**64, i]).integers(0, n, size=n)``."""
+    n = y.size
+    trees = []
+    for i in range(n_trees):
+        idx = np.random.default_rng([seed % 2**64, i]).integers(0, n, size=n)
+        trees.append(per_node_sort_tree(X[idx], y[idx], max_depth, min_split, min_leaf))
+    return trees
+
+
+def assert_same_tree(node, ref, mean_tol=1e-9):
+    """Compare a fitted TreeNode against the reference dict, split for split;
+    with ``mean_tol=0`` node means must be equal."""
     assert node.n == ref["n"], f"node size {node.n} != {ref['n']}"
-    assert math.isclose(node.mean, ref["mean"], rel_tol=0.0, abs_tol=1e-9)
+    assert math.isclose(node.mean, ref["mean"], rel_tol=0.0, abs_tol=mean_tol), (
+        f"mean {node.mean!r} != {ref['mean']!r}"
+    )
     if ref["split"] is None:
         assert node.split is None, f"unexpected split {node.split}"
         return
     assert node.split is not None, f"missing split, expected {ref['split']}"
     assert node.split[0] == ref["split"][0], f"feature {node.split} != {ref['split']}"
     assert node.split[1] == ref["split"][1], f"threshold {node.split} != {ref['split']}"
-    assert_same_tree(node.left, ref["left"])
-    assert_same_tree(node.right, ref["right"])
+    assert_same_tree(node.left, ref["left"], mean_tol)
+    assert_same_tree(node.right, ref["right"], mean_tol)
 
 
 def fsum_mean(values):

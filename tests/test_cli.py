@@ -154,6 +154,18 @@ def test_invalid_flag_exit_2_without_traceback(tmp_path, synth_csv, capsys, flag
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["summarize", "cate"])
+def test_bin_width_too_small_for_covariate_exit_2(tmp_path, capsys, command):
+    # 50 / 1e-308 overflows to inf, which has no bin
+    path = tmp_path / "two.csv"
+    path.write_text(HEADER + "\nt,50,1,0,0,0,0,0,52\nc,40,0,0,0,0,0,0,45\n", encoding="utf-8")
+    args = [command, "--input", str(path), "--out", str(tmp_path / "o"), "--bin", "1e-308"]
+    assert main(args + ["--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "bin width" in err
+    assert "Traceback" not in err
+
+
 # --- cate ----------------------------------------------------------------
 
 

@@ -95,6 +95,44 @@ def test_zero_variance_feature_never_selected():
     walk(tree)
 
 
+@st.composite
+def tied_training_sets(draw):
+    """1-3 features over few distinct values, often a constant column and
+    duplicated rows, and outcomes with many ties."""
+    d = draw(st.integers(min_value=1, max_value=3))
+    n = draw(st.integers(min_value=1, max_value=40))
+    value = st.sampled_from([-1.5, 0.0, 0.25, 1.0, 2.0, 7.0])
+    X = np.array(draw(st.lists(st.lists(value, min_size=d, max_size=d), min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        X[:, draw(st.integers(min_value=0, max_value=d - 1))] = 3.0
+    outcome = st.sampled_from([0.0, 1.0, 2.0, 0.1, -3.3]) | st.floats(-100, 100)
+    y = np.array(draw(st.lists(outcome, min_size=n, max_size=n)))
+    repeat = draw(st.lists(st.integers(min_value=0, max_value=n - 1), max_size=n))
+    return np.concatenate([X, X[repeat]]), np.concatenate([y, y[repeat]])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    tied_training_sets(),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=1, max_value=5),
+    st.one_of(st.none(), st.integers(min_value=0, max_value=2**64)),
+)
+def test_split_search_equals_per_node_sort_bitwise(data, depth, min_split, min_leaf, seed):
+    X, y = data
+    params = TreeParams(max_depth=depth, min_samples_split=min_split, min_samples_leaf=min_leaf)
+    rows = [(X[i], y[i]) for i in range(y.size)]
+    if seed is None:
+        fitted = [fit_tree(rows, params)]
+        refs = [oracles.per_node_sort_tree(X, y, depth, min_split, min_leaf)]
+    else:
+        fitted = fit_forest(rows, params, n_trees=3, seed=seed).trees
+        refs = oracles.per_node_sort_forest(X, y, 3, seed, depth, min_split, min_leaf)
+    for tree, ref in zip(fitted, refs, strict=True):
+        oracles.assert_same_tree(tree, ref, mean_tol=0.0)
+
+
 def test_empty_and_ragged_inputs():
     with pytest.raises(EmptyInput):
         fit_tree([])
