@@ -76,7 +76,6 @@ from .treatcount import (
     REFERENCE_DOSES,
     CateSurface,
     IndependenceReport,
-    TLearner2Model,
     att2,
     check_base_independence,
     default_dose_probes,

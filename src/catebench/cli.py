@@ -20,6 +20,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import dataset, linreg, synth, tlearner, treatcount
 from .errors import (
     DomainError,
@@ -197,22 +199,8 @@ def cmd_phi(args) -> int:
 def cmd_tree(args) -> int:
     cohort, load_report = _load(args)
     names = [load_report.columns[c] for c in TREE_FEATURES]
-    rows = [
-        (
-            (
-                rec.x1,
-                float(rec.x2),
-                float(rec.aux.get("remote", 0)),
-                float(rec.aux.get("basic_class", 0)),
-                float(rec.aux.get("exercises", 0)),
-                float(rec.aux.get("videos", 0)),
-                float(rec.aux.get("references", 0)),
-            ),
-            rec.y,
-        )
-        for rec in cohort.records
-    ]
-    tree = fit_tree(rows, _tree_params(args))
+    X = np.column_stack([cohort.x1, cohort.x2, cohort.aux])  # TREE_FEATURES order
+    tree = fit_tree(list(zip(X.tolist(), cohort.y.tolist())), _tree_params(args))
     report = export_tree(tree, names)
     out = _out_dir(args)
     _write_text(out / "tree.txt", report.text)
@@ -223,9 +211,11 @@ def cmd_tree(args) -> int:
 
 def cmd_dose_reg(args) -> int:
     cohort, _ = _load(args)
+    if cohort.n == 0:
+        raise EmptyInput("cohort is empty")
     # when the session count never varies (nobody attended, say) the
     # diagnostic is inapplicable regardless of whether a learner could fit
-    if len({rec.x2 for rec in cohort.records}) < 2:
+    if (cohort.x2 == cohort.x2[0]).all():
         raise RankDeficient("session count is constant across the cohort")
     seed = _resolve_seed(args)
     model = tlearner.fit_t_learner(
@@ -250,7 +240,7 @@ def cmd_synth(args) -> int:
     truth_path = synth.save_synthetic(cohort, truth, out / "cohort.csv")
     _say(
         args,
-        f"wrote {cohort.n} records ({len(cohort.r1)} treated) to {out / 'cohort.csv'}"
+        f"wrote {cohort.n} records ({int(cohort.treated.sum())} treated) to {out / 'cohort.csv'}"
         f" and {truth_path}",
     )
     return 0

@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +41,7 @@ CANONICAL_COLUMNS = (
 )
 AUX_FIELDS = ("remote", "basic_class", "exercises", "videos", "references")
 COUNT_COLUMNS = ("f2f",) + AUX_FIELDS
+_COUNT_MAX = 2**63 - 1  # counts are stored as int64
 
 
 def to_deviation(raw_scores) -> list[float]:
@@ -58,14 +60,16 @@ def to_deviation(raw_scores) -> list[float]:
     return [10.0 * (s - mean) / sd + 50.0 for s in scores.tolist()]
 
 
+def _bin_error(v, precision) -> DomainError:
+    return DomainError(f"covariate {v!r} / bin width {precision!r} is not finite; use a wider bin")
+
+
 def bin_value(v, precision=1.0):
     """Snap a covariate value to its bin: round(v / precision) * precision."""
     try:
         return round(v / precision) * precision
     except (OverflowError, ValueError):  # the quotient is infinite or NaN
-        raise DomainError(
-            f"covariate {v!r} / bin width {precision!r} is not finite; use a wider bin"
-        ) from None
+        raise _bin_error(v, precision) from None
 
 
 @dataclass(frozen=True)
@@ -89,58 +93,119 @@ class StudentRecord:
         return self.x2 >= 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Cohort:
-    """Immutable record collection with treated/control and covariate-bin indexes.
+    """Immutable columns, one entry per student in input row order.
 
-    ``r1``/``r0`` are the (sorted) record indices of treated and control
-    students; ``groups`` maps each covariate bin to its member indices and
-    always partitions the record set.
+    ``x1`` (float64) is the covariate, ``x2`` (int64) the session count, ``y``
+    (float64) the outcome and ``aux`` (int64, n x 5) the other counts in
+    ``AUX_FIELDS`` order.  ``bins`` holds each covariate's bin key, bitwise
+    equal to ``bin_value(x1, precision)``.  A student is treated iff x2 >= 1;
+    that mask is derived on demand, never stored.
+
+    ``records``, ``r1``, ``r0`` and ``groups`` are record-level views for
+    callers that want Python objects; each is built on first access.
     """
 
-    records: tuple
-    r1: tuple
-    r0: tuple
-    groups: dict
+    ids: tuple
+    x1: np.ndarray
+    x2: np.ndarray
+    y: np.ndarray
+    aux: np.ndarray
     precision: float = 1.0
+    bins: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if self.precision <= 0:
+            raise ValueError("precision must be positive")
+        n = len(self.ids)
+        x1 = np.array(self.x1, dtype=np.float64).reshape(n)
+        y = np.array(self.y, dtype=np.float64).reshape(n)
+        x2 = np.array(self.x2, dtype=np.int64).reshape(n)
+        if not (np.isfinite(x1).all() and np.isfinite(y).all()):
+            raise ValueError("x1 and y must be finite")
+        if (x2 < 0).any():
+            raise ValueError("x2 must be nonnegative")
+        aux = np.array(self.aux, dtype=np.int64).reshape(n, len(AUX_FIELDS))
+        bins = _bin_keys(x1, float(self.precision))
+        for name, column in zip(("x1", "x2", "y", "aux", "bins"), (x1, x2, y, aux, bins)):
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        object.__setattr__(self, "ids", tuple(self.ids))
+        object.__setattr__(self, "precision", float(self.precision))
 
     @property
     def n(self) -> int:
-        return len(self.records)
+        return self.x1.size
 
-    def x1_values(self) -> np.ndarray:
-        return np.asarray([rec.x1 for rec in self.records], dtype=float)
+    @property
+    def treated(self) -> np.ndarray:
+        return self.x2 >= 1
+
+    @cached_property
+    def bin_members(self) -> dict:
+        """Each bin key, ascending, mapped to its member rows in ascending order."""
+        keys, inverse = np.unique(self.bins, return_inverse=True)
+        order = np.argsort(inverse, kind="stable")
+        order.flags.writeable = False  # the split views below inherit this
+        return dict(zip(keys.tolist(), np.split(order, np.cumsum(np.bincount(inverse))[:-1])))
+
+    # --- record-level views ---------------------------------------------------
+
+    @cached_property
+    def records(self) -> tuple:
+        aux = (dict(zip(AUX_FIELDS, row)) for row in self.aux.tolist())
+        columns = zip(self.ids, self.x1.tolist(), self.x2.tolist(), self.y.tolist(), aux)
+        return tuple(StudentRecord(*fields) for fields in columns)
+
+    @cached_property
+    def r1(self) -> tuple:
+        return tuple(np.flatnonzero(self.treated).tolist())
+
+    @cached_property
+    def r0(self) -> tuple:
+        return tuple(np.flatnonzero(~self.treated).tolist())
+
+    @cached_property
+    def groups(self) -> dict:
+        return {b: tuple(rows.tolist()) for b, rows in self.bin_members.items()}
 
     def x2_values(self) -> np.ndarray:
-        return np.asarray([rec.x2 for rec in self.records], dtype=float)
+        return self.x2.astype(float)
 
     def y_values(self) -> np.ndarray:
-        return np.asarray([rec.y for rec in self.records], dtype=float)
+        return self.y.copy()
 
 
-def _group_indices(records, precision) -> dict:
-    buckets: dict = {}
-    for i, rec in enumerate(records):
-        buckets.setdefault(bin_value(rec.x1, precision), []).append(i)
-    return {b: tuple(buckets[b]) for b in sorted(buckets)}
+def _bin_keys(x1, precision) -> np.ndarray:
+    # rint and round both break ties to even, so rint(q) * w is round(q) * w;
+    # + 0.0 turns the -0.0 that rint gives in (-w/2, 0] into bin_value's 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = x1 / precision
+    finite = np.isfinite(q)
+    if not finite.all():
+        raise _bin_error(float(x1[np.argmin(finite)]), precision)
+    return np.rint(q) * precision + 0.0
 
 
 def build_cohort(records, precision=1.0) -> Cohort:
-    if precision <= 0:
-        raise ValueError("precision must be positive")
+    """Columns from StudentRecord objects; a missing aux count reads as zero."""
     records = tuple(records)
-    r1 = tuple(i for i, rec in enumerate(records) if rec.treated)
-    r0 = tuple(i for i, rec in enumerate(records) if not rec.treated)
-    return Cohort(records, r1, r0, _group_indices(records, precision), float(precision))
+    return Cohort(
+        tuple(rec.id for rec in records),
+        [rec.x1 for rec in records],
+        [rec.x2 for rec in records],
+        [rec.y for rec in records],
+        [[rec.aux.get(name, 0) for name in AUX_FIELDS] for rec in records],
+        precision,
+    )
 
 
 def group_by_covariate(cohort: Cohort, precision=None) -> dict:
     """Index sets per covariate bin; precision defaults to the cohort's own."""
     if precision is None:
         precision = cohort.precision
-    if precision <= 0:
-        raise ValueError("precision must be positive")
-    return _group_indices(cohort.records, precision)
+    return Cohort(cohort.ids, cohort.x1, cohort.x2, cohort.y, cohort.aux, precision).groups
 
 
 @dataclass(frozen=True)
@@ -158,17 +223,17 @@ class GroupSummary:
 def summarize(cohort: Cohort) -> GroupSummary:
     if cohort.n == 0:
         raise EmptyInput("cohort is empty")
+    treated = cohort.treated
 
-    def means(indices):
-        if not indices:
+    def means(rows):
+        if not rows.any():
             return None, None
-        ys = np.asarray([cohort.records[i].y for i in indices], dtype=float)
-        xs = np.asarray([cohort.records[i].x1 for i in indices], dtype=float)
-        return float(ys.mean()), float(xs.mean())
+        return float(cohort.y[rows].mean()), float(cohort.x1[rows].mean())
 
-    my1, mx1 = means(cohort.r1)
-    my0, mx0 = means(cohort.r0)
-    return GroupSummary(len(cohort.r1), len(cohort.r0), my1, my0, mx1, mx0)
+    my1, mx1 = means(treated)
+    my0, mx0 = means(~treated)
+    n_treated = int(treated.sum())
+    return GroupSummary(n_treated, cohort.n - n_treated, my1, my0, mx1, mx0)
 
 
 @dataclass(frozen=True)
@@ -234,6 +299,8 @@ def _parse_count(cell, path, rownum, column) -> int:
         ) from None
     if value < 0:
         raise ParseError(f"{path}: row {rownum}, column {column!r}: negative count")
+    if value > _COUNT_MAX:
+        raise ParseError(f"{path}: row {rownum}, column {column!r}: count above {_COUNT_MAX}")
     return value
 
 
@@ -245,74 +312,47 @@ def load_cohort(path, config: SchemaConfig | None = None, precision=1.0):
     """
     cfg = config or SchemaConfig.default()
     path = Path(path)
+    names = [cfg.columns[c] for c in CANONICAL_COLUMNS]
     with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise SchemaError(f"{path}: empty file, header row required") from None
-
-        positions = {}
-        missing = []
-        for canonical in CANONICAL_COLUMNS:
-            actual = cfg.columns[canonical]
-            if actual in header:
-                positions[canonical] = header.index(actual)
-            else:
-                missing.append(actual)
+        missing = [name for name in names if name not in header]
         if missing:
             raise SchemaError(f"{path}: missing required columns: {', '.join(missing)}")
+        positions = [header.index(name) for name in names]  # CANONICAL_COLUMNS order
 
-        records = []
+        ids, x1, y, counts = [], [], [], []
         n_rows = 0
         n_dropped = 0
         for rownum, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
+            if not any(c.strip() for c in row):
                 continue
             n_rows += 1
             if len(row) != len(header):
                 raise ParseError(
                     f"{path}: row {rownum}: expected {len(header)} fields, got {len(row)}"
                 )
-            cells = {canonical: row[pos].strip() for canonical, pos in positions.items()}
-            if cells["proficiency"] == "" or cells["diff_deviation"] == "":
+            cells = [row[pos].strip() for pos in positions]
+            if cells[1] == "" or cells[8] == "":
                 n_dropped += 1
                 continue
-            x1 = _parse_float(cells["proficiency"], path, rownum, cfg.columns["proficiency"])
-            y = _parse_float(cells["diff_deviation"], path, rownum, cfg.columns["diff_deviation"])
-            counts = {
-                name: _parse_count(cells[name], path, rownum, cfg.columns[name])
-                for name in COUNT_COLUMNS
-            }
-            records.append(
-                StudentRecord(
-                    id=cells["id"],
-                    x1=x1,
-                    x2=counts["f2f"],
-                    y=y,
-                    aux={name: counts[name] for name in AUX_FIELDS},
-                )
-            )
-    return build_cohort(records, precision), LoadReport(n_rows, n_dropped, dict(cfg.columns))
+            x1.append(_parse_float(cells[1], path, rownum, names[1]))
+            y.append(_parse_float(cells[8], path, rownum, names[8]))
+            counts.append([_parse_count(cells[k], path, rownum, names[k]) for k in range(2, 8)])
+            ids.append(cells[0])
+    counts = np.array(counts, dtype=np.int64).reshape(-1, len(COUNT_COLUMNS))
+    cohort = Cohort(tuple(ids), x1, counts[:, 0], y, counts[:, 1:], precision)
+    return cohort, LoadReport(n_rows, n_dropped, dict(cfg.columns))
 
 
 def save_cohort(cohort: Cohort, path, config: SchemaConfig | None = None) -> None:
     """Write a cohort back to the CSV schema (floats keep full precision)."""
     cfg = config or SchemaConfig.default()
+    x1, y = (list(map(repr, column.tolist())) for column in (cohort.x1, cohort.y))
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([cfg.columns[c] for c in CANONICAL_COLUMNS])
-        for rec in cohort.records:
-            writer.writerow(
-                [
-                    rec.id,
-                    repr(float(rec.x1)),
-                    rec.x2,
-                    rec.aux.get("remote", 0),
-                    rec.aux.get("basic_class", 0),
-                    rec.aux.get("exercises", 0),
-                    rec.aux.get("videos", 0),
-                    rec.aux.get("references", 0),
-                    repr(float(rec.y)),
-                ]
-            )
+        writer.writerows(zip(cohort.ids, x1, cohort.x2.tolist(), *cohort.aux.T.tolist(), y))

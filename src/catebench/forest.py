@@ -99,12 +99,12 @@ def _coerce_rows(rows):
     if not rows:
         raise EmptyInput("no training rows")
     try:
-        X = np.asarray([np.asarray(r[0], dtype=float) for r in rows], dtype=float)
+        X = np.array([r[0] for r in rows], dtype=float)
     except ValueError as exc:
         raise DimensionMismatch("feature vectors differ in length") from exc
     if X.ndim != 2:
         raise DimensionMismatch("feature vectors must be one-dimensional sequences")
-    y = np.asarray([float(r[1]) for r in rows], dtype=float)
+    y = np.array([r[1] for r in rows], dtype=float)
     return X, y
 
 

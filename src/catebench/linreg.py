@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import scipy.linalg
 
-from .dataset import Cohort, bin_value
+from .dataset import Cohort
 from .errors import RankDeficient, Underdetermined
 from .tlearner import TLearnerModel
 
@@ -105,12 +105,7 @@ def tau_dose_regression(cohort: Cohort, model: TLearnerModel):
     effect is larger.  Raises RankDeficient when x2 never varies (nobody
     attended, for instance), which makes the diagnostic inapplicable.
     """
-    X1 = cohort.x1_values()[:, np.newaxis]
+    X1 = cohort.x1[:, np.newaxis]
     tau = model.mu1.predict_many(X1) - model.mu0.predict_many(X1)
-    design = np.column_stack([X1[:, 0], cohort.x2_values()])
-    fit = ols_fit(design, tau)
-    rows = tuple(
-        (rec.x2, float(tau[k]), float(bin_value(rec.x1, cohort.precision)))
-        for k, rec in enumerate(cohort.records)
-    )
-    return fit, ScatterExport(rows)
+    fit = ols_fit(np.column_stack([cohort.x1, cohort.x2]), tau)
+    return fit, ScatterExport(tuple(zip(cohort.x2.tolist(), tau.tolist(), cohort.bins.tolist())))

@@ -15,7 +15,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .dataset import AUX_FIELDS, Cohort, StudentRecord, build_cohort, save_cohort
+from .dataset import AUX_FIELDS, Cohort, save_cohort
 from .errors import InvalidScenario, OutOfSupport
 
 _SEED_SPACE = 2**64
@@ -229,17 +229,8 @@ def generate(scenario: Scenario, seed: int = 0):
     x2 = np.where(treated, latent_dose, 0)
     y = np.where(treated, y1, y0) + noise
 
-    records = tuple(
-        StudentRecord(
-            id=f"s{i:05d}",
-            x1=float(x1[i]),
-            x2=int(x2[i]),
-            y=float(y[i]),
-            aux={name: 0 for name in AUX_FIELDS},
-        )
-        for i in range(scenario.n)
-    )
-    cohort = build_cohort(records)
+    ids = tuple(f"s{i:05d}" for i in range(scenario.n))
+    cohort = Cohort(ids, x1, x2, y, np.zeros((scenario.n, len(AUX_FIELDS)), dtype=np.int64))
     true_att = float(np.mean(effect[treated])) if treated.any() else None
     true_atu = float(np.mean(effect[~treated])) if (~treated).any() else None
     truth = GroundTruth(

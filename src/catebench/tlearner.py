@@ -1,9 +1,12 @@
-"""One-variable T-learner: a response forest per arm over the covariate.
+"""T-learner: a response forest per arm.
 
 The treated forest mu1 is fit only on treated records, the control forest
-mu0 only on controls; their difference at a covariate value is the effect
-estimate.  ATE averages fitted differences over every record, while ATT and
-ATU mix the observed outcome of one arm with the other arm's prediction.
+mu0 only on controls.  Their inputs are the covariate alone (this module) or
+the covariate and the session count (``treatcount.fit_t_learner2``); one fit
+routine serves both.  The difference of the two responses at a covariate
+value is the effect estimate.  ATE averages fitted differences over every
+record, while ATT and ATU mix the observed outcome of one arm with the other
+arm's prediction.
 """
 
 from __future__ import annotations
@@ -20,28 +23,51 @@ from .errors import EmptyArm
 from .forest import RegressionForest, TreeParams, fit_forest
 
 
-def arm_seeds(seed: int) -> tuple[int, int]:
-    """Forest seeds (control, treated) derived from one run seed.
-
-    Both arms and both learner flavors use the run seed itself: a control
-    fit that sees the same rows reproduces tree for tree regardless of how
-    many input columns it was given, and identical arms produce identical
-    forests even with bootstrapping on.
-    """
-    return seed, seed
-
-
 @dataclass(frozen=True)
 class TLearnerModel:
+    """A response forest per arm over [x1] or, for the session-count
+    estimator, [x1, x2].  ``dose_min``/``dose_max`` are the treated arm's
+    observed session-count range."""
+
     mu1: RegressionForest
     mu0: RegressionForest
     params: TreeParams
     n_trees: int
     seed: int
-    seed_mu1: int
-    seed_mu0: int
     n_treated: int
     n_control: int
+    dose_min: int
+    dose_max: int
+
+
+def _fit_arms(cohort: Cohort, n_features, params, seed, n_trees, bootstrap, n_jobs):
+    """Fit mu1 on the treated rows and mu0 on the control rows, each in row
+    order, over the first ``n_features`` of (x1, x2).
+
+    Both arms use the run seed, so identical arms give identical forests.  A
+    control's session count is 0 by the partition's definition, so mu0's
+    session column is constant and can never be split on.
+    """
+    treated = cohort.treated
+    if not treated.any():
+        raise EmptyArm("R1")
+    if treated.all():
+        raise EmptyArm("R0")
+    params = params or TreeParams()
+    X = np.column_stack([cohort.x1, cohort.x2][:n_features])
+
+    def fit(arm):
+        # rows go first and as (features, y) pairs: perfbench/spans.py counts them there
+        rows = list(zip(X[arm].tolist(), cohort.y[arm].tolist()))
+        return fit_forest(rows, params, n_trees, seed, bootstrap=bootstrap, n_jobs=n_jobs)
+
+    mu1, mu0 = fit(treated), fit(~treated)
+    n_treated = int(treated.sum())
+    doses = cohort.x2[treated]
+    return TLearnerModel(
+        mu1, mu0, params, n_trees, seed, n_treated, cohort.n - n_treated,
+        int(doses.min()), int(doses.max()),
+    )
 
 
 def fit_t_learner(
@@ -54,19 +80,7 @@ def fit_t_learner(
     n_jobs: int = 1,
 ) -> TLearnerModel:
     """Fit mu1 on treated (x1, y) pairs and mu0 on control pairs."""
-    params = params or TreeParams()
-    if not cohort.r1:
-        raise EmptyArm("R1")
-    if not cohort.r0:
-        raise EmptyArm("R0")
-    seed_mu0, seed_mu1 = arm_seeds(seed)
-    treated_rows = [((cohort.records[i].x1,), cohort.records[i].y) for i in cohort.r1]
-    control_rows = [((cohort.records[j].x1,), cohort.records[j].y) for j in cohort.r0]
-    mu1 = fit_forest(treated_rows, params, n_trees, seed_mu1, bootstrap=bootstrap, n_jobs=n_jobs)
-    mu0 = fit_forest(control_rows, params, n_trees, seed_mu0, bootstrap=bootstrap, n_jobs=n_jobs)
-    return TLearnerModel(
-        mu1, mu0, params, n_trees, seed, seed_mu1, seed_mu0, len(cohort.r1), len(cohort.r0)
-    )
+    return _fit_arms(cohort, 1, params, seed, n_trees, bootstrap, n_jobs)
 
 
 def cate_tau(model: TLearnerModel, x1) -> float:
@@ -78,32 +92,28 @@ def cate_tau(model: TLearnerModel, x1) -> float:
     return model.mu1.predict((float(x1),)) - model.mu0.predict((float(x1),))
 
 
-def _column(values) -> np.ndarray:
-    return np.asarray(values, dtype=float)[:, np.newaxis]
-
-
 def ate(model: TLearnerModel, cohort: Cohort) -> float:
     """Mean fitted difference mu1(x1_k) - mu0(x1_k) over all records."""
-    X = _column(cohort.x1_values())
+    X = cohort.x1[:, np.newaxis]
     return float(np.mean(model.mu1.predict_many(X) - model.mu0.predict_many(X)))
 
 
 def att(model: TLearnerModel, cohort: Cohort) -> float:
     """Mean over the treated of observed outcome minus the control prediction."""
-    if not cohort.r1:
+    treated = cohort.treated
+    if not treated.any():
         raise EmptyArm("R1")
-    X = _column([cohort.records[i].x1 for i in cohort.r1])
-    y = np.asarray([cohort.records[i].y for i in cohort.r1], dtype=float)
-    return float(np.mean(y - model.mu0.predict_many(X)))
+    mu0 = model.mu0.predict_many(cohort.x1[treated, np.newaxis])
+    return float(np.mean(cohort.y[treated] - mu0))
 
 
 def atu(model: TLearnerModel, cohort: Cohort) -> float:
     """Mean over controls of the treated prediction minus the observed outcome."""
-    if not cohort.r0:
+    control = ~cohort.treated
+    if not control.any():
         raise EmptyArm("R0")
-    X = _column([cohort.records[j].x1 for j in cohort.r0])
-    y = np.asarray([cohort.records[j].y for j in cohort.r0], dtype=float)
-    return float(np.mean(model.mu1.predict_many(X) - y))
+    mu1 = model.mu1.predict_many(cohort.x1[control, np.newaxis])
+    return float(np.mean(mu1 - cohort.y[control]))
 
 
 @dataclass(frozen=True)
@@ -158,22 +168,19 @@ class EffectReport:
 
 def effect_report(model: TLearnerModel, cohort: Cohort) -> EffectReport:
     """One row per covariate bin (ascending) with mu0, mu1, and their difference."""
-    bins = sorted(cohort.groups)
-    Xb = _column([float(b) for b in bins])
-    m0 = model.mu0.predict_many(Xb)
-    m1 = model.mu1.predict_many(Xb)
-    rows = tuple(
-        EffectRow(float(b), float(m0[i]), float(m1[i]), float(m1[i] - m0[i]))
-        for i, b in enumerate(bins)
-    )
+    bins = np.fromiter(cohort.bin_members, dtype=float)
+    m0 = model.mu0.predict_many(bins[:, np.newaxis]).tolist()
+    m1 = model.mu1.predict_many(bins[:, np.newaxis]).tolist()
+    rows = tuple(EffectRow(b, a0, a1, a1 - a0) for b, a0, a1 in zip(bins.tolist(), m0, m1))
+    n_treated = int(cohort.treated.sum())
     return EffectReport(
         ate(model, cohort),
         att(model, cohort),
         atu(model, cohort),
         rows,
         cohort.n,
-        len(cohort.r1),
-        len(cohort.r0),
+        n_treated,
+        cohort.n - n_treated,
         model.seed,
         model.params,
         model.n_trees,

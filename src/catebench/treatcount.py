@@ -2,11 +2,11 @@
 session-count-dependent effect estimator.
 
 mu1 is fit on treated (x1, x2, y) triples, so it is only defined for session
-counts of 1 and up; mu0 is fit on control triples with an explicit zero
-session column, so its session-count input is constant and the split search
-can never use it.  The estimator phi(x1, x2) substitutes a hypothetical
-session count into mu1 for every student in a covariate bin and subtracts
-each student's control prediction at their observed count.
+counts of 1 and up; mu0 is fit on control triples, whose session count is 0
+by the partition's definition, so its session-count input is constant and
+the split search can never use it.  The estimator phi(x1, x2) substitutes a
+hypothetical session count into mu1 for every student in a covariate bin and
+subtracts each student's control prediction at their observed count.
 """
 
 from __future__ import annotations
@@ -21,26 +21,12 @@ import numpy as np
 
 from .dataset import Cohort
 from .errors import DomainError, EmptyArm, EmptyBin
-from .forest import RegressionForest, TreeParams, fit_forest
-from .tlearner import arm_seeds
+# unused here, but perfbench/spans.py wraps fit_forest in this module by name
+from .forest import TreeParams, fit_forest  # noqa: F401
+from .tlearner import TLearnerModel, _fit_arms
 
 # session counts always included in grid exports, alongside 1..max observed
 REFERENCE_DOSES = (1, 2, 3, 5, 10, 14)
-
-
-@dataclass(frozen=True)
-class TLearner2Model:
-    mu1: RegressionForest
-    mu0: RegressionForest
-    params: TreeParams
-    n_trees: int
-    seed: int
-    seed_mu1: int
-    seed_mu0: int
-    n_treated: int
-    n_control: int
-    dose_min: int
-    dose_max: int
 
 
 def fit_t_learner2(
@@ -51,40 +37,12 @@ def fit_t_learner2(
     *,
     bootstrap: bool = True,
     n_jobs: int = 1,
-) -> TLearner2Model:
+) -> TLearnerModel:
     """Fit mu1 on treated (x1, x2, y) and mu0 on control (x1, 0, y)."""
-    params = params or TreeParams()
-    if not cohort.r1:
-        raise EmptyArm("R1")
-    if not cohort.r0:
-        raise EmptyArm("R0")
-    seed_mu0, seed_mu1 = arm_seeds(seed)
-    treated_rows = [
-        ((cohort.records[i].x1, float(cohort.records[i].x2)), cohort.records[i].y)
-        for i in cohort.r1
-    ]
-    # the control arm's session column is zero by definition of the split;
-    # write it explicitly rather than trusting the stored values
-    control_rows = [((cohort.records[j].x1, 0.0), cohort.records[j].y) for j in cohort.r0]
-    mu1 = fit_forest(treated_rows, params, n_trees, seed_mu1, bootstrap=bootstrap, n_jobs=n_jobs)
-    mu0 = fit_forest(control_rows, params, n_trees, seed_mu0, bootstrap=bootstrap, n_jobs=n_jobs)
-    doses = [cohort.records[i].x2 for i in cohort.r1]
-    return TLearner2Model(
-        mu1,
-        mu0,
-        params,
-        n_trees,
-        seed,
-        seed_mu1,
-        seed_mu0,
-        len(cohort.r1),
-        len(cohort.r0),
-        min(doses),
-        max(doses),
-    )
+    return _fit_arms(cohort, 2, params, seed, n_trees, bootstrap, n_jobs)
 
 
-def default_dose_probes(model: TLearner2Model, include_zero: bool = True) -> tuple:
+def default_dose_probes(model: TLearnerModel, include_zero: bool = True) -> tuple:
     """1..max observed session count, the reference series, optionally 0."""
     probes = set(REFERENCE_DOSES) | set(range(1, model.dose_max + 1))
     if include_zero:
@@ -110,7 +68,7 @@ class IndependenceReport:
 
 
 def check_base_independence(
-    model: TLearner2Model, cohort: Cohort, probe_x2=None
+    model: TLearnerModel, cohort: Cohort, probe_x2=None
 ) -> IndependenceReport:
     """Assert mu0(x1_k, v) == mu0(x1_k, 0) bitwise for every record and probe.
 
@@ -119,7 +77,7 @@ def check_base_independence(
     Violations are report content, not exceptions.
     """
     probes = tuple(int(v) for v in probe_x2) if probe_x2 is not None else default_dose_probes(model)
-    x1 = cohort.x1_values()
+    x1 = cohort.x1
     base = model.mu0.predict_many(np.column_stack([x1, np.zeros_like(x1)]))
     violations = []
     for v in probes:
@@ -134,39 +92,36 @@ def _require_dose(x2) -> None:
         raise DomainError(f"session count must be >= 1, got {x2}")
 
 
-def phi(model: TLearner2Model, cohort: Cohort, x1, x2) -> float:
+def phi(model: TLearnerModel, cohort: Cohort, x1, x2) -> float:
     """Average predicted gain if everyone in bin x1 attended x2 sessions.
 
     Mean over the bin's members k of mu1(x1_k, x2) - mu0(x1_k, x2_k).
     Defined for x2 >= 1 only: mu1 never saw a zero session count.
     """
     _require_dose(x2)
-    idx = cohort.groups.get(x1)
-    if not idx:
+    rows = cohort.bin_members.get(x1)
+    if rows is None:
         raise EmptyBin(x1)
-    x1_obs = np.asarray([cohort.records[k].x1 for k in idx], dtype=float)
-    x2_obs = np.asarray([float(cohort.records[k].x2) for k in idx], dtype=float)
+    x1_obs = cohort.x1[rows]
     m1 = model.mu1.predict_many(np.column_stack([x1_obs, np.full_like(x1_obs, float(x2))]))
-    m0 = model.mu0.predict_many(np.column_stack([x1_obs, x2_obs]))
+    m0 = model.mu0.predict_many(np.column_stack([x1_obs, cohort.x2[rows]]))
     return float(np.mean(m1 - m0))
 
 
-def phi_summand(model: TLearner2Model, x1, x2) -> float:
+def phi_summand(model: TLearnerModel, x1, x2) -> float:
     """Single-summand form evaluated at the bin value: mu1(x1, x2) - mu0(x1, 0)."""
     _require_dose(x2)
     return model.mu1.predict((float(x1), float(x2))) - model.mu0.predict((float(x1), 0.0))
 
 
-def att2(model: TLearner2Model, cohort: Cohort) -> float:
+def att2(model: TLearnerModel, cohort: Cohort) -> float:
     """Mean over the treated of observed outcome minus the control prediction
     at the treated covariate and observed session count."""
-    if not cohort.r1:
+    treated = cohort.treated
+    if not treated.any():
         raise EmptyArm("R1")
-    X = np.asarray(
-        [[cohort.records[i].x1, float(cohort.records[i].x2)] for i in cohort.r1], dtype=float
-    )
-    y = np.asarray([cohort.records[i].y for i in cohort.r1], dtype=float)
-    return float(np.mean(y - model.mu0.predict_many(X)))
+    X = np.column_stack([cohort.x1[treated], cohort.x2[treated]])
+    return float(np.mean(cohort.y[treated] - model.mu0.predict_many(X)))
 
 
 @dataclass(frozen=True)
@@ -217,7 +172,7 @@ class CateSurface:
 
 
 def phi_surface(
-    model: TLearner2Model, cohort: Cohort, x1_bins=None, x2_values=None
+    model: TLearnerModel, cohort: Cohort, x1_bins=None, x2_values=None
 ) -> CateSurface:
     """Tabulate phi over a sorted grid; cell values match per-cell phi() calls.
 
@@ -229,28 +184,23 @@ def phi_surface(
     x2_values = tuple(sorted({int(v) for v in x2_values}))
     for v in x2_values:
         _require_dose(v)
-    if x1_bins is None:
-        x1_bins = tuple(sorted(cohort.groups))
-    else:
-        x1_bins = tuple(sorted(set(x1_bins)))
+    members = cohort.bin_members
+    x1_bins = tuple(members) if x1_bins is None else tuple(sorted(set(x1_bins)))
 
-    x1_all = cohort.x1_values()
-    x2_all = cohort.x2_values()
-    mu0_obs = model.mu0.predict_many(np.column_stack([x1_all, x2_all]))
+    X = np.column_stack([cohort.x1, cohort.x2])
+    mu0_obs = model.mu0.predict_many(X)
 
     grid = np.full((len(x1_bins), len(x2_values)), np.nan)
     n_missing = 0
     for c, dose in enumerate(x2_values):
-        mu1_dose = model.mu1.predict_many(
-            np.column_stack([x1_all, np.full_like(x1_all, float(dose))])
-        )
-        diff = mu1_dose - mu0_obs
+        X[:, 1] = dose
+        diff = model.mu1.predict_many(X) - mu0_obs
         for r, b in enumerate(x1_bins):
-            idx = cohort.groups.get(b)
-            if not idx:
+            rows = members.get(b)
+            if rows is None:
                 n_missing += 1
                 continue
-            grid[r, c] = float(np.mean(diff[np.asarray(idx)]))
+            grid[r, c] = float(np.mean(diff[rows]))
     flags = tuple(bool(v < model.dose_min or v > model.dose_max) for v in x2_values)
     return CateSurface(
         x1_bins, x2_values, grid, model.dose_min, model.dose_max, flags, n_missing

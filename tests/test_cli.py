@@ -94,12 +94,23 @@ def test_missing_input_file_exit_2(tmp_path):
     assert code == 2
 
 
-@pytest.mark.parametrize("command", ["summarize", "tree"])
+@pytest.mark.parametrize("command", ["summarize", "tree", "dose-reg"])
 def test_header_only_csv_exit_2(tmp_path, capsys, command):
     path = tmp_path / "header.csv"
     path.write_text(HEADER + "\n", encoding="utf-8")
     assert main([command, "--input", str(path), "--out", str(tmp_path / "o"), "--quiet"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["summarize", "cate", "phi", "tree", "dose-reg"])
+def test_count_beyond_int64_exit_2(tmp_path, capsys, command):
+    path = tmp_path / "huge.csv"
+    body = HEADER + "\nt,50,1,0,0,0,0,0,52\nc,40,0,0,0,99999999999999999999,0,0,45\n"
+    path.write_text(body, encoding="utf-8")
+    assert main([command, "--input", str(path), "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "row 3, column 'exercises'" in err
+    assert "Traceback" not in err
 
 
 def test_directory_input_exit_2(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Dataset module: deviation scoring, CSV round trips, grouping, summaries."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catebench.dataset import (
+    AUX_FIELDS,
     GroupSummary,
     SchemaConfig,
     StudentRecord,
@@ -19,7 +21,7 @@ from catebench.dataset import (
     summarize,
     to_deviation,
 )
-from catebench.errors import EmptyOrSingleton, ParseError, SchemaError, ZeroVariance
+from catebench.errors import DomainError, EmptyOrSingleton, ParseError, SchemaError, ZeroVariance
 from catebench.synth import standard_biased_scenario, generate
 
 import helpers
@@ -244,3 +246,44 @@ def test_round_trip_is_identity(tmp_path):
     path2 = tmp_path / "round2.csv"
     save_cohort(reloaded, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+# --- columnar bin keys and count limits -------------------------------------
+
+_WIDTHS = st.one_of(
+    st.sampled_from([1.0, 0.5, 0.1, 2.5, 1e-10, 1e-300]),
+    st.floats(min_value=1e-300, max_value=1e6, allow_nan=False, allow_infinity=False),
+)
+_COVARIATES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, -0.3, -0.5, 0.5, -1.5, 2.5, -1e-300]),
+    st.floats(min_value=-1.0, max_value=1.0),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+def _bits(values):
+    return [struct.pack("<d", float(v)) for v in values]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_COVARIATES, min_size=1, max_size=30), _WIDTHS)
+def test_columnar_bin_keys_equal_bin_value_bitwise(x1s, width):
+    try:
+        expected = [bin_value(v, width) for v in x1s]
+    except DomainError as exc:  # a quotient that is not finite has no bin
+        with pytest.raises(DomainError) as got:
+            helpers.cohort_from_arrays(x1s, [0] * len(x1s), [50.0] * len(x1s), precision=width)
+        assert str(got.value) == str(exc)
+        return
+    cohort = helpers.cohort_from_arrays(x1s, [0] * len(x1s), [50.0] * len(x1s), precision=width)
+    assert _bits(cohort.bins) == _bits(expected)  # sign of zero included
+    assert _bits(group_by_covariate(cohort)) == _bits(sorted(set(expected)))
+
+
+def test_count_limit_is_int64(tmp_path):
+    body = HEADER + "\na,50.0,1,0,0,9223372036854775807,0,0,55.0\n"
+    cohort, _ = load_cohort(_write(tmp_path, body))
+    assert cohort.aux[0, AUX_FIELDS.index("exercises")] == 2**63 - 1
+    body = HEADER + "\na,50.0,1,0,0,0,0,0,55.0\nb,50.0,1,0,0,9223372036854775808,0,0,55.0\n"
+    with pytest.raises(ParseError, match="row 3.*exercises"):
+        load_cohort(_write(tmp_path, body))
