@@ -14,7 +14,6 @@ consistency failure, 5 rank-deficient diagnostic.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -38,8 +37,8 @@ from .forest import TreeParams, export_tree, fit_tree
 TREE_FEATURES = ("proficiency", "f2f") + dataset.AUX_FIELDS
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+# module attributes, looked up at each call: perfbench/spans.py wraps them by name
+_write_json = dataset.write_json
 
 
 def _write_text(path: Path, text: str) -> None:

@@ -19,6 +19,7 @@ partition is always derived from that count, never stored separately.
 from __future__ import annotations
 
 import csv
+import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -348,11 +349,25 @@ def load_cohort(path, config: SchemaConfig | None = None, precision=1.0):
     return cohort, LoadReport(n_rows, n_dropped, dict(cfg.columns))
 
 
+def write_json(path, payload) -> None:
+    """The JSON format of every output file: indent 2, a final newline, UTF-8."""
+    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+
+
+def write_csv(path, header, rows) -> None:
+    """The CSV format of every output file: a header row, "\\n" line ends, UTF-8."""
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def save_cohort(cohort: Cohort, path, config: SchemaConfig | None = None) -> None:
     """Write a cohort back to the CSV schema (floats keep full precision)."""
     cfg = config or SchemaConfig.default()
     x1, y = (list(map(repr, column.tolist())) for column in (cohort.x1, cohort.y))
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([cfg.columns[c] for c in CANONICAL_COLUMNS])
-        writer.writerows(zip(cohort.ids, x1, cohort.x2.tolist(), *cohort.aux.T.tolist(), y))
+    write_csv(
+        path,
+        [cfg.columns[c] for c in CANONICAL_COLUMNS],
+        zip(cohort.ids, x1, cohort.x2.tolist(), *cohort.aux.T.tolist(), y),
+    )

@@ -73,11 +73,7 @@ class TreeNode:
         return self.split is None
 
     def predict(self, x) -> float:
-        node = self
-        while node.split is not None:
-            feature, threshold = node.split
-            node = node.left if x[feature] < threshold else node.right
-        return node.mean
+        return float(self.predict_many(np.asarray([x], dtype=float))[0])
 
     def predict_many(self, X: np.ndarray) -> np.ndarray:
         out = np.empty(X.shape[0], dtype=float)

@@ -3,15 +3,12 @@ regresses per-student effect estimates on (covariate, session count)."""
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import scipy.linalg
 
-from .dataset import Cohort
+from .dataset import Cohort, write_csv, write_json
 from .errors import RankDeficient, Underdetermined
 from .tlearner import TLearnerModel
 
@@ -38,9 +35,7 @@ class OlsFit:
         }
 
     def to_json(self, path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_json_dict(), indent=2) + "\n", encoding="utf-8"
-        )
+        write_json(path, self.to_json_dict())
 
 
 def ols_fit(design, targets) -> OlsFit:
@@ -89,11 +84,8 @@ class ScatterExport:
     rows: tuple
 
     def to_csv(self, path) -> None:
-        with Path(path).open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["x2", "tau", "x1_bin"])
-            for x2, tau, x1_bin in self.rows:
-                writer.writerow([x2, repr(float(tau)), repr(float(x1_bin))])
+        rows = ([x2, repr(float(tau)), repr(float(x1_bin))] for x2, tau, x1_bin in self.rows)
+        write_csv(path, ["x2", "tau", "x1_bin"], rows)
 
 
 def tau_dose_regression(cohort: Cohort, model: TLearnerModel):

@@ -9,13 +9,14 @@ estimates against exact truths instead of re-deriving them.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+import math
+from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from pathlib import Path
 from typing import ClassVar
 
 import numpy as np
 
-from .dataset import AUX_FIELDS, Cohort, save_cohort
+from .dataset import AUX_FIELDS, Cohort, save_cohort, write_json
 from .errors import InvalidScenario, OutOfSupport
 
 _SEED_SPACE = 2**64
@@ -43,9 +44,6 @@ class ResponseFn:
             return self.a + self.b * np.asarray(x2, dtype=float) + 0.0 * np.asarray(x1, dtype=float)
         raise InvalidScenario("kind", f"unknown function kind {self.kind!r}")
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "a": self.a, "b": self.b}
-
 
 @dataclass(frozen=True)
 class LogisticSelection:
@@ -62,9 +60,6 @@ class LogisticSelection:
     def probability(self, x1):
         z = self.intercept + self.slope * (np.asarray(x1, dtype=float) - self.center)
         return 1.0 / (1.0 + np.exp(-z))
-
-    def to_dict(self) -> dict:
-        return {"intercept": self.intercept, "slope": self.slope, "center": self.center}
 
 
 @dataclass(frozen=True)
@@ -99,7 +94,8 @@ class DoseModel:
         x1 = np.asarray(x1, dtype=float)
         if self.x1_slope == 0.0:
             return np.zeros(x1.shape, dtype=int)
-        return np.floor(np.maximum(0.0, (self.x1_ref - x1) * self.x1_slope)).astype(int)
+        # no shift adds more than max_dose, and the clip keeps the cast in range
+        return np.floor(np.clip((self.x1_ref - x1) * self.x1_slope, 0.0, self.max_dose)).astype(int)
 
     def sample(self, x1, rng: np.random.Generator) -> np.ndarray:
         x1 = np.asarray(x1, dtype=float)
@@ -113,15 +109,6 @@ class DoseModel:
         shift = int(self.shift(np.asarray([x1]))[0])
         doses = np.minimum(self.max_dose, np.arange(1, self.max_dose + 1) + shift)
         return float(np.sum(self.base_probabilities() * doses))
-
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "max_dose": self.max_dose,
-            "x1_slope": self.x1_slope,
-            "x1_ref": self.x1_ref,
-            "kind": self.kind,
-        }
 
 
 @dataclass(frozen=True)
@@ -141,6 +128,7 @@ class Scenario:
     noise_sd: float = 0.0
 
     def validate(self) -> None:
+        _require_finite(self)
         if self.n < 1:
             raise InvalidScenario("n", "cohort size must be >= 1")
         if self.x1_sd < 0:
@@ -159,17 +147,7 @@ class Scenario:
             raise InvalidScenario("effect_true", f"unknown kind {self.effect_true.kind!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "x1_mean": self.x1_mean,
-            "x1_sd": self.x1_sd,
-            "round_x1": self.round_x1,
-            "selection": self.selection.to_dict(),
-            "dose": self.dose.to_dict(),
-            "mu0_true": self.mu0_true.to_dict(),
-            "effect_true": self.effect_true.to_dict(),
-            "noise_sd": self.noise_sd,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -207,27 +185,30 @@ class GroundTruth:
         }
 
     def to_json(self, path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_json_dict(), indent=2) + "\n", encoding="utf-8"
-        )
+        write_json(path, self.to_json_dict())
 
 
 def generate(scenario: Scenario, seed: int = 0):
     """Draw one cohort plus its ground truth; bitwise-deterministic per seed."""
     scenario.validate()
     rng = np.random.default_rng(seed % _SEED_SPACE)
-    x1 = rng.normal(scenario.x1_mean, scenario.x1_sd, scenario.n)
-    if scenario.round_x1:
-        x1 = np.rint(x1)
-    treated = rng.random(scenario.n) < scenario.selection.probability(x1)
-    latent_dose = scenario.dose.sample(x1, rng)
-    noise = rng.normal(0.0, scenario.noise_sd, scenario.n)
+    # extreme but finite fields can overflow a draw; that is checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        x1 = rng.normal(scenario.x1_mean, scenario.x1_sd, scenario.n)
+        if scenario.round_x1:
+            x1 = np.rint(x1)
+        treated = rng.random(scenario.n) < scenario.selection.probability(x1)
+        latent_dose = scenario.dose.sample(x1, rng)
+        noise = rng.normal(0.0, scenario.noise_sd, scenario.n)
 
-    y0 = np.asarray(scenario.mu0_true(x1, 0.0), dtype=float)
-    effect = np.asarray(scenario.effect_true(x1, latent_dose.astype(float)), dtype=float)
-    y1 = y0 + effect
-    x2 = np.where(treated, latent_dose, 0)
-    y = np.where(treated, y1, y0) + noise
+        y0 = np.asarray(scenario.mu0_true(x1, 0.0), dtype=float)
+        effect = np.asarray(scenario.effect_true(x1, latent_dose.astype(float)), dtype=float)
+        y1 = y0 + effect
+        x2 = np.where(treated, latent_dose, 0)
+        y = np.where(treated, y1, y0) + noise
+    for name, values in (("x1_sd", x1), ("mu0_true", y0), ("effect_true", y1), ("noise_sd", y)):
+        if not np.isfinite(values).all():
+            raise InvalidScenario(name, "a drawn value is not finite")
 
     ids = tuple(f"s{i:05d}" for i in range(scenario.n))
     cohort = Cohort(ids, x1, x2, y, np.zeros((scenario.n, len(AUX_FIELDS)), dtype=np.int64))
@@ -366,110 +347,72 @@ PRESETS = {
 # ---------------------------------------------------------------------------
 # Scenario config files (JSON, or flat key=value)
 
-_FLAT_KEYS = {
-    "preset": str,
-    "n": int,
-    "x1_mean": float,
-    "x1_sd": float,
-    "round_x1": bool,
-    "selection_intercept": float,
-    "selection_slope": float,
-    "selection_center": float,
-    "dose_p": float,
-    "dose_max": int,
-    "dose_kind": str,
-    "dose_x1_slope": float,
-    "dose_x1_ref": float,
-    "mu0_kind": str,
-    "mu0_a": float,
-    "mu0_b": float,
-    "effect_kind": str,
-    "effect_a": float,
-    "effect_b": float,
-    "noise_sd": float,
-}
+# A flat file names each section field as section_field, with mu0 and effect
+# for mu0_true and effect_true, and dose_max for dose.max_dose.
+_SECTIONS = {"selection": "selection", "dose": "dose", "mu0": "mu0_true", "effect": "effect_true"}
+_BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+# keyed by a field's annotation, which is text here (annotations are postponed)
+_TEXT_PARSERS = {"int": int, "float": float, "bool": lambda text: _BOOLS[text.lower()], "str": str}
+_JSON_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str}
 
 
-def _parse_bool(raw: str, key: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("true", "1", "yes"):
-        return True
-    if lowered in ("false", "0", "no"):
-        return False
-    raise InvalidScenario(key, f"expected a boolean, got {raw!r}")
+def _cast(kind: str, value):
+    """A field value of type ``kind`` from a JSON value or the text of a flat
+    file; raises TypeError, ValueError, KeyError or OverflowError if it is neither."""
+    if isinstance(value, str):
+        value = _TEXT_PARSERS[kind](value)
+    # bool is a subclass of int, so it is told apart first
+    if isinstance(value, bool) != (kind == "bool") or not isinstance(value, _JSON_TYPES[kind]):
+        raise TypeError
+    return float(value) if kind == "float" else value
+
+
+def _require_finite(obj, prefix="") -> None:
+    """Raise InvalidScenario naming the first non-finite float field, sections included."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            _require_finite(value, f"{prefix}{f.name}.")
+        elif f.type == "float" and not math.isfinite(value):
+            raise InvalidScenario(prefix + f.name, "must be finite")
+
+
+def _overlay(base, data: dict, path: str = ""):
+    """``base`` with each field named in ``data`` replaced by its value, cast
+    by the field's type; a section (a nested dataclass) is overlaid field by
+    field, so its fields that ``data`` leaves out keep the base's values."""
+    types = {f.name: f.type for f in fields(base)}
+    changes = {}
+    for key, value in data.items():
+        where = f"{path}.{key}" if path else key
+        if key not in types:
+            raise InvalidScenario(where, "unknown scenario field")
+        if types[key] not in _JSON_TYPES:  # a section
+            if not isinstance(value, dict):
+                raise InvalidScenario(where, "expected a section of fields")
+            changes[key] = _overlay(getattr(base, key), value, where)
+            continue
+        try:
+            changes[key] = _cast(types[key], value)
+        except (TypeError, ValueError, KeyError, OverflowError):
+            raise InvalidScenario(where, f"expected {types[key]}, got {value!r}") from None
+    return replace(base, **changes)
 
 
 def scenario_from_dict(data: dict) -> Scenario:
-    """Build a Scenario from the nested dict form (as written by to_dict)."""
+    """Build a Scenario from the nested form that ``to_dict`` writes.
+
+    The given fields are laid over the named ``preset``, or over the defaults
+    when none is named (then ``n`` is required).  A partial section keeps the
+    base's other fields.
+    """
     data = dict(data)
     preset = data.pop("preset", None)
-    base = PRESETS[preset]() if preset in PRESETS else None
-    if preset is not None and base is None:
+    if preset is not None and not (isinstance(preset, str) and preset in PRESETS):
         raise InvalidScenario("preset", f"unknown preset {preset!r}")
-    known = {"n", "x1_mean", "x1_sd", "round_x1", "selection", "dose",
-             "mu0_true", "effect_true", "noise_sd"}
-    unknown = set(data) - known
-    if unknown:
-        raise InvalidScenario(sorted(unknown)[0], "unknown scenario field")
-    kwargs = {}
-    for key in ("n", "x1_mean", "x1_sd", "round_x1", "noise_sd"):
-        if key in data:
-            kwargs[key] = data[key]
-    if "selection" in data:
-        kwargs["selection"] = LogisticSelection(**data["selection"])
-    if "dose" in data:
-        kwargs["dose"] = DoseModel(**data["dose"])
-    if "mu0_true" in data:
-        kwargs["mu0_true"] = ResponseFn(**data["mu0_true"])
-    if "effect_true" in data:
-        kwargs["effect_true"] = ResponseFn(**data["effect_true"])
-    if base is not None:
-        scenario = replace(base, **kwargs)
-    else:
-        if "n" not in kwargs:
-            raise InvalidScenario("n", "required when no preset is named")
-        scenario = Scenario(**kwargs)
-    scenario.validate()
-    return scenario
-
-
-def _scenario_from_flat(pairs: dict) -> Scenario:
-    preset = pairs.pop("preset", None)
-    if preset is not None and preset not in PRESETS:
-        raise InvalidScenario("preset", f"unknown preset {preset!r}")
-    base = PRESETS[preset]() if preset else Scenario(n=1)
-    selection = base.selection
-    dose = base.dose
-    mu0 = base.mu0_true
-    effect = base.effect_true
-    scalars: dict = {}
-    for key, raw in pairs.items():
-        if key not in _FLAT_KEYS:
-            raise InvalidScenario(key, "unknown scenario key")
-        caster = _FLAT_KEYS[key]
-        try:
-            value = _parse_bool(raw, key) if caster is bool else caster(raw)
-        except ValueError:
-            raise InvalidScenario(key, f"could not parse {raw!r}") from None
-        if key.startswith("selection_"):
-            selection = replace(selection, **{key.removeprefix("selection_"): value})
-        elif key == "dose_max":
-            dose = replace(dose, max_dose=value)
-        elif key == "dose_kind":
-            dose = replace(dose, kind=value)
-        elif key.startswith("dose_"):
-            dose = replace(dose, **{key.removeprefix("dose_"): value})
-        elif key.startswith("mu0_"):
-            mu0 = replace(mu0, **{key.removeprefix("mu0_"): value})
-        elif key.startswith("effect_"):
-            effect = replace(effect, **{key.removeprefix("effect_"): value})
-        else:
-            scalars[key] = value
-    if not preset and "n" not in scalars:
+    scenario = _overlay(PRESETS[preset]() if preset else Scenario(n=1), data)
+    if preset is None and "n" not in data:
         raise InvalidScenario("n", "required when no preset is named")
-    scenario = replace(
-        base, selection=selection, dose=dose, mu0_true=mu0, effect_true=effect, **scalars
-    )
     scenario.validate()
     return scenario
 
@@ -480,10 +423,10 @@ def load_scenario(path) -> Scenario:
     if text.lstrip().startswith("{"):
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
             raise InvalidScenario("json", str(exc)) from None
         return scenario_from_dict(data)
-    pairs = {}
+    data = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -491,5 +434,11 @@ def load_scenario(path) -> Scenario:
         if "=" not in line:
             raise InvalidScenario("line", f"{path}: line {lineno}: expected key=value")
         key, _, value = line.partition("=")
-        pairs[key.strip()] = value.strip()
-    return _scenario_from_flat(pairs)
+        key, value = key.strip(), value.strip()
+        # reshape section_field keys into the nested form of to_dict
+        prefix, _, field = ("dose_max_dose" if key == "dose_max" else key).partition("_")
+        if prefix in _SECTIONS:
+            data.setdefault(_SECTIONS[prefix], {})[field] = value
+        else:
+            data[key] = value
+    return scenario_from_dict(data)

@@ -11,14 +11,11 @@ arm's prediction.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .dataset import Cohort
+from .dataset import Cohort, write_csv, write_json
 from .errors import EmptyArm
 from .forest import RegressionForest, TreeParams, fit_forest
 
@@ -152,18 +149,15 @@ class EffectReport:
         }
 
     def to_csv(self, path) -> None:
-        with Path(path).open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["x1", "mu0", "mu1", "tau"])
-            for row in self.rows:
-                writer.writerow([repr(row.x1), repr(row.mu0), repr(row.mu1), repr(row.tau)])
+        rows = ([repr(r.x1), repr(r.mu0), repr(r.mu1), repr(r.tau)] for r in self.rows)
+        write_csv(path, ["x1", "mu0", "mu1", "tau"], rows)
 
     def to_json(self, path) -> None:
         payload = self.summary_dict()
         payload["table"] = [
             {"x1": r.x1, "mu0": r.mu0, "mu1": r.mu1, "tau": r.tau} for r in self.rows
         ]
-        Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+        write_json(path, payload)
 
 
 def effect_report(model: TLearnerModel, cohort: Cohort) -> EffectReport:

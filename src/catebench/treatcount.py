@@ -11,15 +11,12 @@ subtracts each student's control prediction at their observed count.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .dataset import Cohort
+from .dataset import Cohort, write_csv, write_json
 from .errors import DomainError, EmptyArm, EmptyBin
 # unused here, but perfbench/spans.py wraps fit_forest in this module by name
 from .forest import TreeParams, fit_forest  # noqa: F401
@@ -142,15 +139,12 @@ class CateSurface:
     n_missing: int
 
     def to_csv(self, path) -> None:
-        with Path(path).open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["x1", "x2", "phi"])
-            for r, b in enumerate(self.x1_values):
-                for c, dose in enumerate(self.x2_values):
-                    value = self.phi[r, c]
-                    writer.writerow(
-                        [repr(float(b)), dose, "" if math.isnan(value) else repr(float(value))]
-                    )
+        rows = (
+            [repr(float(b)), dose, "" if math.isnan(value) else repr(float(value))]
+            for b, values in zip(self.x1_values, self.phi)
+            for dose, value in zip(self.x2_values, values)
+        )
+        write_csv(path, ["x1", "x2", "phi"], rows)
 
     def to_json_dict(self) -> dict:
         return {
@@ -166,9 +160,7 @@ class CateSurface:
         }
 
     def to_json(self, path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_json_dict(), indent=2) + "\n", encoding="utf-8"
-        )
+        write_json(path, self.to_json_dict())
 
 
 def phi_surface(

@@ -4,6 +4,8 @@ import csv
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from catebench.cli import main
 from catebench.forest import TreeParams, export_tree, fit_tree
@@ -59,6 +61,107 @@ def test_synth_invalid_scenario_exit_2(tmp_path, capsys):
     code = main(["synth", "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"])
     assert code == 2
     assert "'n'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        ('{"n": 10, "selection": {"bogus": 1}}', "selection.bogus"),
+        ('{"n": "abc"}', "n"),
+        ('{"n": 10, "selection": [1, 2]}', "selection"),
+        ('{"n": 10, "dose": {"p": "x"}}', "dose.p"),
+        ('{"n": 10.5}', "n"),
+        ('{"n": true}', "n"),
+        pytest.param('{"n": 10, "x1_mean": 1' + "0" * 400 + "}", "x1_mean", id="int-beyond-float"),
+        ('{"n": 10, "preset": ["standard_biased"]}', "preset"),
+        ("n = 10\nx1_sd = nan\n", "x1_sd"),
+        ("n = 10\nnoise_sd = inf\n", "noise_sd"),
+        ("n = 10\nmu0_kind = linear_x1\nmu0_b = 1e307\n", "mu0_true"),
+        ("n = 10\nselection_slope = nan\n", "selection.slope"),
+    ],
+)
+def test_synth_malformed_scenario_exit_2(tmp_path, capsys, text, field):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: invalid scenario field '{field}'")
+    assert "Traceback" not in err
+
+
+def test_synth_reads_boolean_text_in_json(tmp_path):
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text('{"n": 10, "round_x1": "no"}', encoding="utf-8")
+    assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"]) == 0
+    payload = json.loads((tmp_path / "o" / "cohort.truth.json").read_text())
+    assert payload["scenario"]["round_x1"] is False
+
+
+# integers stay within +-1000 and texts are fixed: n and dose.max_dose size arrays
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-1000, 1000)
+    | st.floats()
+    | st.sampled_from([1e307, -1e307])
+    | st.sampled_from(["", "abc", "nan", "-inf", "1e307", "yes", "no", "0", "12", "2.5", "uniform"])
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text("abnpx", max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+# n is always given, so no preset's own n (up to 20000) is drawn: at most 200, or not an int
+_N = st.integers(-2, 200) | _SCALARS.filter(lambda v: not isinstance(v, int) or isinstance(v, bool))
+_SECTION_FIELDS = {
+    "selection": ("intercept", "slope", "center", "bogus"),
+    "dose": ("p", "max_dose", "x1_slope", "x1_ref", "kind"),
+    "mu0_true": ("kind", "a", "b"),
+    "effect_true": ("kind", "a", "b"),
+}
+_SECTIONS = {
+    name: st.dictionaries(st.sampled_from(keys), _VALUES, max_size=len(keys)) | _VALUES
+    for name, keys in _SECTION_FIELDS.items()
+}
+_PRESETS = st.sampled_from(["standard_biased", "dose_recovery", "biased_dose", "bogus"])
+_JSON_CONFIGS = st.fixed_dictionaries(
+    {"n": _N},
+    optional={
+        "preset": _PRESETS | _VALUES,
+        **{key: _VALUES for key in ("x1_mean", "x1_sd", "round_x1", "noise_sd", "bogus")},
+        **_SECTIONS,
+    },
+).map(json.dumps)
+_FLAT_KEYS = (
+    "x1_mean", "x1_sd", "round_x1", "noise_sd", "selection_intercept", "selection_slope",
+    "selection_center", "dose_kind", "dose_p", "dose_max", "dose_x1_slope", "dose_x1_ref",
+    "mu0_kind", "mu0_a", "mu0_b", "effect_kind", "effect_a", "effect_b", "dose", "mu0_true_a",
+)
+
+
+def _flat_text(pairs) -> str:
+    return "".join(
+        f"{key} = {value if isinstance(value, str) else json.dumps(value)}\n"
+        for key, value in pairs.items()
+    )
+
+
+_FLAT_CONFIGS = st.fixed_dictionaries(
+    {"n": _N},
+    optional={"preset": _PRESETS, **{key: _SCALARS | _PRESETS for key in _FLAT_KEYS}},
+).map(_flat_text)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_JSON_CONFIGS | _FLAT_CONFIGS)
+def test_synth_any_scenario_config_exits_0_or_2(tmp_path, capsys, text):
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    code = main(["synth", "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"])
+    err = capsys.readouterr().err
+    assert code in (0, 2)
+    assert "Traceback" not in err
 
 
 # --- summarize ---------------------------------------------------------------

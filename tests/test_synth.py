@@ -5,10 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from catebench.dataset import load_cohort, summarize
 from catebench.errors import InvalidScenario, OutOfSupport
 from catebench.synth import (
+    PRESETS,
     DoseModel,
     LogisticSelection,
     ResponseFn,
@@ -127,6 +130,19 @@ def test_invalid_scenarios_name_the_field():
     with pytest.raises(InvalidScenario) as err:
         generate(Scenario(n=5, dose=DoseModel(p=0.0)), seed=0)
     assert err.value.field == "dose.p"
+    with pytest.raises(InvalidScenario) as err:
+        generate(Scenario(n=5, x1_sd=math.nan), seed=0)
+    assert err.value.field == "x1_sd"
+    with pytest.raises(InvalidScenario) as err:
+        generate(Scenario(n=5, selection=LogisticSelection(slope=-math.inf)), seed=0)
+    assert err.value.field == "selection.slope"
+    # every field is finite, but 1e307 * x1 overflows the drawn base response
+    with pytest.raises(InvalidScenario) as err:
+        generate(Scenario(n=5, mu0_true=ResponseFn("linear_x1", 0.0, 1e307)), seed=0)
+    assert err.value.field == "mu0_true"
+    with pytest.raises(InvalidScenario) as err:
+        generate(Scenario(n=100, noise_sd=1e308), seed=0)
+    assert err.value.field == "noise_sd"
 
 
 def test_dose_model_support_and_uniform_kind():
@@ -142,6 +158,9 @@ def test_dose_model_support_and_uniform_kind():
     assert shifted.shift(np.array([40.0]))[0] == 5
     assert shifted.shift(np.array([60.0]))[0] == 0
     assert shifted.expected_dose(40.0) > shifted.expected_dose(60.0)
+    # a finite shift too large for an integer still caps at max_dose
+    steep = DoseModel(p=0.5, max_dose=10, x1_slope=1e30, x1_ref=1e30)
+    assert (steep.sample(np.array([40.0, 60.0]), rng) == 10).all()
 
 
 def test_scenario_round_trip_through_dict():
@@ -189,3 +208,78 @@ def test_save_synthetic_round_trips_through_loader(tmp_path):
     assert payload["true_ate"] == truth.true_ate
     assert payload["scenario"]["n"] == 200
     assert len(payload["y0"]) == 200
+
+
+def test_partial_json_section_keeps_the_preset_fields(tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text(
+        '{"preset": "standard_biased", "n": 10, "selection": {"slope": -0.2}}', encoding="utf-8"
+    )
+    scenario = load_scenario(path)
+    assert scenario.selection == LogisticSelection(intercept=-0.6, slope=-0.2, center=50.0)
+
+
+def test_values_are_stored_as_their_field_type():
+    scenario = scenario_from_dict({"n": "12", "x1_mean": 50, "round_x1": "no"})
+    payload = scenario.to_dict()
+    assert payload["n"] == 12
+    assert payload["x1_mean"] == 50.0 and isinstance(payload["x1_mean"], float)
+    assert payload["round_x1"] is False
+
+
+_FLOATS = st.floats()
+# each flat key of the README: (JSON section or None, JSON field, value strategy)
+_FLAT_KEYS = {
+    "n": (None, "n", st.integers(-2, 200)),
+    "x1_mean": (None, "x1_mean", _FLOATS),
+    "x1_sd": (None, "x1_sd", _FLOATS),
+    "round_x1": (None, "round_x1", st.booleans()),
+    "noise_sd": (None, "noise_sd", _FLOATS),
+    "selection_intercept": ("selection", "intercept", _FLOATS),
+    "selection_slope": ("selection", "slope", _FLOATS),
+    "selection_center": ("selection", "center", _FLOATS),
+    "dose_kind": ("dose", "kind", st.sampled_from(DoseModel.KINDS + ("bogus",))),
+    "dose_p": ("dose", "p", _FLOATS),
+    "dose_max": ("dose", "max_dose", st.integers(-2, 30)),
+    "dose_x1_slope": ("dose", "x1_slope", _FLOATS),
+    "dose_x1_ref": ("dose", "x1_ref", _FLOATS),
+    "mu0_kind": ("mu0_true", "kind", st.sampled_from(ResponseFn.KINDS)),
+    "mu0_a": ("mu0_true", "a", _FLOATS),
+    "mu0_b": ("mu0_true", "b", _FLOATS),
+    "effect_kind": ("effect_true", "kind", st.sampled_from(ResponseFn.KINDS + ("bogus",))),
+    "effect_a": ("effect_true", "a", _FLOATS),
+    "effect_b": ("effect_true", "b", _FLOATS),
+}
+
+
+def _flat_text(value) -> str:
+    if isinstance(value, str):
+        return value
+    return str(value).lower() if isinstance(value, bool) else repr(value)
+
+
+def _load_or_field(path):
+    try:
+        return load_scenario(path)
+    except InvalidScenario as exc:
+        return exc.field
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    preset=st.none() | st.sampled_from(sorted(PRESETS)),
+    overrides=st.fixed_dictionaries(
+        {}, optional={key: strategy for key, (_, _, strategy) in _FLAT_KEYS.items()}
+    ),
+)
+@example(preset="standard_biased", overrides={"n": 10, "selection_slope": -0.2})
+def test_flat_file_and_json_twin_load_alike(tmp_path, preset, overrides):
+    pairs = dict(overrides) if preset is None else dict(overrides, preset=preset)
+    data = {} if preset is None else {"preset": preset}
+    for key, value in overrides.items():
+        section, field, _ = _FLAT_KEYS[key]
+        (data if section is None else data.setdefault(section, {}))[field] = value
+    flat, twin = tmp_path / "scenario.cfg", tmp_path / "scenario.json"
+    flat.write_text("".join(f"{k} = {_flat_text(v)}\n" for k, v in pairs.items()), encoding="utf-8")
+    twin.write_text(json.dumps(data), encoding="utf-8")
+    assert _load_or_field(flat) == _load_or_field(twin)
