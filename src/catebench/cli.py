@@ -14,6 +14,7 @@ consistency failure, 5 rank-deficient diagnostic.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -22,16 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataset, linreg, synth, tlearner, treatcount
-from .errors import (
-    DomainError,
-    EmptyArm,
-    EmptyInput,
-    InvalidScenario,
-    ParseError,
-    RankDeficient,
-    SchemaError,
-    Underdetermined,
-)
+from .errors import CatebenchError, DomainError, EmptyInput, RankDeficient, SchemaError
 from .forest import TreeParams, export_tree, fit_tree
 
 TREE_FEATURES = ("proficiency", "f2f") + dataset.AUX_FIELDS
@@ -133,9 +125,7 @@ def cmd_summarize(args) -> int:
 def cmd_cate(args) -> int:
     cohort, _ = _load(args)
     seed = _resolve_seed(args)
-    model = tlearner.fit_t_learner(
-        cohort, _tree_params(args), seed, args.trees, n_jobs=args.jobs
-    )
+    model = tlearner.fit_t_learner(cohort, _tree_params(args), seed, args.trees)
     report = tlearner.effect_report(model, cohort)
     out = _out_dir(args)
     report.to_csv(out / "effect_report.csv")
@@ -151,9 +141,7 @@ def cmd_cate(args) -> int:
 def cmd_phi(args) -> int:
     cohort, _ = _load(args)
     seed = _resolve_seed(args)
-    model = treatcount.fit_t_learner2(
-        cohort, _tree_params(args), seed, args.trees, n_jobs=args.jobs
-    )
+    model = treatcount.fit_t_learner2(cohort, _tree_params(args), seed, args.trees)
     independence = treatcount.check_base_independence(model, cohort)
     if not independence.ok:
         first = independence.violations[0]
@@ -184,7 +172,7 @@ def cmd_phi(args) -> int:
                 "probes": [int(v) for v in independence.probes],
                 "n_violations": len(independence.violations),
             },
-            "params": dict(model.params.to_dict(), n_trees=model.n_trees),
+            "params": dict(dataclasses.asdict(model.params), n_trees=model.n_trees),
         },
     )
     _say(
@@ -217,9 +205,7 @@ def cmd_dose_reg(args) -> int:
     if (cohort.x2 == cohort.x2[0]).all():
         raise RankDeficient("session count is constant across the cohort")
     seed = _resolve_seed(args)
-    model = tlearner.fit_t_learner(
-        cohort, _tree_params(args), seed, args.trees, n_jobs=args.jobs
-    )
+    model = tlearner.fit_t_learner(cohort, _tree_params(args), seed, args.trees)
     fit, scatter = linreg.tau_dose_regression(cohort, model)
     out = _out_dir(args)
     fit.to_json(out / "ols.json")
@@ -306,19 +292,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (SchemaError, ParseError, InvalidScenario, DomainError, EmptyInput) as exc:
+    except CatebenchError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return exc.exit_code
     except (OSError, UnicodeError) as exc:
         # an input that is missing, a directory, or not UTF-8 text
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except EmptyArm as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (RankDeficient, Underdetermined) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
 
 
 def entry() -> None:

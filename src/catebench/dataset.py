@@ -62,15 +62,18 @@ def to_deviation(raw_scores) -> list[float]:
 
 
 def _bin_error(v, precision) -> DomainError:
-    return DomainError(f"covariate {v!r} / bin width {precision!r} is not finite; use a wider bin")
+    return DomainError(f"covariate {v!r} has no finite bin key at bin width {precision!r}")
 
 
 def bin_value(v, precision=1.0):
     """Snap a covariate value to its bin: round(v / precision) * precision."""
     try:
-        return round(v / precision) * precision
+        key = round(v / precision) * precision
+        if math.isfinite(key):
+            return key
     except (OverflowError, ValueError):  # the quotient is infinite or NaN
-        raise _bin_error(v, precision) from None
+        pass
+    raise _bin_error(v, precision)  # or the key itself overflows
 
 
 @dataclass(frozen=True)
@@ -182,11 +185,11 @@ def _bin_keys(x1, precision) -> np.ndarray:
     # rint and round both break ties to even, so rint(q) * w is round(q) * w;
     # + 0.0 turns the -0.0 that rint gives in (-w/2, 0] into bin_value's 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        q = x1 / precision
-    finite = np.isfinite(q)
+        keys = np.rint(x1 / precision) * precision + 0.0
+    finite = np.isfinite(keys)
     if not finite.all():
         raise _bin_error(float(x1[np.argmin(finite)]), precision)
-    return np.rint(q) * precision + 0.0
+    return keys
 
 
 def build_cohort(records, precision=1.0) -> Cohort:

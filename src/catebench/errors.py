@@ -2,7 +2,13 @@
 
 
 class CatebenchError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors.
+
+    ``exit_code`` is the CLI's exit status for the error: 2 for bad input
+    unless a subclass says otherwise.
+    """
+
+    exit_code = 2
 
 
 class EmptyOrSingleton(CatebenchError):
@@ -32,6 +38,8 @@ class DimensionMismatch(CatebenchError):
 class EmptyArm(CatebenchError):
     """A required treatment arm ("R1" treated, "R0" control) has no records."""
 
+    exit_code = 3
+
     def __init__(self, arm: str):
         super().__init__(f"treatment arm {arm} is empty")
         self.arm = arm
@@ -47,15 +55,19 @@ class EmptyBin(CatebenchError):
 
 class DomainError(CatebenchError):
     """A value lies outside its domain (e.g. session count 0, or a covariate
-    whose quotient by the bin width is not finite)."""
+    with no finite bin key at the bin width)."""
 
 
 class RankDeficient(CatebenchError):
     """The regression design matrix is (numerically) rank deficient."""
 
+    exit_code = 5
+
 
 class Underdetermined(CatebenchError):
     """Fewer rows than coefficients to estimate."""
+
+    exit_code = 5
 
 
 class InvalidScenario(CatebenchError):

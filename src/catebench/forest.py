@@ -46,13 +46,6 @@ class TreeParams:
         if self.min_samples_leaf < 1:
             raise ValueError("min_samples_leaf must be >= 1")
 
-    def to_dict(self) -> dict:
-        return {
-            "max_depth": self.max_depth,
-            "min_samples_split": self.min_samples_split,
-            "min_samples_leaf": self.min_samples_leaf,
-        }
-
 
 @dataclass
 class TreeNode:
@@ -264,13 +257,10 @@ def fit_forest(
     seed: int = 0,
     *,
     bootstrap: bool = True,
-    n_jobs: int = 1,
 ) -> RegressionForest:
     """Bag ``n_trees`` trees; tree i resamples from the (seed, i) stream.
 
-    Trees are fitted one after another in the calling thread.  ``n_jobs`` is
-    accepted and ignored: fitting on a thread pool was measured slower than
-    on one thread.
+    Trees are fitted one after another in the calling thread.
     """
     X, y = _coerce_rows(rows)
     params = params or TreeParams()

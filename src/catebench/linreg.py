@@ -1,21 +1,18 @@
-"""Ordinary least squares via the normal equations, and the diagnostic that
-regresses per-student effect estimates on (covariate, session count)."""
+"""Ordinary least squares via the singular value decomposition, and the
+diagnostic that regresses per-student effect estimates on (covariate, session
+count)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .dataset import Cohort, write_csv, write_json
 from .errors import RankDeficient, Underdetermined
 from .tlearner import TLearnerModel
 
-# condition-number regimes for the design matrix (with constant column):
-# Cholesky on the normal equations while well conditioned, column-pivoted
-# least squares when nearing singularity, refusal beyond 1e12
-_NEAR_SINGULAR_COND = 1e6
+# refuse a design matrix (with constant column) conditioned beyond this
 _RANK_DEFICIENT_COND = 1e12
 
 
@@ -55,20 +52,13 @@ def ols_fit(design, targets) -> OlsFit:
         raise Underdetermined(f"need more than {p + 1} rows to fit {p} features, got {n}")
 
     A = np.column_stack([np.ones(n), X])
-    singular = np.linalg.svd(A, compute_uv=False)
-    cond = np.inf if singular[-1] == 0.0 else float(singular[0] / singular[-1])
+    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    cond = np.inf if s[-1] == 0.0 else float(s[0] / s[-1])
     if cond > _RANK_DEFICIENT_COND:
         raise RankDeficient(
             f"design matrix condition number {cond:.3g} exceeds {_RANK_DEFICIENT_COND:g}"
         )
-    if cond <= _NEAR_SINGULAR_COND:
-        try:
-            gram = A.T @ A
-            beta = scipy.linalg.cho_solve(scipy.linalg.cho_factor(gram), A.T @ y)
-        except np.linalg.LinAlgError:
-            beta = scipy.linalg.lstsq(A, y, lapack_driver="gelsy")[0]
-    else:
-        beta = scipy.linalg.lstsq(A, y, lapack_driver="gelsy")[0]
+    beta = Vt.T @ (U.T @ y / s)
 
     resid = y - A @ beta
     sst = float(np.sum((y - y.mean()) ** 2))

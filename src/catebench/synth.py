@@ -20,6 +20,10 @@ from .dataset import AUX_FIELDS, Cohort, save_cohort, write_json
 from .errors import InvalidScenario, OutOfSupport
 
 _SEED_SPACE = 2**64
+# size caps, checked before anything is allocated: a cohort ten times the
+# largest benchmarked one, and a session-count support far past any schedule
+MAX_N = 1_000_000
+MAX_DOSE = 1_000
 
 
 @dataclass(frozen=True)
@@ -129,16 +133,16 @@ class Scenario:
 
     def validate(self) -> None:
         _require_finite(self)
-        if self.n < 1:
-            raise InvalidScenario("n", "cohort size must be >= 1")
+        if not (1 <= self.n <= MAX_N):
+            raise InvalidScenario("n", f"cohort size must be in 1..{MAX_N}")
         if self.x1_sd < 0:
             raise InvalidScenario("x1_sd", "must be >= 0")
         if self.dose.kind not in DoseModel.KINDS:
             raise InvalidScenario("dose.kind", f"unknown kind {self.dose.kind!r}")
         if not (0.0 < self.dose.p <= 1.0):
             raise InvalidScenario("dose.p", "must be in (0, 1]")
-        if self.dose.max_dose < 1:
-            raise InvalidScenario("dose.max_dose", "must be >= 1")
+        if not (1 <= self.dose.max_dose <= MAX_DOSE):
+            raise InvalidScenario("dose.max_dose", f"must be in 1..{MAX_DOSE}")
         if self.noise_sd < 0:
             raise InvalidScenario("noise_sd", "must be >= 0")
         if self.mu0_true.kind not in ("constant", "linear_x1"):
@@ -210,20 +214,18 @@ def generate(scenario: Scenario, seed: int = 0):
         if not np.isfinite(values).all():
             raise InvalidScenario(name, "a drawn value is not finite")
 
+    # finite effects can still sum past the float range
+    with np.errstate(over="ignore"):
+        true_ate = float(np.mean(effect))
+        true_att = float(np.mean(effect[treated])) if treated.any() else None
+        true_atu = float(np.mean(effect[~treated])) if (~treated).any() else None
+    if not all(math.isfinite(v) for v in (true_ate, true_att, true_atu) if v is not None):
+        raise InvalidScenario("effect_true", "a mean effect is not finite")
+
     ids = tuple(f"s{i:05d}" for i in range(scenario.n))
     cohort = Cohort(ids, x1, x2, y, np.zeros((scenario.n, len(AUX_FIELDS)), dtype=np.int64))
-    true_att = float(np.mean(effect[treated])) if treated.any() else None
-    true_atu = float(np.mean(effect[~treated])) if (~treated).any() else None
     truth = GroundTruth(
-        scenario,
-        y0,
-        y1,
-        latent_dose,
-        noise,
-        treated,
-        float(np.mean(effect)),
-        true_att,
-        true_atu,
+        scenario, y0, y1, latent_dose, noise, treated, true_ate, true_att, true_atu
     )
     return cohort, truth
 

@@ -11,7 +11,7 @@ arm's prediction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -37,7 +37,7 @@ class TLearnerModel:
     dose_max: int
 
 
-def _fit_arms(cohort: Cohort, n_features, params, seed, n_trees, bootstrap, n_jobs):
+def _fit_arms(cohort: Cohort, n_features, params, seed, n_trees, bootstrap):
     """Fit mu1 on the treated rows and mu0 on the control rows, each in row
     order, over the first ``n_features`` of (x1, x2).
 
@@ -56,7 +56,7 @@ def _fit_arms(cohort: Cohort, n_features, params, seed, n_trees, bootstrap, n_jo
     def fit(arm):
         # rows go first and as (features, y) pairs: perfbench/spans.py counts them there
         rows = list(zip(X[arm].tolist(), cohort.y[arm].tolist()))
-        return fit_forest(rows, params, n_trees, seed, bootstrap=bootstrap, n_jobs=n_jobs)
+        return fit_forest(rows, params, n_trees, seed, bootstrap=bootstrap)
 
     mu1, mu0 = fit(treated), fit(~treated)
     n_treated = int(treated.sum())
@@ -74,10 +74,9 @@ def fit_t_learner(
     n_trees: int = 100,
     *,
     bootstrap: bool = True,
-    n_jobs: int = 1,
 ) -> TLearnerModel:
     """Fit mu1 on treated (x1, y) pairs and mu0 on control pairs."""
-    return _fit_arms(cohort, 1, params, seed, n_trees, bootstrap, n_jobs)
+    return _fit_arms(cohort, 1, params, seed, n_trees, bootstrap)
 
 
 def cate_tau(model: TLearnerModel, x1) -> float:
@@ -145,7 +144,7 @@ class EffectReport:
             "n_treated": self.n_treated,
             "n_control": self.n_control,
             "seed": self.seed,
-            "params": dict(self.params.to_dict(), n_trees=self.n_trees),
+            "params": dict(asdict(self.params), n_trees=self.n_trees),
         }
 
     def to_csv(self, path) -> None:

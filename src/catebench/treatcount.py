@@ -33,10 +33,9 @@ def fit_t_learner2(
     n_trees: int = 100,
     *,
     bootstrap: bool = True,
-    n_jobs: int = 1,
 ) -> TLearnerModel:
     """Fit mu1 on treated (x1, x2, y) and mu0 on control (x1, 0, y)."""
-    return _fit_arms(cohort, 2, params, seed, n_trees, bootstrap, n_jobs)
+    return _fit_arms(cohort, 2, params, seed, n_trees, bootstrap)
 
 
 def default_dose_probes(model: TLearnerModel, include_zero: bool = True) -> tuple:

@@ -2,13 +2,19 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from catebench import cli, errors
 from catebench.cli import main
 from catebench.forest import TreeParams, export_tree, fit_tree
+from catebench.synth import MAX_DOSE, MAX_N
 from catebench.treatcount import REFERENCE_DOSES
 
 HEADER = "id,proficiency,f2f,remote,basic_class,exercises,videos,references,diff_deviation"
@@ -78,6 +84,12 @@ def test_synth_invalid_scenario_exit_2(tmp_path, capsys):
         ("n = 10\nnoise_sd = inf\n", "noise_sd"),
         ("n = 10\nmu0_kind = linear_x1\nmu0_b = 1e307\n", "mu0_true"),
         ("n = 10\nselection_slope = nan\n", "selection.slope"),
+        ('{"n": 1e30}', "n"),
+        (f'{{"n": {MAX_N + 1}}}', "n"),
+        (f"n = 10\ndose_max = {MAX_DOSE + 1}\n", "dose.max_dose"),
+        ("n = 10\ndose_max = 1000000000000000000000000000000\n", "dose.max_dose"),
+        # each effect is finite, but their cohort mean is not
+        ("n = 100\neffect_a = 1e307\n", "effect_true"),
     ],
 )
 def test_synth_malformed_scenario_exit_2(tmp_path, capsys, text, field):
@@ -87,6 +99,7 @@ def test_synth_malformed_scenario_exit_2(tmp_path, capsys, text, field):
     err = capsys.readouterr().err
     assert err.startswith(f"error: invalid scenario field '{field}'")
     assert "Traceback" not in err
+    assert not (tmp_path / "o" / "cohort.truth.json").exists()
 
 
 def test_synth_reads_boolean_text_in_json(tmp_path):
@@ -466,7 +479,44 @@ def test_dose_reg_all_zero_x2_exit_5(tmp_path):
     assert main(["dose-reg", "--input", str(path3), "--out", str(tmp_path / "o3"), "--quiet"]) == 0
 
 
-# --- seeds and threads -------------------------------------------------------
+# --- exit codes and imports ---------------------------------------------------
+
+
+def _error_classes():
+    found, todo = [], [errors.CatebenchError]
+    while todo:
+        cls = todo.pop()
+        found.append(cls)
+        todo.extend(cls.__subclasses__())
+    return sorted(found, key=lambda cls: cls.__name__)
+
+
+@pytest.mark.parametrize("error_class", _error_classes(), ids=lambda cls: cls.__name__)
+def test_every_package_error_exits_with_its_code(tmp_path, capsys, monkeypatch, error_class):
+    exc = error_class("x")
+
+    def handler(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_synth", handler)
+    assert main(["synth", "--out", str(tmp_path / "o"), "--quiet"]) == error_class.exit_code
+    assert error_class.exit_code in {2, 3, 5}
+    err = capsys.readouterr().err
+    assert err == f"error: {exc}\n"
+    assert "Traceback" not in err
+
+
+def test_cli_import_does_not_load_scipy():
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    code = "import sys, catebench.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+# --- seeds and --jobs --------------------------------------------------------
 
 
 def test_env_seed_lowest_precedence(tmp_path, synth_csv, monkeypatch):

@@ -5,7 +5,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from catebench.dataset import (
@@ -251,11 +251,13 @@ def test_round_trip_is_identity(tmp_path):
 # --- columnar bin keys and count limits -------------------------------------
 
 _WIDTHS = st.one_of(
-    st.sampled_from([1.0, 0.5, 0.1, 2.5, 1e-10, 1e-300]),
+    st.sampled_from([1.0, 0.5, 0.1, 2.5, 3.0, 1e-10, 1e-300]),
     st.floats(min_value=1e-300, max_value=1e6, allow_nan=False, allow_infinity=False),
 )
 _COVARIATES = st.one_of(
-    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, -0.3, -0.5, 0.5, -1.5, 2.5, -1e-300]),
+    st.sampled_from(
+        [0.0, -0.0, 5e-324, -5e-324, -0.3, -0.5, 0.5, -1.5, 2.5, -1e-300, 1.7976931348623157e308]
+    ),
     st.floats(min_value=-1.0, max_value=1.0),
     st.floats(allow_nan=False, allow_infinity=False),
 )
@@ -267,6 +269,7 @@ def _bits(values):
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_COVARIATES, min_size=1, max_size=30), _WIDTHS)
+@example([2.5, 1.7976931348623157e308], 3.0)  # finite quotient, overflowing key
 def test_columnar_bin_keys_equal_bin_value_bitwise(x1s, width):
     try:
         expected = [bin_value(v, width) for v in x1s]
@@ -275,6 +278,7 @@ def test_columnar_bin_keys_equal_bin_value_bitwise(x1s, width):
             helpers.cohort_from_arrays(x1s, [0] * len(x1s), [50.0] * len(x1s), precision=width)
         assert str(got.value) == str(exc)
         return
+    assert all(map(math.isfinite, expected))  # a key that overflows is an error too
     cohort = helpers.cohort_from_arrays(x1s, [0] * len(x1s), [50.0] * len(x1s), precision=width)
     assert _bits(cohort.bins) == _bits(expected)  # sign of zero included
     assert _bits(group_by_covariate(cohort)) == _bits(sorted(set(expected)))

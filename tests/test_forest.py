@@ -282,17 +282,6 @@ def test_constant_rows_predict_constant_for_any_seed():
         assert forest.predict((2.0,)) == 3.25
 
 
-def test_thread_count_does_not_change_predictions():
-    rng = np.random.default_rng(2)
-    X = rng.uniform(0, 10, size=(120, 2))
-    y = rng.normal(50, 10, size=120)
-    rows = [(X[i], y[i]) for i in range(120)]
-    probe = rng.uniform(0, 10, size=(40, 2))
-    sequential = fit_forest(rows, TreeParams(2), n_trees=24, seed=3, n_jobs=1)
-    threaded = fit_forest(rows, TreeParams(2), n_trees=24, seed=3, n_jobs=8)
-    assert np.array_equal(sequential.predict_many(probe), threaded.predict_many(probe))
-
-
 def test_same_seed_same_forest():
     rng = np.random.default_rng(8)
     X = rng.uniform(0, 10, size=(40, 1))

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from catebench.dataset import load_cohort, summarize
 from catebench.errors import InvalidScenario, OutOfSupport
 from catebench.synth import (
+    MAX_DOSE,
+    MAX_N,
     PRESETS,
     DoseModel,
     LogisticSelection,
@@ -143,6 +145,17 @@ def test_invalid_scenarios_name_the_field():
     with pytest.raises(InvalidScenario) as err:
         generate(Scenario(n=100, noise_sd=1e308), seed=0)
     assert err.value.field == "noise_sd"
+    # every drawn effect is finite, but their sum overflows the mean
+    with pytest.raises(InvalidScenario) as err:
+        generate(Scenario(n=100, effect_true=ResponseFn("constant", 1e307)), seed=0)
+    assert err.value.field == "effect_true"
+    # size caps: validation comes first, so nothing of that size is allocated
+    with pytest.raises(InvalidScenario) as err:
+        generate(Scenario(n=MAX_N + 1), seed=0)
+    assert err.value.field == "n"
+    with pytest.raises(InvalidScenario) as err:
+        generate(Scenario(n=5, dose=DoseModel(max_dose=MAX_DOSE + 1)), seed=0)
+    assert err.value.field == "dose.max_dose"
 
 
 def test_dose_model_support_and_uniform_kind():

@@ -173,15 +173,6 @@ def test_att2_equals_att_for_aligned_fits():
         assert abs(att2(two, cohort) - att(one, cohort)) <= 1e-9
 
 
-def test_thread_count_does_not_change_model():
-    cohort, _ = helpers.random_cohort(61, n=240)
-    a = fit_t_learner2(cohort, seed=3, n_trees=16, n_jobs=1)
-    b = fit_t_learner2(cohort, seed=3, n_trees=16, n_jobs=6)
-    probe = np.column_stack([np.linspace(25, 75, 40), np.tile([1.0, 4.0], 20)])
-    assert np.array_equal(a.mu1.predict_many(probe), b.mu1.predict_many(probe))
-    assert np.array_equal(a.mu0.predict_many(probe), b.mu0.predict_many(probe))
-
-
 # --- surfaces ---------------------------------------------------------------
 
 
