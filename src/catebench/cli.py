@@ -139,6 +139,7 @@ def cmd_cate(args) -> int:
 
 
 def cmd_phi(args) -> int:
+    x2_values = _parse_x2(args.x2) if args.x2 else None  # before any loading or fitting
     cohort, _ = _load(args)
     seed = _resolve_seed(args)
     model = treatcount.fit_t_learner2(cohort, _tree_params(args), seed, args.trees)
@@ -151,7 +152,6 @@ def cmd_phi(args) -> int:
             file=sys.stderr,
         )
         return 4
-    x2_values = _parse_x2(args.x2) if args.x2 else None
     surface = treatcount.phi_surface(model, cohort, x2_values=x2_values)
     a2 = treatcount.att2(model, cohort)
     out = _out_dir(args)

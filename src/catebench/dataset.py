@@ -6,11 +6,12 @@ order mark is skipped on reading; files are written without one):
     id,proficiency,f2f,remote,basic_class,exercises,videos,references,diff_deviation
 
 ``proficiency`` (admission-test deviation score, the covariate) and
-``diff_deviation`` (regular-exam deviation score, the outcome) are decimals;
-the remaining columns are nonnegative session/participation counts.  An empty
-cell means missing: rows missing the covariate or the outcome are dropped and
-counted, while a missing count reads as zero sessions.  A sidecar config of
-``canonical = actual`` lines may rename columns.
+``diff_deviation`` (regular-exam deviation score, the outcome) are decimals in
+[-1e100, 1e100]; the remaining columns are nonnegative session/participation
+counts.  An empty cell means missing: rows missing the covariate or the
+outcome are dropped and counted, while a missing count reads as zero sessions.
+A sidecar config of ``canonical = actual`` lines may rename columns, each to
+its own header.
 
 A record is treated iff its ``f2f`` count is at least 1; the treated/control
 partition is always derived from that count, never stored separately.
@@ -22,6 +23,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
 
@@ -43,6 +45,7 @@ CANONICAL_COLUMNS = (
 AUX_FIELDS = ("remote", "basic_class", "exercises", "videos", "references")
 COUNT_COLUMNS = ("f2f",) + AUX_FIELDS
 _COUNT_MAX = 2**63 - 1  # counts are stored as int64
+_DECIMAL_MAX = 1e100  # keeps squared sums over any feasible row count finite
 
 
 def to_deviation(raw_scores) -> list[float]:
@@ -65,15 +68,10 @@ def _bin_error(v, precision) -> DomainError:
     return DomainError(f"covariate {v!r} has no finite bin key at bin width {precision!r}")
 
 
-def bin_value(v, precision=1.0):
-    """Snap a covariate value to its bin: round(v / precision) * precision."""
-    try:
-        key = round(v / precision) * precision
-        if math.isfinite(key):
-            return key
-    except (OverflowError, ValueError):  # the quotient is infinite or NaN
-        pass
-    raise _bin_error(v, precision)  # or the key itself overflows
+def bin_value(v, precision=1.0) -> float:
+    """The bin key of one covariate value: the one-element view of the rule
+    that keys ``Cohort.bins`` (see ``_bin_keys``)."""
+    return _bin_keys(np.array([v], dtype=np.float64), float(precision)).item()
 
 
 @dataclass(frozen=True)
@@ -103,9 +101,9 @@ class Cohort:
 
     ``x1`` (float64) is the covariate, ``x2`` (int64) the session count, ``y``
     (float64) the outcome and ``aux`` (int64, n x 5) the other counts in
-    ``AUX_FIELDS`` order.  ``bins`` holds each covariate's bin key, bitwise
-    equal to ``bin_value(x1, precision)``.  A student is treated iff x2 >= 1;
-    that mask is derived on demand, never stored.
+    ``AUX_FIELDS`` order.  ``bins`` holds each key ``bin_value(x1, precision)``:
+    the nearest whole number of widths, as an exact decimal (11.6 at 0.1).
+    A student is treated iff x2 >= 1; that mask is derived on demand.
 
     ``records``, ``r1``, ``r0`` and ``groups`` are record-level views for
     callers that want Python objects; each is built on first access.
@@ -120,8 +118,8 @@ class Cohort:
     bins: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.precision <= 0:
-            raise ValueError("precision must be positive")
+        if not 0 < self.precision < math.inf:
+            raise ValueError("precision must be finite and positive")
         n = len(self.ids)
         x1 = np.array(self.x1, dtype=np.float64).reshape(n)
         y = np.array(self.y, dtype=np.float64).reshape(n)
@@ -182,10 +180,17 @@ class Cohort:
 
 
 def _bin_keys(x1, precision) -> np.ndarray:
-    # rint and round both break ties to even, so rint(q) * w is round(q) * w;
-    # + 0.0 turns the -0.0 that rint gives in (-w/2, 0] into bin_value's 0.0
+    # code rint(x1 / w) times w's shortest decimal p / q: the exact decimal while
+    # |code * p| and q are below 2**53.  A p or q above that (w = 1e-300) or an
+    # overflowing code * p keys as code * w.  rint breaks ties to even like
+    # round(); + 0.0 turns a -0.0 key into 0.0
+    p, q = Fraction(repr(precision)).as_integer_ratio()
+    if max(p, q) > 2**53:
+        p, q = precision, 1.0
     with np.errstate(over="ignore", invalid="ignore"):
-        keys = np.rint(x1 / precision) * precision + 0.0
+        codes = np.rint(x1 / precision)
+        keys = codes * p / q
+        keys = np.where(np.isinf(keys), codes * precision, keys) + 0.0
     finite = np.isfinite(keys)
     if not finite.all():
         raise _bin_error(float(x1[np.argmin(finite)]), precision)
@@ -287,8 +292,9 @@ def _parse_float(cell, path, rownum, column) -> float:
         raise ParseError(
             f"{path}: row {rownum}, column {column!r}: not a number: {cell!r}"
         ) from None
-    if not math.isfinite(value):
-        raise ParseError(f"{path}: row {rownum}, column {column!r}: non-finite value")
+    if not abs(value) <= _DECIMAL_MAX:
+        bound = f"[-{_DECIMAL_MAX:g}, {_DECIMAL_MAX:g}]"
+        raise ParseError(f"{path}: row {rownum}, column {column!r}: {cell!r} is not in {bound}")
     return value
 
 
@@ -317,6 +323,10 @@ def load_cohort(path, config: SchemaConfig | None = None, precision=1.0):
     cfg = config or SchemaConfig.default()
     path = Path(path)
     names = [cfg.columns[c] for c in CANONICAL_COLUMNS]
+    for k, name in enumerate(names):
+        if name in names[:k]:
+            keys = CANONICAL_COLUMNS[names.index(name)], CANONICAL_COLUMNS[k]
+            raise SchemaError(f"{path}: {keys[0]!r} and {keys[1]!r} both map to {name!r}")
     with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
@@ -365,12 +375,8 @@ def write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def save_cohort(cohort: Cohort, path, config: SchemaConfig | None = None) -> None:
-    """Write a cohort back to the CSV schema (floats keep full precision)."""
-    cfg = config or SchemaConfig.default()
+def save_cohort(cohort: Cohort, path) -> None:
+    """Write a cohort in the canonical CSV schema (floats keep full precision)."""
     x1, y = (list(map(repr, column.tolist())) for column in (cohort.x1, cohort.y))
-    write_csv(
-        path,
-        [cfg.columns[c] for c in CANONICAL_COLUMNS],
-        zip(cohort.ids, x1, cohort.x2.tolist(), *cohort.aux.T.tolist(), y),
-    )
+    rows = zip(cohort.ids, x1, cohort.x2.tolist(), *cohort.aux.T.tolist(), y)
+    write_csv(path, CANONICAL_COLUMNS, rows)

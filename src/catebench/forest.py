@@ -281,41 +281,6 @@ class TreeReport:
     data: dict
 
 
-def _fmt(v: float) -> str:
-    return format(v, "g")
-
-
-def _max_feature(node) -> int:
-    if node.split is None:
-        return -1
-    return max(node.split[0], _max_feature(node.left), _max_feature(node.right))
-
-
-def _render_text(node, names, depth, lines):
-    pad = "  " * depth
-    if node.split is not None:
-        feature, threshold = node.split
-        lines.append(f"{pad}{names[feature]} < {_fmt(threshold)}")
-    lines.append(f"{pad}n = {node.n}")
-    lines.append(f"{pad}mean = {_fmt(node.mean)}")
-    if node.split is not None:
-        _render_text(node.left, names, depth + 1, lines)
-        _render_text(node.right, names, depth + 1, lines)
-
-
-def _node_dict(node, names) -> dict:
-    if node.split is None:
-        return {"split": None, "n": node.n, "mean": node.mean}
-    feature, threshold = node.split
-    return {
-        "split": {"feature": feature, "name": names[feature], "threshold": threshold},
-        "n": node.n,
-        "mean": node.mean,
-        "left": _node_dict(node.left, names),
-        "right": _node_dict(node.right, names),
-    }
-
-
 def export_tree(tree: TreeNode, feature_names) -> TreeReport:
     """Render a fitted tree, one block per node in depth-first order.
 
@@ -323,8 +288,23 @@ def export_tree(tree: TreeNode, feature_names) -> TreeReport:
     mean outcome; terminal nodes have no splitting criterion.
     """
     names = list(feature_names)
-    if _max_feature(tree) >= len(names):
-        raise DimensionMismatch("feature name list shorter than the tree's feature indices")
     lines: list[str] = []
-    _render_text(tree, names, 0, lines)
-    return TreeReport(text="\n".join(lines) + "\n", data=_node_dict(tree, names))
+
+    def walk(node, depth) -> dict:
+        pad = "  " * depth
+        data = {"split": None, "n": node.n, "mean": node.mean}
+        if node.split is not None:
+            feature, threshold = node.split
+            data["split"] = {"feature": feature, "name": names[feature], "threshold": threshold}
+            lines.append(f"{pad}{names[feature]} < {format(threshold, 'g')}")
+        lines.extend((f"{pad}n = {node.n}", f"{pad}mean = {format(node.mean, 'g')}"))
+        if node.split is not None:
+            data["left"] = walk(node.left, depth + 1)
+            data["right"] = walk(node.right, depth + 1)
+        return data
+
+    try:
+        data = walk(tree, 0)
+    except IndexError:
+        raise DimensionMismatch("feature name list shorter than the tree's feature indices") from None
+    return TreeReport(text="\n".join(lines) + "\n", data=data)

@@ -23,16 +23,13 @@ class OlsFit:
     r_squared: float
     n: int
 
-    def to_json_dict(self) -> dict:
-        return {
+    def to_json(self, path) -> None:
+        write_json(path, {
             "coefficients": [float(c) for c in self.coefficients],
             "intercept": self.intercept,
             "r_squared": self.r_squared,
             "n": self.n,
-        }
-
-    def to_json(self, path) -> None:
-        write_json(path, self.to_json_dict())
+        })
 
 
 def ols_fit(design, targets) -> OlsFit:

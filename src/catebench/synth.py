@@ -175,21 +175,18 @@ class GroundTruth:
     true_att: float | None
     true_atu: float | None
 
-    def to_json_dict(self) -> dict:
-        return {
+    def to_json(self, path) -> None:
+        write_json(path, {
             "true_ate": self.true_ate,
             "true_att": self.true_att,
             "true_atu": self.true_atu,
-            "treated": [int(t) for t in self.treated],
-            "latent_dose": [int(d) for d in self.latent_dose],
-            "y0": [float(v) for v in self.y0],
-            "y1": [float(v) for v in self.y1],
-            "noise": [float(v) for v in self.noise],
+            "treated": self.treated.astype(int).tolist(),
+            "latent_dose": self.latent_dose.tolist(),
+            "y0": self.y0.tolist(),
+            "y1": self.y1.tolist(),
+            "noise": self.noise.tolist(),
             "scenario": self.scenario.to_dict(),
-        }
-
-    def to_json(self, path) -> None:
-        write_json(path, self.to_json_dict())
+        })
 
 
 def generate(scenario: Scenario, seed: int = 0):

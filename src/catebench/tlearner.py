@@ -95,12 +95,13 @@ def ate(model: TLearnerModel, cohort: Cohort) -> float:
 
 
 def att(model: TLearnerModel, cohort: Cohort) -> float:
-    """Mean over the treated of observed outcome minus the control prediction."""
+    """Mean over the treated of observed outcome minus the control prediction
+    at their own inputs: x1, or (x1, x2) for the session-count model."""
     treated = cohort.treated
     if not treated.any():
         raise EmptyArm("R1")
-    mu0 = model.mu0.predict_many(cohort.x1[treated, np.newaxis])
-    return float(np.mean(cohort.y[treated] - mu0))
+    X = np.column_stack([cohort.x1[treated], cohort.x2[treated]][: model.mu0.feature_count])
+    return float(np.mean(cohort.y[treated] - model.mu0.predict_many(X)))
 
 
 def atu(model: TLearnerModel, cohort: Cohort) -> float:

@@ -17,10 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Cohort, write_csv, write_json
-from .errors import DomainError, EmptyArm, EmptyBin
+from .errors import DomainError, EmptyBin
 # unused here, but perfbench/spans.py wraps fit_forest in this module by name
 from .forest import TreeParams, fit_forest  # noqa: F401
-from .tlearner import TLearnerModel, _fit_arms
+from .synth import MAX_DOSE
+from .tlearner import TLearnerModel, _fit_arms, att as att2  # noqa: F401  (att2 is att)
 
 # session counts always included in grid exports, alongside 1..max observed
 REFERENCE_DOSES = (1, 2, 3, 5, 10, 14)
@@ -39,7 +40,10 @@ def fit_t_learner2(
 
 
 def default_dose_probes(model: TLearnerModel, include_zero: bool = True) -> tuple:
-    """1..max observed session count, the reference series, optionally 0."""
+    """1..max observed session count, the reference series, optionally 0;
+    a max above ``MAX_DOSE`` raises DomainError (one prediction per probe)."""
+    if model.dose_max > MAX_DOSE:
+        raise DomainError(f"session count {model.dose_max} exceeds the limit of {MAX_DOSE}")
     probes = set(REFERENCE_DOSES) | set(range(1, model.dose_max + 1))
     if include_zero:
         probes.add(0)
@@ -110,16 +114,6 @@ def phi_summand(model: TLearnerModel, x1, x2) -> float:
     return model.mu1.predict((float(x1), float(x2))) - model.mu0.predict((float(x1), 0.0))
 
 
-def att2(model: TLearnerModel, cohort: Cohort) -> float:
-    """Mean over the treated of observed outcome minus the control prediction
-    at the treated covariate and observed session count."""
-    treated = cohort.treated
-    if not treated.any():
-        raise EmptyArm("R1")
-    X = np.column_stack([cohort.x1[treated], cohort.x2[treated]])
-    return float(np.mean(cohort.y[treated] - model.mu0.predict_many(X)))
-
-
 @dataclass(frozen=True)
 class CateSurface:
     """phi tabulated over a (covariate bin, session count) grid.
@@ -145,8 +139,8 @@ class CateSurface:
         )
         write_csv(path, ["x1", "x2", "phi"], rows)
 
-    def to_json_dict(self) -> dict:
-        return {
+    def to_json(self, path) -> None:
+        write_json(path, {
             "x1_values": [float(b) for b in self.x1_values],
             "x2_values": [int(v) for v in self.x2_values],
             "phi": [
@@ -156,10 +150,7 @@ class CateSurface:
             "observed_dose_min": self.observed_dose_min,
             "observed_dose_max": self.observed_dose_max,
             "n_missing": self.n_missing,
-        }
-
-    def to_json(self, path) -> None:
-        write_json(path, self.to_json_dict())
+        })
 
 
 def phi_surface(

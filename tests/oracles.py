@@ -6,6 +6,7 @@ the library.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -140,6 +141,12 @@ def assert_same_tree(node, ref, mean_tol=1e-9):
     assert node.split[1] == ref["split"][1], f"threshold {node.split} != {ref['split']}"
     assert_same_tree(node.left, ref["left"], mean_tol)
     assert_same_tree(node.right, ref["right"], mean_tol)
+
+
+def exact_bin_key(x, w):
+    """Bin key in exact rational arithmetic: the nearest whole number of
+    widths (ties to even) times the width's shortest decimal, rounded once."""
+    return float(round(x / w) * Fraction(repr(w)))
 
 
 def fsum_mean(values):

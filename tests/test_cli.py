@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -385,6 +386,28 @@ def test_phi_bad_x2_exit_2(tmp_path, synth_csv):
     assert code == 2
 
 
+def test_phi_checks_x2_before_loading(tmp_path, capsys):
+    missing = tmp_path / "missing.csv"
+    code = main(["phi", "--input", str(missing), "--out", str(tmp_path / "o"), "--x2", "abc"])
+    assert code == 2
+    assert "--x2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "dose, x2, code", [(MAX_DOSE + 1, None, 2), (MAX_DOSE + 1, "1,2", 2), (MAX_DOSE, None, 0)]
+)
+def test_phi_session_count_limit(tmp_path, capsys, dose, x2, code):
+    body = HEADER + "\nc0,40,0,0,0,0,0,0,45\nc1,50,0,0,0,0,0,0,49\n"
+    body += f"t0,45,1,0,0,0,0,0,50\nt1,55,{dose},0,0,0,0,0,58\n"
+    path = tmp_path / "doses.csv"
+    path.write_text(body, encoding="utf-8")
+    args = ["phi", "--input", str(path), "--out", str(tmp_path / "o"), "--trees", "2", "--quiet"]
+    assert main(args + (["--x2", x2] if x2 else [])) == code
+    if code:
+        err = capsys.readouterr().err
+        assert f"session count {dose} exceeds the limit of {MAX_DOSE}" in err
+
+
 # --- tree ----------------------------------------------------------------
 
 
@@ -504,6 +527,41 @@ def test_every_package_error_exits_with_its_code(tmp_path, capsys, monkeypatch, 
     err = capsys.readouterr().err
     assert err == f"error: {exc}\n"
     assert "Traceback" not in err
+
+
+# a 20-row cohort with both arms, several session counts and distinct covariates
+_FUZZ_ROWS = tuple(
+    (f"s{i}", repr(40.0 + 1.5 * i), str(i % 4), "0", str(i % 3), "1", "0", "0", repr(45.0 + i))
+    for i in range(20)
+)
+_FUZZ_CELLS = st.sampled_from(
+    ["", "nan", "inf", "-1", "1e308", str(2**63 - 1), str(2**63), "0x10", "abc", "\u0663", "\uff15\uff10"]
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    command=st.sampled_from(["summarize", "cate", "phi", "tree", "dose-reg"]),
+    n_rows=st.integers(0, len(_FUZZ_ROWS)),
+    edits=st.lists(
+        st.tuples(st.integers(0, len(_FUZZ_ROWS) - 1), st.integers(0, 8), _FUZZ_CELLS), max_size=6
+    ),
+    width=st.sampled_from(["1", "0.1", "1e-300"]),
+    x2=st.sampled_from([None, "1,2", "0", "abc"]),
+)
+def test_model_commands_on_mutated_cohorts_exit_with_documented_codes(
+    command, n_rows, edits, width, x2
+):
+    rows = [list(row) for row in _FUZZ_ROWS[:n_rows]]
+    for r, c, value in edits:
+        if r < n_rows:
+            rows[r][c] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cohort.csv"
+        path.write_text("\n".join([HEADER, *map(",".join, rows)]) + "\n", encoding="utf-8")
+        args = [command, "--input", str(path), "--out", str(Path(tmp) / "o"), "--trees", "2"]
+        args += ["--bin", width, "--quiet"] + (["--x2", x2] if x2 else [])
+        assert main(args) in (0, 2, 3, 4, 5)
 
 
 def test_cli_import_does_not_load_scipy():

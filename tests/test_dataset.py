@@ -2,6 +2,7 @@
 
 import math
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -211,6 +212,16 @@ def test_bad_cell_is_parse_error_with_location(tmp_path):
         load_cohort(_write(tmp_path, body))
 
 
+def test_decimal_magnitude_limit(tmp_path):
+    # squares of 1e154 already overflow the split search's running sums
+    body = HEADER + "\na,1e100,1,0,0,0,0,0,-1e100\n"
+    assert load_cohort(_write(tmp_path, body))[0].y.tolist() == [-1e100]
+    for cell in ("1e154", "-1e101", "nan", "inf"):
+        body = HEADER + f"\na,50.0,1,0,0,0,0,0,55.0\nb,50.0,0,0,0,0,0,0,{cell}\n"
+        with pytest.raises(ParseError, match="row 3.*diff_deviation"):
+            load_cohort(_write(tmp_path, body))
+
+
 def test_negative_count_rejected(tmp_path):
     body = HEADER + "\na,50.0,-1,0,0,0,0,0,55.0\n"
     with pytest.raises(ParseError, match="negative"):
@@ -225,6 +236,13 @@ def test_column_renames_via_sidecar_config(tmp_path):
     cohort, report = load_cohort(_write(tmp_path, body), config=config)
     assert cohort.records[0].x1 == 41.0
     assert report.columns["proficiency"] == "prof"
+
+
+def test_two_keys_mapped_to_one_column_rejected(tmp_path):
+    cfg = _write(tmp_path, "proficiency = diff_deviation\n", "schema.cfg")
+    body = HEADER + "\na,41.0,1,0,0,0,0,0,44.0\n"
+    with pytest.raises(SchemaError, match="'proficiency' and 'diff_deviation' both map to"):
+        load_cohort(_write(tmp_path, body), config=SchemaConfig.from_file(cfg))
 
 
 def test_unknown_config_key_rejected(tmp_path):
@@ -282,6 +300,38 @@ def test_columnar_bin_keys_equal_bin_value_bitwise(x1s, width):
     cohort = helpers.cohort_from_arrays(x1s, [0] * len(x1s), [50.0] * len(x1s), precision=width)
     assert _bits(cohort.bins) == _bits(expected)  # sign of zero included
     assert _bits(group_by_covariate(cohort)) == _bits(sorted(set(expected)))
+
+
+# widths whose shortest decimal has few digits, as a user types them
+_DECIMAL_WIDTHS = st.builds(
+    lambda digits, exponent: float(f"{digits}e{exponent}"),
+    st.integers(1, 10**6),
+    st.integers(-8, 3),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=30),
+    st.sampled_from([0.1, 0.2, 0.3, 0.7, 2.5, 0.05, 1e-3]) | _DECIMAL_WIDTHS,
+)
+@example([11.6, 25.7, -0.04, 0.05], 0.1)  # 116 * 0.1 is 11.600000000000001
+def test_bin_keys_are_exact_decimals(x1s, width):
+    p, q = Fraction(repr(width)).as_integer_ratio()
+    cohort = helpers.cohort_from_arrays(x1s, [0] * len(x1s), [50.0] * len(x1s), precision=width)
+    exact = [
+        (key, oracles.exact_bin_key(x, width))
+        for x, key in zip(x1s, cohort.bins.tolist())
+        if abs(round(x / width) * p) < 2**53 and q < 2**53
+    ]
+    assert _bits(k for k, _ in exact) == _bits(e for _, e in exact)
+
+
+def test_bin_key_whose_exact_product_overflows_keys_as_code_times_width():
+    # the code 6.8e307 times p = 5 overflows; code * 2.5 is finite
+    x = 1.7e308
+    assert bin_value(x, 2.5) == round(x / 2.5) * 2.5
+    assert math.isfinite(bin_value(x, 2.5))
 
 
 def test_count_limit_is_int64(tmp_path):

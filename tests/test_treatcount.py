@@ -124,6 +124,14 @@ def test_phi_domain_and_empty_bin_errors():
         phi(model, cohort, 9999.0, 1)
 
 
+def test_phi_finds_a_tenth_width_bin_by_its_decimal():
+    # 257 * 0.1 is 25.700000000000003; the bin key is 25.7 itself
+    x1 = [25.68, 25.71, 25.74, 25.69, 25.72, 30.0]
+    cohort = helpers.cohort_from_arrays(x1, [0, 0, 0, 2, 3, 1], [50, 51, 52, 55, 57, 60], 0.1)
+    model = fit_t_learner2(cohort, n_trees=3)
+    assert math.isfinite(phi(model, cohort, 25.7, 2))
+
+
 def test_summand_identity_everywhere():
     for seed in (23, 31):
         cohort, _ = helpers.random_cohort(seed, n=200)
@@ -166,6 +174,7 @@ def test_att2_matches_fsum_oracle():
 
 
 def test_att2_equals_att_for_aligned_fits():
+    assert att2 is att
     for seed in range(6):
         cohort, _ = helpers.random_cohort(seed + 50)
         one = fit_t_learner(cohort, seed=seed, n_trees=14)
