@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain, compress, islice
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +47,7 @@ AUX_FIELDS = ("remote", "basic_class", "exercises", "videos", "references")
 COUNT_COLUMNS = ("f2f",) + AUX_FIELDS
 _COUNT_MAX = 2**63 - 1  # counts are stored as int64
 _DECIMAL_MAX = 1e100  # keeps squared sums over any feasible row count finite
+_CHUNK_ROWS = 1024  # records converted per bulk step: bounds the reader's transient memory
 
 
 def to_deviation(raw_scores) -> list[float]:
@@ -314,11 +316,75 @@ def _parse_count(cell, path, rownum, column) -> int:
     return value
 
 
+def _chunks(reader):
+    """The reader's records in lists of up to ``_CHUNK_ROWS``.  A read error
+    (a malformed or undecodable line) is raised after the records before it
+    have been yielded, so errors in those rows are reported first."""
+    while True:
+        rows = []
+        try:
+            rows.extend(islice(reader, _CHUNK_ROWS))
+        except (csv.Error, OSError, ValueError):
+            yield rows
+            raise
+        if not rows:
+            return
+        yield rows
+
+
+def _bulk_columns(rows, width, positions):
+    """One chunk's mapped columns, stripped and converted column by column:
+    (ids, x1, y, counts, rows read, rows dropped), or None when any row breaks
+    a rule; ``_raise_first_error`` then names the first such row."""
+    rows = [row for row in rows if "".join(row).strip()]
+    if any(len(row) != width for row in rows):
+        return None
+    columns = list(zip(*rows)) or [()] * width
+    cells = [tuple(map(str.strip, columns[pos])) for pos in positions]
+    if "" in cells[1] or "" in cells[8]:
+        keep = [a != "" and b != "" for a, b in zip(cells[1], cells[8])]
+        cells = [tuple(compress(column, keep)) for column in cells]
+    n = len(cells[0])
+    try:
+        x1, y = (np.fromiter(map(float, cells[k]), np.float64, n) for k in (1, 8))
+        counts = np.empty((len(COUNT_COLUMNS), n), dtype=np.int64)
+        for out, column in zip(counts, cells[2:8]):
+            # counts repeat, so each distinct cell is parsed once; "" reads as 0
+            parsed = {cell: int(cell or "0") for cell in set(column)}
+            out[:] = np.fromiter(map(parsed.__getitem__, column), np.int64, n)
+    except (ValueError, OverflowError):
+        return None
+    in_range = (np.abs(x1) <= _DECIMAL_MAX).all() and (np.abs(y) <= _DECIMAL_MAX).all()
+    if not in_range or (counts < 0).any():
+        return None
+    return cells[0], x1, y, counts.T, len(rows), len(rows) - n
+
+
+def _raise_first_error(path, rows, first_rownum, width, positions, names):
+    """Walk a chunk row by row and raise the first error in row order."""
+    for rownum, row in enumerate(rows, start=first_rownum):
+        if not "".join(row).strip():
+            continue
+        if len(row) != width:
+            raise ParseError(f"{path}: row {rownum}: expected {width} fields, got {len(row)}")
+        cells = [row[pos].strip() for pos in positions]
+        if cells[1] == "" or cells[8] == "":
+            continue
+        _parse_float(cells[1], path, rownum, names[1])
+        _parse_float(cells[8], path, rownum, names[8])
+        for k in range(2, 8):
+            _parse_count(cells[k], path, rownum, names[k])
+    raise RuntimeError(f"{path}: rows {first_rownum}.. failed the column checks but no row did")
+
+
 def load_cohort(path, config: SchemaConfig | None = None, precision=1.0):
     """Read a cohort CSV.  Returns (Cohort, LoadReport).
 
     Rows missing the covariate or outcome are dropped and counted in the
-    report; empty count cells default to 0 (no sessions recorded).
+    report; empty count cells default to 0 (no sessions recorded).  The file
+    is read in chunks of records, each converted column by column; an error
+    names the first bad row (rows count CSV records, blank ones included) and
+    column.
     """
     cfg = config or SchemaConfig.default()
     path = Path(path)
@@ -338,33 +404,43 @@ def load_cohort(path, config: SchemaConfig | None = None, precision=1.0):
             raise SchemaError(f"{path}: missing required columns: {', '.join(missing)}")
         positions = [header.index(name) for name in names]  # CANONICAL_COLUMNS order
 
-        ids, x1, y, counts = [], [], [], []
-        n_rows = 0
-        n_dropped = 0
-        for rownum, row in enumerate(reader, start=2):
-            if not any(c.strip() for c in row):
-                continue
-            n_rows += 1
-            if len(row) != len(header):
-                raise ParseError(
-                    f"{path}: row {rownum}: expected {len(header)} fields, got {len(row)}"
-                )
-            cells = [row[pos].strip() for pos in positions]
-            if cells[1] == "" or cells[8] == "":
-                n_dropped += 1
-                continue
-            x1.append(_parse_float(cells[1], path, rownum, names[1]))
-            y.append(_parse_float(cells[8], path, rownum, names[8]))
-            counts.append([_parse_count(cells[k], path, rownum, names[k]) for k in range(2, 8)])
-            ids.append(cells[0])
-    counts = np.array(counts, dtype=np.int64).reshape(-1, len(COUNT_COLUMNS))
-    cohort = Cohort(tuple(ids), x1, counts[:, 0], y, counts[:, 1:], precision)
-    return cohort, LoadReport(n_rows, n_dropped, dict(cfg.columns))
+        parts = [_bulk_columns([], len(header), positions)]  # empty columns to start from
+        rownum = 2
+        for rows in _chunks(reader):
+            part = _bulk_columns(rows, len(header), positions)
+            if part is None:
+                _raise_first_error(path, rows, rownum, len(header), positions, names)
+            parts.append(part)
+            rownum += len(rows)
+    ids, x1, y, counts, n_rows, n_dropped = zip(*parts)
+    x1, y, counts = (np.concatenate(column) for column in (x1, y, counts))
+    cohort = Cohort(tuple(chain.from_iterable(ids)), x1, counts[:, 0], y, counts[:, 1:], precision)
+    return cohort, LoadReport(sum(n_rows), sum(n_dropped), dict(cfg.columns))
+
+
+_JSON_SCALARS = frozenset({bool, int, float, str, type(None)})
+
+
+def _json_member(value) -> str:
+    """``value`` as ``json.dumps(payload, indent=2)`` writes a top-level member."""
+    if isinstance(value, list) and value and set(map(type, value)) <= _JSON_SCALARS:
+        # the C encoder, with the indented layout as its item separator
+        return "[\n    " + json.dumps(value, separators=(",\n    ", ": "))[1:-1] + "\n  ]"
+    return json.dumps(value, indent=2).replace("\n", "\n  ")
 
 
 def write_json(path, payload) -> None:
-    """The JSON format of every output file: indent 2, a final newline, UTF-8."""
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    """The JSON format of every output file: indent 2, a final newline, UTF-8.
+
+    The bytes are those of ``json.dumps(payload, indent=2)``; a dict's
+    lists of scalars go through the C encoder, which ``indent`` would bypass.
+    """
+    if isinstance(payload, dict) and payload and set(map(type, payload)) == {str}:
+        members = (f"{json.dumps(key)}: {_json_member(value)}" for key, value in payload.items())
+        text = "{\n  " + ",\n  ".join(members) + "\n}"
+    else:
+        text = json.dumps(payload, indent=2)
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def write_csv(path, header, rows) -> None:

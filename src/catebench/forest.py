@@ -225,7 +225,7 @@ class RegressionForest:
         n = X.shape[0]
         first = np.arange(min(n, 1))
         inverse = np.zeros(n, dtype=np.intp)
-        for j, thr in enumerate(self._thresholds()):
+        for j, thr in enumerate(self.thresholds()):
             if thr.size:
                 # renumbering the cells after each feature keeps the codes
                 # below n times one feature's threshold count
@@ -237,7 +237,7 @@ class RegressionForest:
             acc += tree.predict_many(cells)
         return (acc / len(self.trees))[inverse]
 
-    def _thresholds(self) -> list:
+    def thresholds(self) -> list:
         """Sorted distinct split thresholds of every tree, one array per feature."""
         found = [[] for _ in range(self.feature_count)]
         stack = list(self.trees)

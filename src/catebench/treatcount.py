@@ -73,10 +73,16 @@ def check_base_independence(
     """Assert mu0(x1_k, v) == mu0(x1_k, 0) bitwise for every record and probe.
 
     Passing is guaranteed because a constant training feature never yields
-    split candidates; this is the runtime check of that guarantee.
-    Violations are report content, not exceptions.
+    split candidates.  When no tree of mu0 splits on the session count, that
+    is proved from the forest's structure and no probe is predicted:
+    ``predict_many`` reads a feature only to compare it with a threshold.
+    Otherwise every record is predicted at every probe.  Violations are
+    report content, not exceptions.
     """
     probes = tuple(int(v) for v in probe_x2) if probe_x2 is not None else default_dose_probes(model)
+    thresholds = model.mu0.thresholds()
+    if len(thresholds) == 2 and not thresholds[1].size:
+        return IndependenceReport(cohort.n, probes, ())
     x1 = cohort.x1
     base = model.mu0.predict_many(np.column_stack([x1, np.zeros_like(x1)]))
     violations = []

@@ -5,10 +5,15 @@ two-pass statistics, exhaustive enumeration.  None of it shares code with
 the library.
 """
 
+import csv
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
+
+from catebench.dataset import CANONICAL_COLUMNS, Cohort, LoadReport, SchemaConfig
+from catebench.errors import ParseError, SchemaError
 
 
 def two_pass_deviation(scores):
@@ -169,3 +174,77 @@ def per_row_forest_mean(trees, X):
             acc = node.mean if acc is None else acc + node.mean
         out.append(acc / len(trees))
     return np.asarray(out, dtype=float)
+
+
+def load_cohort_rows(path, config=None, precision=1.0):
+    """Cohort loading the per-cell way: one CSV record at a time, each cell
+    parsed as it is met, the first bad cell raising.  Only the result types
+    (``Cohort``, ``LoadReport``, ``SchemaConfig``) come from the library."""
+    def parse_float(cell, rownum, column):
+        try:
+            value = float(cell)
+        except ValueError:
+            raise ParseError(
+                f"{path}: row {rownum}, column {column!r}: not a number: {cell!r}"
+            ) from None
+        if not abs(value) <= 1e100:
+            raise ParseError(
+                f"{path}: row {rownum}, column {column!r}: {cell!r} is not in [-1e+100, 1e+100]"
+            )
+        return value
+
+    def parse_count(cell, rownum, column):
+        if cell == "":
+            return 0
+        try:
+            value = int(cell)
+        except ValueError:
+            raise ParseError(
+                f"{path}: row {rownum}, column {column!r}: not an integer count: {cell!r}"
+            ) from None
+        if value < 0:
+            raise ParseError(f"{path}: row {rownum}, column {column!r}: negative count")
+        if value > 2**63 - 1:
+            raise ParseError(f"{path}: row {rownum}, column {column!r}: count above {2**63 - 1}")
+        return value
+
+    cfg = config or SchemaConfig.default()
+    path = Path(path)
+    names = [cfg.columns[c] for c in CANONICAL_COLUMNS]
+    for k, name in enumerate(names):
+        if name in names[:k]:
+            keys = CANONICAL_COLUMNS[names.index(name)], CANONICAL_COLUMNS[k]
+            raise SchemaError(f"{path}: {keys[0]!r} and {keys[1]!r} both map to {name!r}")
+    with path.open(newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = [h.strip() for h in next(reader)]
+        except StopIteration:
+            raise SchemaError(f"{path}: empty file, header row required") from None
+        missing = [name for name in names if name not in header]
+        if missing:
+            raise SchemaError(f"{path}: missing required columns: {', '.join(missing)}")
+        positions = [header.index(name) for name in names]
+
+        ids, x1, y, counts = [], [], [], []
+        n_rows = 0
+        n_dropped = 0
+        for rownum, row in enumerate(reader, start=2):
+            if not any(c.strip() for c in row):
+                continue
+            n_rows += 1
+            if len(row) != len(header):
+                raise ParseError(
+                    f"{path}: row {rownum}: expected {len(header)} fields, got {len(row)}"
+                )
+            cells = [row[pos].strip() for pos in positions]
+            if cells[1] == "" or cells[8] == "":
+                n_dropped += 1
+                continue
+            x1.append(parse_float(cells[1], rownum, names[1]))
+            y.append(parse_float(cells[8], rownum, names[8]))
+            counts.append([parse_count(cells[k], rownum, names[k]) for k in range(2, 8)])
+            ids.append(cells[0])
+    counts = np.array(counts, dtype=np.int64).reshape(-1, 6)
+    cohort = Cohort(tuple(ids), x1, counts[:, 0], y, counts[:, 1:], precision)
+    return cohort, LoadReport(n_rows, n_dropped, dict(cfg.columns))

@@ -1,14 +1,20 @@
 """Dataset module: deviation scoring, CSV round trips, grouping, summaries."""
 
+import csv
+import json
 import math
 import struct
+import tempfile
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from catebench import dataset
 from catebench.dataset import (
     AUX_FIELDS,
     GroupSummary,
@@ -341,3 +347,176 @@ def test_count_limit_is_int64(tmp_path):
     body = HEADER + "\na,50.0,1,0,0,0,0,0,55.0\nb,50.0,1,0,0,9223372036854775808,0,0,55.0\n"
     with pytest.raises(ParseError, match="row 3.*exercises"):
         load_cohort(_write(tmp_path, body))
+
+
+# --- the column-wise loader against the per-cell oracle -------------------------
+
+# twelve valid rows: both arms, an empty count, padded cells, distinct decimals
+_DIFF_ROWS = tuple(
+    (f"s{i}", repr(40.0 + 1.5 * i), str(i % 4), " 0", "" if i % 5 == 0 else str(i % 3),
+     "1", "0", "0", f" {45 + i}.25")
+    for i in range(12)
+)
+_DIFF_CELLS = st.sampled_from(
+    ["", " ", "1_000", "+5", "٣", "nan", "inf", "1e101", "-1", str(2**63), "abc"]
+)
+# rows inserted whole: blank (as [], spaces, or all-empty fields), ragged, and
+# quoted cells that span lines
+_DIFF_INSERTS = st.sampled_from([
+    [], [" "], [""] * 9, [" "] * 9,
+    ["r", "50.0", "1", "0", "0", "0", "0", "0"],
+    ["r", "50.0", "1", "0", "0", "0", "0", "0", "55.0", "0"],
+    ["line\nbreak", "50.0", "1", "0", "0", "0", "0", "0", "55.0"],
+    ["r", "50.0\n", "1", "0", "0", "0", "0", "0", "55.0"],
+    ["r", "5\n0", "1", "0", "0", "0", "0", "0", "55.0"],
+])
+
+
+def _load_both(path, **kwargs):
+    """Each loader's result, or its exception's class and message."""
+    results = []
+    for loader in (load_cohort, oracles.load_cohort_rows):
+        try:
+            results.append(loader(path, **kwargs))
+        except (ParseError, SchemaError) as exc:
+            results.append((type(exc), str(exc)))
+    return results
+
+
+def _assert_same_load(got, want):
+    if isinstance(want[0], type):
+        assert got == want
+        return
+    (cohort, report), (ref, ref_report) = got, want
+    assert report == ref_report
+    assert cohort.ids == ref.ids
+    for name in ("x1", "x2", "y", "aux", "bins"):
+        column, ref_column = getattr(cohort, name), getattr(ref, name)
+        assert column.dtype == ref_column.dtype and column.shape == ref_column.shape, name
+        assert column.tobytes() == ref_column.tobytes(), name
+
+
+_CLEAN = dict(edits=[], inserts=[], chunk=2, line_end="\n")
+
+
+@settings(max_examples=300, deadline=None)
+@example(n_rows=6, **{**_CLEAN, "edits": [(3, 5, "-1")]})
+@example(n_rows=6, **{**_CLEAN, "edits": [(4, 2, str(2**63)), (4, 8, "")]})
+@example(n_rows=6, **{**_CLEAN, "edits": [(2, 1, "1_000"), (3, 4, "+5"), (4, 6, "٣")]})
+@example(n_rows=6, **{**_CLEAN, "inserts": [(2, [" "] * 9), (4, ["r", "5\n0"])]})
+@given(
+    n_rows=st.integers(0, len(_DIFF_ROWS)),
+    edits=st.lists(
+        st.tuples(st.integers(0, len(_DIFF_ROWS) - 1), st.integers(0, 8), _DIFF_CELLS), max_size=3
+    ),
+    inserts=st.lists(st.tuples(st.integers(0, len(_DIFF_ROWS)), _DIFF_INSERTS), max_size=3),
+    chunk=st.sampled_from([1, 2, 3, 5, dataset._CHUNK_ROWS]),
+    line_end=st.sampled_from(["\n", "\r\n"]),
+)
+def test_column_loader_matches_per_cell_oracle(n_rows, edits, inserts, chunk, line_end):
+    rows = [list(row) for row in _DIFF_ROWS[:n_rows]]
+    for r, c, value in edits:
+        if r < n_rows:
+            rows[r][c] = value
+    for position, row in sorted(inserts, key=lambda item: -item[0]):
+        rows.insert(min(position, len(rows)), row)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cohort.csv"
+        with path.open("w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator=line_end)
+            writer.writerow(HEADER.split(","))
+            writer.writerows(rows)
+        with mock.patch.object(dataset, "_CHUNK_ROWS", chunk):
+            got, want = _load_both(path)
+    _assert_same_load(got, want)
+
+
+def _cohort_rows(n):
+    return [f"s{i},{40 + i % 30}.5,{i % 3},0,,1,0,0,{50 + i % 17}.25" for i in range(n)]
+
+
+def _second_chunk_file(tmp_path, edits):
+    """A file of two full chunks plus ten rows; ``edits`` maps a 0-based data row
+    to the line that replaces it (file row number = index + 2)."""
+    rows = _cohort_rows(2 * dataset._CHUNK_ROWS + 10)
+    for index, line in edits.items():
+        rows[index] = line
+    return _write(tmp_path, HEADER + "\n" + "\n".join(rows) + "\n")
+
+
+def test_blank_and_dropped_rows_in_a_later_chunk(tmp_path):
+    second = dataset._CHUNK_ROWS + 7
+    edits = {second: "", second + 1: " , ,", second + 2: "d,,1,0,0,0,0,0,50.0"}
+    path = _second_chunk_file(tmp_path, edits)
+    got, want = _load_both(path)
+    _assert_same_load(got, want)
+    cohort, report = got
+    assert (report.n_rows, report.n_dropped) == (2 * dataset._CHUNK_ROWS + 8, 1)
+    assert cohort.n == 2 * dataset._CHUNK_ROWS + 7
+
+
+def test_bad_cell_in_a_later_chunk_names_its_row(tmp_path):
+    # row numbers count the blank record in the first chunk
+    bad = dataset._CHUNK_ROWS + 7
+    path = _second_chunk_file(tmp_path, {3: "", bad: "b,50.0,x,0,0,0,0,0,55.0"})
+    got, want = _load_both(path)
+    message = f"{path}: row {bad + 2}, column 'f2f': not an integer count: 'x'"
+    assert got == want == (ParseError, message)
+
+
+def test_bad_cell_before_a_ragged_row_in_one_chunk_is_reported_first(tmp_path):
+    path = _second_chunk_file(tmp_path, {3: "b,50.0,1,0,0,0,0,0,abc", 12: "r,50.0,1"})
+    got, want = _load_both(path)
+    message = f"{path}: row 5, column 'diff_deviation': not a number: 'abc'"
+    assert got == want == (ParseError, message)
+
+
+def test_ragged_row_before_a_bad_cell_in_one_chunk_is_reported_first(tmp_path):
+    path = _second_chunk_file(tmp_path, {3: "r,50.0,1", 12: "b,50.0,-1,0,0,0,0,0,55.0"})
+    got, want = _load_both(path)
+    assert got == want == (ParseError, f"{path}: row 5: expected 9 fields, got 3")
+
+
+def test_bad_cell_before_an_unreadable_record_is_reported_first(tmp_path):
+    # csv refuses a field above its size limit; the bad cell two rows earlier wins
+    huge = "r," + "1" * (csv.field_size_limit() + 1) + ",1,0,0,0,0,0,55.0"
+    path = _second_chunk_file(tmp_path, {3: "b,50.0,1,0,0,0,0,0,abc", 5: huge})
+    got, want = _load_both(path)
+    message = f"{path}: row 5, column 'diff_deviation': not a number: 'abc'"
+    assert got == want == (ParseError, message)
+
+
+# --- the JSON writer -------------------------------------------------------------
+
+_JSON_SCALAR = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4)
+)
+_JSON_VALUE = st.recursive(
+    _JSON_SCALAR,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.tuples(inner),
+        st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@example(payload={"y0": [1.5, float("nan"), -0.0], "empty": [], "treated": [1, 0, True]})
+@example(payload={1: [1.0, 2.0], "1": "a"})
+@example(payload=[[1.0], {"a": [2]}])
+@given(
+    payload=st.one_of(
+        st.dictionaries(st.text(max_size=3), _JSON_VALUE, max_size=5),
+        st.dictionaries(
+            st.one_of(st.text(max_size=3), st.integers(), st.booleans()), _JSON_VALUE, max_size=3
+        ),
+        _JSON_VALUE,
+    )
+)
+def test_write_json_bytes_are_those_of_indent_two(payload):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out.json"
+        dataset.write_json(path, payload)
+        assert path.read_bytes() == (json.dumps(payload, indent=2) + "\n").encode("utf-8")

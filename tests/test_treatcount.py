@@ -66,6 +66,25 @@ def test_independence_zero_violations():
     assert report.probes == tuple(range(0, 15))
 
 
+def test_independence_proved_from_structure_predicts_no_probe(monkeypatch):
+    cohort, _ = helpers.random_cohort(17)
+    model = fit_t_learner2(cohort, seed=5, n_trees=12)
+    assert not model.mu0.thresholds()[1].size
+    calls = []
+    predict_many = RegressionForest.predict_many
+    monkeypatch.setattr(
+        RegressionForest, "predict_many", lambda self, X: calls.append(X) or predict_many(self, X)
+    )
+    report = check_base_independence(model, cohort, probe_x2=[1, 2])
+    assert calls == []
+    assert report.ok and report.probes == (1, 2) and report.n_records == cohort.n
+    # what the proof stands for: every record, bitwise, at every probe
+    base = predict_many(model.mu0, np.column_stack([cohort.x1, np.zeros(cohort.n)]))
+    for v in (1, 2, 1000):
+        at_probe = predict_many(model.mu0, np.column_stack([cohort.x1, np.full(cohort.n, v)]))
+        assert at_probe.tobytes() == base.tobytes()
+
+
 def test_independence_detector_flags_adversarial_model():
     cohort = helpers.cohort_from_arrays([40, 50, 60, 45], [0, 0, 0, 2], [45, 50, 55, 52])
     model = fit_t_learner2(cohort, n_trees=1, bootstrap=False)
