@@ -106,16 +106,7 @@ def cmd_summarize(args) -> int:
 
     _write_json(
         out / "summary.json",
-        {
-            "n": cohort.n,
-            "n_dropped": report.n_dropped,
-            "n_treated": summary.n_treated,
-            "n_control": summary.n_control,
-            "mean_y_treated": summary.mean_y_treated,
-            "mean_y_control": summary.mean_y_control,
-            "mean_x1_treated": summary.mean_x1_treated,
-            "mean_x1_control": summary.mean_x1_control,
-        },
+        {"n": cohort.n, "n_dropped": report.n_dropped, **dataclasses.asdict(summary)},
     )
     _write_text(out / "summary.txt", text)
     _say(args, text.rstrip("\n"))

@@ -384,7 +384,7 @@ def load_cohort(path, config: SchemaConfig | None = None, precision=1.0):
     report; empty count cells default to 0 (no sessions recorded).  The file
     is read in chunks of records, each converted column by column; an error
     names the first bad row (rows count CSV records, blank ones included) and
-    column.
+    column, or only the row for a record the csv module cannot read.
     """
     cfg = config or SchemaConfig.default()
     path = Path(path)
@@ -395,23 +395,28 @@ def load_cohort(path, config: SchemaConfig | None = None, precision=1.0):
             raise SchemaError(f"{path}: {keys[0]!r} and {keys[1]!r} both map to {name!r}")
     with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
+        rownum = 1  # the header, then the first record of the chunk being read
         try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file, header row required") from None
-        missing = [name for name in names if name not in header]
-        if missing:
-            raise SchemaError(f"{path}: missing required columns: {', '.join(missing)}")
-        positions = [header.index(name) for name in names]  # CANONICAL_COLUMNS order
+            header = next(reader, None)
+            if header is None:
+                raise SchemaError(f"{path}: empty file, header row required")
+            header = [h.strip() for h in header]
+            missing = [name for name in names if name not in header]
+            if missing:
+                raise SchemaError(f"{path}: missing required columns: {', '.join(missing)}")
+            positions = [header.index(name) for name in names]  # CANONICAL_COLUMNS order
 
-        parts = [_bulk_columns([], len(header), positions)]  # empty columns to start from
-        rownum = 2
-        for rows in _chunks(reader):
-            part = _bulk_columns(rows, len(header), positions)
-            if part is None:
-                _raise_first_error(path, rows, rownum, len(header), positions, names)
-            parts.append(part)
-            rownum += len(rows)
+            parts = [_bulk_columns([], len(header), positions)]  # empty columns to start from
+            rownum = 2
+            for rows in _chunks(reader):
+                part = _bulk_columns(rows, len(header), positions)
+                if part is None:
+                    _raise_first_error(path, rows, rownum, len(header), positions, names)
+                parts.append(part)
+                rownum += len(rows)
+        except csv.Error as exc:
+            # a record the csv module refuses, such as a field above its size limit
+            raise ParseError(f"{path}: row {rownum}: {exc}") from None
     ids, x1, y, counts, n_rows, n_dropped = zip(*parts)
     x1, y, counts = (np.concatenate(column) for column in (x1, y, counts))
     cohort = Cohort(tuple(chain.from_iterable(ids)), x1, counts[:, 0], y, counts[:, 1:], precision)

@@ -194,11 +194,7 @@ class RegressionForest:
     """Bagged CART trees; the prediction is the mean of per-tree predictions."""
 
     trees: tuple
-    n_trees: int
-    seed: int
     feature_count: int
-    params: TreeParams
-    bootstrap: bool = True
 
     def predict(self, x) -> float:
         x = np.asarray(x, dtype=float)
@@ -255,10 +251,9 @@ def fit_forest(
     params: TreeParams | None = None,
     n_trees: int = 100,
     seed: int = 0,
-    *,
-    bootstrap: bool = True,
 ) -> RegressionForest:
-    """Bag ``n_trees`` trees; tree i resamples from the (seed, i) stream.
+    """Bag ``n_trees`` trees; tree i fits n rows drawn with replacement from
+    the (seed, i) stream.  ``fit_tree`` fits one tree on every row in order.
 
     Trees are fitted one after another in the calling thread.
     """
@@ -268,9 +263,9 @@ def fit_forest(
         raise ValueError("n_trees must be >= 1")
     trees = []
     for i in range(n_trees):
-        idx = _tree_rng(seed, i).integers(0, y.size, size=y.size) if bootstrap else slice(None)
+        idx = _tree_rng(seed, i).integers(0, y.size, size=y.size)
         trees.append(_grow(X[idx], y[idx], None, 0, params))
-    return RegressionForest(tuple(trees), n_trees, seed, X.shape[1], params, bootstrap)
+    return RegressionForest(tuple(trees), X.shape[1])
 
 
 @dataclass(frozen=True)

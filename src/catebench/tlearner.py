@@ -23,8 +23,9 @@ from .forest import RegressionForest, TreeParams, fit_forest
 @dataclass(frozen=True)
 class TLearnerModel:
     """A response forest per arm over [x1] or, for the session-count
-    estimator, [x1, x2].  ``dose_min``/``dose_max`` are the treated arm's
-    observed session-count range."""
+    estimator, [x1, x2], with the settings both were fitted with.
+    ``dose_min``/``dose_max`` are the treated arm's observed session-count
+    range."""
 
     mu1: RegressionForest
     mu0: RegressionForest
@@ -37,7 +38,7 @@ class TLearnerModel:
     dose_max: int
 
 
-def _fit_arms(cohort: Cohort, n_features, params, seed, n_trees, bootstrap):
+def _fit_arms(cohort: Cohort, n_features, params, seed, n_trees):
     """Fit mu1 on the treated rows and mu0 on the control rows, each in row
     order, over the first ``n_features`` of (x1, x2).
 
@@ -56,7 +57,7 @@ def _fit_arms(cohort: Cohort, n_features, params, seed, n_trees, bootstrap):
     def fit(arm):
         # rows go first and as (features, y) pairs: perfbench/spans.py counts them there
         rows = list(zip(X[arm].tolist(), cohort.y[arm].tolist()))
-        return fit_forest(rows, params, n_trees, seed, bootstrap=bootstrap)
+        return fit_forest(rows, params, n_trees, seed)
 
     mu1, mu0 = fit(treated), fit(~treated)
     n_treated = int(treated.sum())
@@ -72,11 +73,9 @@ def fit_t_learner(
     params: TreeParams | None = None,
     seed: int = 0,
     n_trees: int = 100,
-    *,
-    bootstrap: bool = True,
 ) -> TLearnerModel:
     """Fit mu1 on treated (x1, y) pairs and mu0 on control pairs."""
-    return _fit_arms(cohort, 1, params, seed, n_trees, bootstrap)
+    return _fit_arms(cohort, 1, params, seed, n_trees)
 
 
 def cate_tau(model: TLearnerModel, x1) -> float:

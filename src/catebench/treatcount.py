@@ -32,11 +32,9 @@ def fit_t_learner2(
     params: TreeParams | None = None,
     seed: int = 0,
     n_trees: int = 100,
-    *,
-    bootstrap: bool = True,
 ) -> TLearnerModel:
     """Fit mu1 on treated (x1, x2, y) and mu0 on control (x1, 0, y)."""
-    return _fit_arms(cohort, 2, params, seed, n_trees, bootstrap)
+    return _fit_arms(cohort, 2, params, seed, n_trees)
 
 
 def default_dose_probes(model: TLearnerModel, include_zero: bool = True) -> tuple:

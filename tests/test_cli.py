@@ -230,6 +230,17 @@ def test_count_beyond_int64_exit_2(tmp_path, capsys, command):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["summarize", "cate", "phi", "tree", "dose-reg"])
+def test_field_above_csv_size_limit_exit_2(tmp_path, capsys, command):
+    path = tmp_path / "wide.csv"
+    body = HEADER + "\nt,50,1,0,0,0,0,0,52\nc," + "5" * 140_000 + ",0,0,0,0,0,0,45\n"
+    path.write_text(body, encoding="utf-8")
+    assert main([command, "--input", str(path), "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "row 3: field larger than field limit" in err
+    assert "Traceback" not in err
+
+
 def test_directory_input_exit_2(tmp_path, capsys):
     assert main(["summarize", "--input", str(tmp_path), "--out", str(tmp_path / "o"), "--quiet"]) == 2
     assert "error:" in capsys.readouterr().err

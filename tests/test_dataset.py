@@ -486,6 +486,26 @@ def test_bad_cell_before_an_unreadable_record_is_reported_first(tmp_path):
     assert got == want == (ParseError, message)
 
 
+def test_oversized_field_in_a_later_chunk_names_its_row(tmp_path):
+    # row numbers count the blank record in the first chunk
+    limit = csv.field_size_limit()
+    bad = dataset._CHUNK_ROWS + 7
+    huge = "r," + "1" * (limit + 1) + ",1,0,0,0,0,0,55.0"
+    path = _second_chunk_file(tmp_path, {3: "", bad: huge})
+    message = f"{path}: row {bad + 2}: field larger than field limit ({limit})"
+    with pytest.raises(ParseError) as err:
+        load_cohort(path)
+    assert str(err.value) == message
+
+
+def test_oversized_header_field_is_row_1(tmp_path):
+    limit = csv.field_size_limit()
+    path = _write(tmp_path, "x" * (limit + 1) + "," + HEADER + "\n")
+    with pytest.raises(ParseError) as err:
+        load_cohort(path)
+    assert str(err.value) == f"{path}: row 1: field larger than field limit ({limit})"
+
+
 # --- the JSON writer -------------------------------------------------------------
 
 _JSON_SCALAR = st.one_of(

@@ -257,22 +257,11 @@ def test_hand_built_forest_splitting_on_second_feature(data):
         leaf(-3.0),
         node(0, 2.5, leaf(1.0), node(1, -1.0, leaf(2.0), leaf(1.0 / 3.0))),
     )
-    forest = RegressionForest(trees, len(trees), 0, 2, TreeParams())
+    forest = RegressionForest(trees, 2)
     _assert_matches_per_row_mean(forest, data)
 
 
 # --- fit_forest -------------------------------------------------------------
-
-
-def test_single_tree_without_bootstrap_equals_tree():
-    rng = np.random.default_rng(11)
-    X = rng.uniform(0, 10, size=(30, 1))
-    y = rng.normal(50, 5, size=30)
-    rows = [(X[i], y[i]) for i in range(30)]
-    forest = fit_forest(rows, TreeParams(max_depth=2), n_trees=1, seed=9, bootstrap=False)
-    tree = fit_tree(rows, TreeParams(max_depth=2))
-    probe = np.linspace(-2, 12, 29)[:, None]
-    assert np.array_equal(forest.predict_many(probe), tree.predict_many(probe))
 
 
 def test_constant_rows_predict_constant_for_any_seed():

@@ -31,7 +31,7 @@ import oracles
 def test_identical_arms_give_zero_tau_everywhere():
     points = [(35.0, 40.0), (45.0, 50.0), (55.0, 60.0), (65.0, 55.0)]
     cohort = helpers.mirrored_cohort(points)
-    model = fit_t_learner(cohort, TreeParams(max_depth=3), n_trees=1, bootstrap=False)
+    model = fit_t_learner(cohort, TreeParams(max_depth=3), n_trees=1)
     for b in cohort.groups:
         assert cate_tau(model, b) == 0.0
     assert ate(model, cohort) == 0.0
@@ -64,7 +64,7 @@ def test_att_single_treated_record():
     x2 = [0, 0, 0, 1]
     y = [50.0, 50.0, 50.0, 55.0]
     cohort = helpers.cohort_from_arrays(x1, x2, y)
-    model = fit_t_learner(cohort, TreeParams(max_depth=4), n_trees=1, bootstrap=False)
+    model = fit_t_learner(cohort, TreeParams(max_depth=4), n_trees=1)
     assert att(model, cohort) == 5.0
 
 
@@ -73,7 +73,7 @@ def test_atu_single_control_record():
     x2 = [1, 2, 0]
     y = [52.0, 52.0, 50.0]
     cohort = helpers.cohort_from_arrays(x1, x2, y)
-    model = fit_t_learner(cohort, TreeParams(max_depth=4), n_trees=1, bootstrap=False)
+    model = fit_t_learner(cohort, TreeParams(max_depth=4), n_trees=1)
     assert atu(model, cohort) == 2.0
 
 
@@ -207,6 +207,6 @@ def test_effect_report_contract(tmp_path):
 
 def test_identical_arms_report_zero_column():
     cohort = helpers.mirrored_cohort([(40.0, 45.0), (50.0, 52.0), (60.0, 58.0)])
-    model = fit_t_learner(cohort, n_trees=1, bootstrap=False)
+    model = fit_t_learner(cohort, n_trees=1)
     report = effect_report(model, cohort)
     assert all(row.tau == 0.0 for row in report.rows)

@@ -87,7 +87,6 @@ def test_independence_proved_from_structure_predicts_no_probe(monkeypatch):
 
 def test_independence_detector_flags_adversarial_model():
     cohort = helpers.cohort_from_arrays([40, 50, 60, 45], [0, 0, 0, 2], [45, 50, 55, 52])
-    model = fit_t_learner2(cohort, n_trees=1, bootstrap=False)
     # hand-built mu0 tree split on the session-count feature
     bad_tree = TreeNode(
         n=3,
@@ -96,15 +95,8 @@ def test_independence_detector_flags_adversarial_model():
         left=TreeNode(n=2, mean=48.0),
         right=TreeNode(n=1, mean=53.0),
     )
-    bad_mu0 = RegressionForest(
-        trees=(bad_tree,),
-        n_trees=1,
-        seed=0,
-        feature_count=2,
-        params=model.params,
-        bootstrap=False,
-    )
-    tampered = fit_t_learner2(cohort, n_trees=1, bootstrap=False)
+    bad_mu0 = RegressionForest(trees=(bad_tree,), feature_count=2)
+    tampered = fit_t_learner2(cohort, n_trees=1)
     object.__setattr__(tampered, "mu0", bad_mu0)
     report = check_base_independence(tampered, cohort, probe_x2=[0, 1, 2])
     assert not report.ok
@@ -125,7 +117,7 @@ def test_default_probes_cover_reference_series():
 def test_phi_zero_when_arms_identical():
     points = [(40.0, 45.0), (50.0, 52.0), (60.0, 58.0)]
     cohort = helpers.mirrored_cohort(points, dose=1)
-    model = fit_t_learner2(cohort, n_trees=1, bootstrap=False)
+    model = fit_t_learner2(cohort, n_trees=1)
     for b in cohort.groups:
         for dose in (1, 2, 5):
             assert phi(model, cohort, b, dose) == 0.0
