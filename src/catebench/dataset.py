@@ -377,6 +377,17 @@ def _raise_first_error(path, rows, first_rownum, width, positions, names):
     raise RuntimeError(f"{path}: rows {first_rownum}.. failed the column checks but no row did")
 
 
+def _undecodable_line(path) -> int:
+    """The physical line (1-based) holding a file's first byte that is not UTF-8."""
+    with path.open("rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError:
+                return lineno
+    raise RuntimeError(f"{path}: a UTF-8 decode failed, but every line decodes")
+
+
 def load_cohort(path, config: SchemaConfig | None = None, precision=1.0):
     """Read a cohort CSV.  Returns (Cohort, LoadReport).
 
@@ -384,7 +395,8 @@ def load_cohort(path, config: SchemaConfig | None = None, precision=1.0):
     report; empty count cells default to 0 (no sessions recorded).  The file
     is read in chunks of records, each converted column by column; an error
     names the first bad row (rows count CSV records, blank ones included) and
-    column, or only the row for a record the csv module cannot read.
+    column, only the row for a record the csv module cannot read, or the
+    physical line of the first byte that is not UTF-8.
     """
     cfg = config or SchemaConfig.default()
     path = Path(path)
@@ -417,6 +429,12 @@ def load_cohort(path, config: SchemaConfig | None = None, precision=1.0):
         except csv.Error as exc:
             # a record the csv module refuses, such as a field above its size limit
             raise ParseError(f"{path}: row {rownum}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            # the text layer decodes ahead of the csv reader, so rownum may lag
+            line, byte = _undecodable_line(path), exc.object[exc.start]
+            raise ParseError(
+                f"{path}: line {line}: byte 0x{byte:02x} is not UTF-8 ({exc.reason})"
+            ) from None
     ids, x1, y, counts, n_rows, n_dropped = zip(*parts)
     x1, y, counts = (np.concatenate(column) for column in (x1, y, counts))
     cohort = Cohort(tuple(chain.from_iterable(ids)), x1, counts[:, 0], y, counts[:, 1:], precision)

@@ -9,11 +9,18 @@ strictly below the threshold, so a value exactly at a threshold goes right.
 A constant feature yields no candidates and can never be selected, which is
 what makes the two-variable control response ignore its session-count input.
 
-Each feature is stable-sorted once per tree, at the root.  A child inherits
-its rows' order by filtering its parent's, which gives exactly the stable
-sort it would compute itself, so no node sorts again.  Rows are gathered and
-filtered with ``take`` and ``compress``, which select the same elements as
-fancy and boolean indexing but run several times faster.
+Each feature is coded once per fit: a value's code is its rank among the
+feature's distinct values (the ``np.unique`` inverse), which merges -0.0 with
+0.0 just as the float sort ties them, so a stable order by code is the stable
+order by value.  A tree gathers the codes with its bootstrap draw and orders
+each feature once, at the root, by stable-sorting the codes as 16-bit digits,
+low digit first; numpy radix-sorts 16-bit keys, so a feature with at most
+65,536 distinct values takes one pass, a wider one two, and a constant one
+none.  A child inherits its rows' order by filtering its parent's, which gives
+exactly the stable sort it would compute itself, so no node sorts again, and
+nodes split on the float values.  Rows are gathered and filtered with
+``take`` and ``compress``, which select the same elements as fancy and
+boolean indexing but run several times faster.
 """
 
 from __future__ import annotations
@@ -157,19 +164,45 @@ def _child_order(order, mask):
     return rank.take(kept.reshape(order.shape[0], -1))
 
 
+def _value_digits(x) -> np.ndarray:
+    """A feature's value codes as rows of 16-bit digits, lowest first: one
+    row for at most 65,536 distinct values, two for up to 2**32, none for a
+    constant feature, whose codes are all 0."""
+    distinct, code = np.unique(x, return_inverse=True)
+    width = (distinct.size - 1).bit_length()  # bits of the largest code
+    digits = [(code >> shift) & 0xFFFF for shift in range(0, width, 16)]
+    return np.array(digits, dtype=np.uint16).reshape(-1, x.size)
+
+
+def _code_order(digits) -> np.ndarray:
+    """The stable argsort of the codes that ``digits`` spell: a stable radix
+    pass per digit, low digit first (LSD radix)."""
+    if not digits.size:
+        return np.arange(digits.shape[1])
+    order = np.argsort(digits[0], kind="stable")
+    for digit in digits[1:]:
+        order = order.take(np.argsort(digit.take(order), kind="stable"))
+    return order
+
+
+def _root_order(digits, rows) -> np.ndarray:
+    """Per-feature stable orders of the sample ``X[rows]``, from each feature's
+    ``_value_digits``: int32, filled a feature at a time, keeps the orders'
+    peak memory low."""
+    order = np.empty((len(digits), rows.size), dtype=np.int32)
+    for j, column in enumerate(digits):
+        order[j] = _code_order(column.take(rows, axis=1))
+    return order
+
+
 def _grow(X, y, get_order, depth, params) -> TreeNode:
     """Grow a subtree.  ``get_order()`` builds the node's per-feature stable
-    orders, only if the node is split (None at the root, which sorts); a right
-    child's are built after the left subtree returns, so memory stays flat."""
+    orders, only if the node is split; a right child's are built after the
+    left subtree returns, so memory stays flat."""
     node = TreeNode(n=int(y.size), mean=float(y.mean()))
     if depth >= params.max_depth or y.size < params.min_samples_split or y.min() == y.max():
         return node
-    if get_order:
-        order = get_order()
-    else:  # int32, filled a feature at a time, keeps the orders' peak memory low
-        order = np.empty(X.shape[::-1], dtype=np.int32)
-        for j in range(X.shape[1]):
-            order[j] = np.argsort(X[:, j], kind="stable")
+    order = get_order()
     found = _best_split(X, y, order, params.min_samples_leaf)
     if found is None:
         return node
@@ -186,7 +219,8 @@ def _grow(X, y, get_order, depth, params) -> TreeNode:
 def fit_tree(rows, params: TreeParams | None = None) -> TreeNode:
     """Fit one CART regression tree on (feature vector, outcome) pairs."""
     X, y = _coerce_rows(rows)
-    return _grow(X, y, None, 0, params or TreeParams())
+    digits = [_value_digits(x) for x in X.T]
+    return _grow(X, y, lambda: _root_order(digits, np.arange(y.size)), 0, params or TreeParams())
 
 
 @dataclass(frozen=True)
@@ -261,10 +295,11 @@ def fit_forest(
     params = params or TreeParams()
     if n_trees < 1:
         raise ValueError("n_trees must be >= 1")
+    digits = [_value_digits(x) for x in X.T]
     trees = []
     for i in range(n_trees):
         idx = _tree_rng(seed, i).integers(0, y.size, size=y.size)
-        trees.append(_grow(X[idx], y[idx], None, 0, params))
+        trees.append(_grow(X[idx], y[idx], lambda idx=idx: _root_order(digits, idx), 0, params))
     return RegressionForest(tuple(trees), X.shape[1])
 
 

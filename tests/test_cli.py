@@ -253,6 +253,17 @@ def test_non_utf8_input_exit_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["summarize", "cate", "phi", "tree", "dose-reg"])
+def test_non_utf8_record_exit_2_naming_path_and_line(tmp_path, capsys, command):
+    path = tmp_path / "latin1.csv"
+    body = HEADER + "\nt,50,1,0,0,0,0,0,52\nc,45,0,0,0,0,0,0,48\nJos\xe9,52,1,0,0,0,0,0,51\n"
+    path.write_bytes(body.encode("latin-1"))
+    assert main([command, "--input", str(path), "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: line 4: byte 0xe9 is not UTF-8" in err
+    assert "Traceback" not in err
+
+
 def test_byte_order_mark_is_skipped_in_csv_and_config(tmp_path, synth_csv):
     text = synth_csv.read_text(encoding="utf-8").replace("proficiency", "placement", 1)
     cfg_text = "proficiency = placement\n"

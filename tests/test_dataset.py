@@ -506,6 +506,30 @@ def test_oversized_header_field_is_row_1(tmp_path):
     assert str(err.value) == f"{path}: row 1: field larger than field limit ({limit})"
 
 
+def test_non_utf8_byte_names_its_physical_line(tmp_path):
+    path = tmp_path / "latin1.csv"
+    body = HEADER + "\na,50,1,0,0,0,0,0,55\nb,45,0,0,0,0,0,0,48\nJos\xe9,52,1,0,0,0,0,0,51\n"
+    path.write_bytes(body.encode("latin-1"))
+    with pytest.raises(ParseError) as err:
+        load_cohort(path)
+    assert str(err.value) == f"{path}: line 4: byte 0xe9 is not UTF-8 (invalid continuation byte)"
+
+
+def test_non_utf8_byte_in_a_later_chunk_names_its_physical_line(tmp_path):
+    # the text layer decodes 8 KB ahead of the csv reader, and a quoted id
+    # spans two lines, so neither the chunk's first row nor the bad record's
+    # row number is the line
+    rows = _cohort_rows(2 * dataset._CHUNK_ROWS + 10)
+    bad = dataset._CHUNK_ROWS + 7
+    rows[3] = '"two\nlines",50,1,0,0,0,0,0,55'
+    rows[bad] = "Jos\xe9,52,1,0,0,0,0,0,51"
+    path = tmp_path / "latin1.csv"
+    path.write_bytes((HEADER + "\n" + "\n".join(rows) + "\n").encode("latin-1"))
+    with pytest.raises(ParseError) as err:
+        load_cohort(path)
+    assert str(err.value) == f"{path}: line {bad + 3}: byte 0xe9 is not UTF-8 (invalid continuation byte)"
+
+
 # --- the JSON writer -------------------------------------------------------------
 
 _JSON_SCALAR = st.one_of(

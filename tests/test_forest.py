@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from catebench import forest
 from catebench.errors import DimensionMismatch, EmptyInput
 from catebench.forest import (
     RegressionForest,
@@ -97,11 +98,11 @@ def test_zero_variance_feature_never_selected():
 
 @st.composite
 def tied_training_sets(draw):
-    """1-3 features over few distinct values, often a constant column and
-    duplicated rows, and outcomes with many ties."""
+    """1-3 features over few distinct values (-0.0 beside 0.0), often a
+    constant column and duplicated rows, and outcomes with many ties."""
     d = draw(st.integers(min_value=1, max_value=3))
     n = draw(st.integers(min_value=1, max_value=40))
-    value = st.sampled_from([-1.5, 0.0, 0.25, 1.0, 2.0, 7.0])
+    value = st.sampled_from([-1.5, -0.0, 0.0, 0.25, 1.0, 2.0, 7.0])
     X = np.array(draw(st.lists(st.lists(value, min_size=d, max_size=d), min_size=n, max_size=n)))
     if draw(st.booleans()):
         X[:, draw(st.integers(min_value=0, max_value=d - 1))] = 3.0
@@ -131,6 +132,31 @@ def test_split_search_equals_per_node_sort_bitwise(data, depth, min_split, min_l
         refs = oracles.per_node_sort_forest(X, y, 3, seed, depth, min_split, min_leaf)
     for tree, ref in zip(fitted, refs, strict=True):
         oracles.assert_same_tree(tree, ref, mean_tol=0.0)
+
+
+def test_forest_on_more_than_65536_distinct_values_equals_per_node_sort_bitwise():
+    # two 16-bit digits per code: the root order takes two radix passes
+    rng = np.random.default_rng(11)
+    n = 70_000
+    X = np.column_stack([rng.permutation(n) / 7.0, rng.integers(0, 4, n)])
+    y = np.round(rng.normal(0, 1, n), 2)
+    params = TreeParams(max_depth=2)
+    fitted = fit_forest([(X[i], y[i]) for i in range(n)], params, n_trees=2, seed=5).trees
+    refs = oracles.per_node_sort_forest(X, y, 2, 5, 2)
+    for tree, ref in zip(fitted, refs, strict=True):
+        oracles.assert_same_tree(tree, ref, mean_tol=0.0)
+
+
+def test_code_order_is_stable_argsort_bitwise():
+    rng = np.random.default_rng(2)
+    wide = rng.integers(0, 90_000, size=200_000) / 3.0  # > 65,536 distinct, many ties
+    assert np.unique(wide).size > 2**16
+    signed_zero = np.array([0.0, -0.0, 1.0, -0.0, -2.0, 0.0, 1.0, -0.0])
+    for x in (wide, np.full(300, 4.5), signed_zero, np.array([3.0])):
+        order = forest._code_order(forest._value_digits(x))
+        assert order.tobytes() == np.argsort(x, kind="stable").tobytes()
+    assert forest._value_digits(wide).shape == (2, wide.size)
+    assert forest._value_digits(np.full(300, 4.5)).shape == (0, 300)
 
 
 def test_empty_and_ragged_inputs():
