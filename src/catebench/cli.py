@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataset, linreg, synth, tlearner, treatcount
-from .errors import CatebenchError, DomainError, EmptyInput, RankDeficient, SchemaError
+from .errors import CatebenchError, EmptyInput, RankDeficient, SchemaError
 from .forest import TreeParams, export_tree, fit_tree
 
 TREE_FEATURES = ("proficiency", "f2f") + dataset.AUX_FIELDS
@@ -77,8 +77,7 @@ def _parse_x2(raw: str) -> tuple:
     if not values:
         raise SchemaError("--x2 list is empty")
     for v in values:
-        if v < 1:
-            raise DomainError(f"session count must be >= 1, got {v}")
+        treatcount._require_dose(v)
     return values
 
 

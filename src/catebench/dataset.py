@@ -260,9 +260,7 @@ class SchemaConfig:
     @classmethod
     def from_file(cls, path) -> "SchemaConfig":
         columns = {name: name for name in CANONICAL_COLUMNS}
-        for lineno, raw in enumerate(
-            Path(path).read_text(encoding="utf-8-sig").splitlines(), start=1
-        ):
+        for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -377,15 +375,30 @@ def _raise_first_error(path, rows, first_rownum, width, positions, names):
     raise RuntimeError(f"{path}: rows {first_rownum}.. failed the column checks but no row did")
 
 
-def _undecodable_line(path) -> int:
-    """The physical line (1-based) holding a file's first byte that is not UTF-8."""
+def _not_utf8(path, exc: UnicodeDecodeError) -> ParseError:
+    """The error for a file that is not UTF-8, naming the physical line
+    (1-based) of its first byte that is not; the text layer decodes ahead of
+    any reader, so the line is found by re-reading the file's bytes."""
     with path.open("rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             try:
                 line.decode("utf-8")
             except UnicodeDecodeError:
-                return lineno
+                byte = exc.object[exc.start]
+                return ParseError(
+                    f"{path}: line {lineno}: byte 0x{byte:02x} is not UTF-8 ({exc.reason})"
+                )
     raise RuntimeError(f"{path}: a UTF-8 decode failed, but every line decodes")
+
+
+def read_text(path) -> str:
+    """A UTF-8 text file's contents, a byte order mark skipped; a byte that is
+    not UTF-8 raises ParseError naming the path and line."""
+    path = Path(path)
+    try:
+        return path.read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from None
 
 
 def load_cohort(path, config: SchemaConfig | None = None, precision=1.0):
@@ -430,11 +443,7 @@ def load_cohort(path, config: SchemaConfig | None = None, precision=1.0):
             # a record the csv module refuses, such as a field above its size limit
             raise ParseError(f"{path}: row {rownum}: {exc}") from None
         except UnicodeDecodeError as exc:
-            # the text layer decodes ahead of the csv reader, so rownum may lag
-            line, byte = _undecodable_line(path), exc.object[exc.start]
-            raise ParseError(
-                f"{path}: line {line}: byte 0x{byte:02x} is not UTF-8 ({exc.reason})"
-            ) from None
+            raise _not_utf8(path, exc) from None  # rownum may lag the decoder
     ids, x1, y, counts, n_rows, n_dropped = zip(*parts)
     x1, y, counts = (np.concatenate(column) for column in (x1, y, counts))
     cohort = Cohort(tuple(chain.from_iterable(ids)), x1, counts[:, 0], y, counts[:, 1:], precision)

@@ -9,18 +9,16 @@ strictly below the threshold, so a value exactly at a threshold goes right.
 A constant feature yields no candidates and can never be selected, which is
 what makes the two-variable control response ignore its session-count input.
 
-Each feature is coded once per fit: a value's code is its rank among the
-feature's distinct values (the ``np.unique`` inverse), which merges -0.0 with
-0.0 just as the float sort ties them, so a stable order by code is the stable
-order by value.  A tree gathers the codes with its bootstrap draw and orders
-each feature once, at the root, by stable-sorting the codes as 16-bit digits,
-low digit first; numpy radix-sorts 16-bit keys, so a feature with at most
-65,536 distinct values takes one pass, a wider one two, and a constant one
-none.  A child inherits its rows' order by filtering its parent's, which gives
-exactly the stable sort it would compute itself, so no node sorts again, and
-nodes split on the float values.  Rows are gathered and filtered with
-``take`` and ``compress``, which select the same elements as fancy and
-boolean indexing but run several times faster.
+A fit works on the distinct feature rows.  Once per fit, every training row
+is keyed by its per-feature ``np.unique`` codes (-0.0 merges with 0.0), and
+each feature stable-orders the distinct rows.  A tree weights each distinct
+row by its bootstrap draw (``fit_tree`` draws every row once): a count, y
+and y² sums added in draw order, and a y min and max for the pure-node
+stop.  Counts are drawn rows, as ``min_samples_*`` and ``TreeNode.n`` read
+them.  Nodes split by cumulative sums over their distinct rows, and a child
+filters its parent's orders, so no node sorts.  Summing per distinct row
+only reassociates a per-row fit's sums: node means move by a few ulps, and
+a split only between partitions that tie in exact arithmetic.
 """
 
 from __future__ import annotations
@@ -104,42 +102,61 @@ def _coerce_rows(rows):
     return X, y
 
 
-def _partition_sse(y, mask):
-    # canonical child-SSE sum: a function of the row partition only, so two
-    # candidates that split the rows identically score bitwise equal and the
-    # lowest-feature tie-break is well defined
-    left = y.compress(mask)
-    right = y.compress(~mask)
-    dl = left - left.mean()
-    dr = right - right.mean()
-    return float(dl @ dl + dr @ dr)
+def _cells(n, codes):
+    """Number ``n`` rows by their per-feature integer codes, given as (codes,
+    code count) pairs: returns each cell's first row and every row's cell,
+    cells numbered in ascending lexicographic order of their codes."""
+    first = np.arange(min(n, 1))
+    cell = np.zeros(n, dtype=np.intp)
+    for code, count in codes:
+        if count > 1:
+            # renumbering the cells after each feature keeps the keys below
+            # n times one feature's code count
+            _, first, cell = np.unique(cell * count + code, return_index=True, return_inverse=True)
+    return first, cell
 
 
-def _best_split(X, y, order, min_leaf):
+def _distinct_rows(X):
+    """The values of each feature over the distinct rows of ``X``, in
+    ascending key order; every row's distinct-row index; and each feature's
+    stable order of the distinct rows.  A row's key is its per-feature
+    ``np.unique`` codes, feature 0 first, so order 0 is key order, and with
+    no feature it still orders the one distinct row."""
+    coded = (np.unique(x, return_inverse=True) for x in X.T)
+    first, key = _cells(X.shape[0], ((code, values.size) for values, code in coded))
+    values = X.T.take(first, axis=1)
+    order = [np.argsort(x, kind="stable") for x in values] or [np.arange(first.size)]
+    return values, key, np.array(order)
+
+
+def _partition_sse(w, s, mask):
+    # canonical score of a partition of the node's distinct rows, summed in
+    # key order, so candidates that split the rows alike score bitwise equal;
+    # the within-row spread, the same for every partition, is left out
+    sse = 0.0
+    for side in (mask, ~mask):
+        ws, ss = w.compress(side), s.compress(side)
+        d = ss / ws - ss.sum() / ws.sum()
+        sse += float((ws * d * d).sum())
+    return sse
+
+
+def _best_split(values, stats, order, min_leaf):
     """Lowest-SSE (feature, threshold) among all midpoint candidates, or None;
-    ``order[j]`` is the stable argsort of ``X[:, j]``."""
-    n = y.size
+    ``order[j]`` is the node's distinct rows in stable order of ``values[j]``."""
     found = []
-    for j, oj in enumerate(order):
-        sx = X[:, j].take(oj)
-        sy = y.take(oj)
+    for j, (x, oj) in enumerate(zip(values, order)):
+        sx = x.take(oj)
         cut = np.nonzero(sx[:-1] < sx[1:])[0]  # last index of each value block
         if cut.size == 0:
             continue
-        n_left = cut + 1
-        n_right = n - n_left
-        ok = (n_left >= min_leaf) & (n_right >= min_leaf)
+        run = stats[:3].take(oj, axis=1).cumsum(axis=1)  # count, y sum, y² sum
+        left = run[:, cut]
+        right = run[:, -1:] - left
+        ok = (left[0] >= min_leaf) & (right[0] >= min_leaf)
         if not ok.any():
             continue
-        csum = np.cumsum(sy)
-        csq = np.cumsum(sy * sy)
-        s_left = csum[cut]
-        q_left = csq[cut]
-        s_tot = csum[-1]
-        q_tot = csq[-1]
-        sse = (q_left - s_left**2 / n_left) + (
-            q_tot - q_left - (s_tot - s_left) ** 2 / n_right
-        )
+        sse = (left[2] - left[1] ** 2 / left[0]) + (right[2] - right[1] ** 2 / right[0])
         sse[~ok] = np.inf
         k = int(np.argmin(sse))  # first minimum: lowest threshold wins ties
         if np.isfinite(sse[k]):
@@ -147,80 +164,54 @@ def _best_split(X, y, order, min_leaf):
     if len(found) < 2:
         # a lone candidate is never compared, so its canonical SSE is not needed
         return found[0] if found else None
-    best = None
-    for j, threshold in found:
-        canonical = _partition_sse(y, X[:, j] < threshold)
-        if best is None or canonical < best[0]:
-            best = (canonical, j, threshold)
-    return best[1], best[2]
+    count, total = stats[:2].take(order[0], axis=1)
+    scores = [_partition_sse(count, total, values[j].take(order[0]) < t) for j, t in found]
+    return found[scores.index(min(scores))]  # the first of equal scores: lowest feature
 
 
-def _child_order(order, mask):
-    # Filtering a stable order keeps tied rows in row order, and cumsum - 1
-    # renumbers the kept rows monotonically, so the result is exactly the
-    # stable argsort of the child's rows.
-    rank = np.cumsum(mask, dtype=np.int32) - 1
-    kept = np.compress(mask.take(order).ravel(), order)
-    return rank.take(kept.reshape(order.shape[0], -1))
+def _child_order(order, keep):
+    # filtering a stable order keeps it stable, so no node sorts again
+    return np.compress(keep.take(order).ravel(), order).reshape(order.shape[0], -1)
 
 
-def _value_digits(x) -> np.ndarray:
-    """A feature's value codes as rows of 16-bit digits, lowest first: one
-    row for at most 65,536 distinct values, two for up to 2**32, none for a
-    constant feature, whose codes are all 0."""
-    distinct, code = np.unique(x, return_inverse=True)
-    width = (distinct.size - 1).bit_length()  # bits of the largest code
-    digits = [(code >> shift) & 0xFFFF for shift in range(0, width, 16)]
-    return np.array(digits, dtype=np.uint16).reshape(-1, x.size)
-
-
-def _code_order(digits) -> np.ndarray:
-    """The stable argsort of the codes that ``digits`` spell: a stable radix
-    pass per digit, low digit first (LSD radix)."""
-    if not digits.size:
-        return np.arange(digits.shape[1])
-    order = np.argsort(digits[0], kind="stable")
-    for digit in digits[1:]:
-        order = order.take(np.argsort(digit.take(order), kind="stable"))
-    return order
-
-
-def _root_order(digits, rows) -> np.ndarray:
-    """Per-feature stable orders of the sample ``X[rows]``, from each feature's
-    ``_value_digits``: int32, filled a feature at a time, keeps the orders'
-    peak memory low."""
-    order = np.empty((len(digits), rows.size), dtype=np.int32)
-    for j, column in enumerate(digits):
-        order[j] = _code_order(column.take(rows, axis=1))
-    return order
-
-
-def _grow(X, y, get_order, depth, params) -> TreeNode:
-    """Grow a subtree.  ``get_order()`` builds the node's per-feature stable
-    orders, only if the node is split; a right child's are built after the
-    left subtree returns, so memory stays flat."""
-    node = TreeNode(n=int(y.size), mean=float(y.mean()))
-    if depth >= params.max_depth or y.size < params.min_samples_split or y.min() == y.max():
+def _grow(values, stats, order, depth, params) -> TreeNode:
+    """Grow a subtree.  ``stats`` holds each distinct row's drawn count, y
+    sum, y² sum, y min and y max; ``order[j]`` is the node's drawn distinct
+    rows in stable order of ``values[j]``, so ``order[0]`` is key order."""
+    count, total, _, lo, hi = stats.take(order[0], axis=1)
+    n = int(count.sum())
+    node = TreeNode(n=n, mean=float(total.sum() / n))
+    if depth >= params.max_depth or n < params.min_samples_split or lo.min() == hi.max():
         return node
-    order = get_order()
-    found = _best_split(X, y, order, params.min_samples_leaf)
+    found = _best_split(values, stats, order, params.min_samples_leaf)
     if found is None:
         return node
-    feature, threshold = found
-    node.split = (feature, threshold)
-    left = X[:, feature] < threshold
-    node.left, node.right = (
-        _grow(X.compress(m, axis=0), y.compress(m), lambda m=m: _child_order(order, m), depth + 1, params)
-        for m in (left, ~left)
-    )
+    node.split = found
+    left = values[found[0]] < found[1]
+    node.left = _grow(values, stats, _child_order(order, left), depth + 1, params)
+    node.right = _grow(values, stats, _child_order(order, ~left), depth + 1, params)
     return node
+
+
+def _fit(values, key, order, y, draw, params) -> TreeNode:
+    """One tree on the training rows ``draw`` lists, repeats included, as
+    weights on the distinct rows of ``_distinct_rows``."""
+    k = key.take(draw)
+    yk = y.take(draw)
+    size = order.shape[1]
+    stats = np.array([
+        np.bincount(k, minlength=size), np.bincount(k, yk, size), np.bincount(k, yk * yk, size),
+        np.full(size, np.inf), np.full(size, -np.inf),
+    ])
+    np.minimum.at(stats[3], k, yk)
+    np.maximum.at(stats[4], k, yk)
+    return _grow(values, stats, _child_order(order, stats[0] > 0), 0, params)
 
 
 def fit_tree(rows, params: TreeParams | None = None) -> TreeNode:
     """Fit one CART regression tree on (feature vector, outcome) pairs."""
     X, y = _coerce_rows(rows)
-    digits = [_value_digits(x) for x in X.T]
-    return _grow(X, y, lambda: _root_order(digits, np.arange(y.size)), 0, params or TreeParams())
+    return _fit(*_distinct_rows(X), y, np.arange(y.size), params or TreeParams())
 
 
 @dataclass(frozen=True)
@@ -252,15 +243,10 @@ class RegressionForest:
         # land in the last cell, whose rows all go right at every split.
         # Trees are summed in order and then divided, the arithmetic of a
         # per-row mean, so the result is bitwise equal to it.
-        n = X.shape[0]
-        first = np.arange(min(n, 1))
-        inverse = np.zeros(n, dtype=np.intp)
-        for j, thr in enumerate(self.thresholds()):
-            if thr.size:
-                # renumbering the cells after each feature keeps the codes
-                # below n times one feature's threshold count
-                code = inverse * (thr.size + 1) + np.searchsorted(thr, X[:, j], side="right")
-                _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+        first, inverse = _cells(X.shape[0], (
+            (np.searchsorted(thr, X[:, j], side="right"), thr.size + 1)
+            for j, thr in enumerate(self.thresholds())
+        ))
         cells = X[first]
         acc = self.trees[0].predict_many(cells)
         for tree in self.trees[1:]:
@@ -295,11 +281,9 @@ def fit_forest(
     params = params or TreeParams()
     if n_trees < 1:
         raise ValueError("n_trees must be >= 1")
-    digits = [_value_digits(x) for x in X.T]
-    trees = []
-    for i in range(n_trees):
-        idx = _tree_rng(seed, i).integers(0, y.size, size=y.size)
-        trees.append(_grow(X[idx], y[idx], lambda idx=idx: _root_order(digits, idx), 0, params))
+    distinct = _distinct_rows(X)
+    trees = [_fit(*distinct, y, _tree_rng(seed, i).integers(0, y.size, size=y.size), params)
+             for i in range(n_trees)]
     return RegressionForest(tuple(trees), X.shape[1])
 
 

@@ -16,7 +16,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .dataset import AUX_FIELDS, Cohort, save_cohort, write_json
+from .dataset import AUX_FIELDS, Cohort, read_text, save_cohort, write_json
 from .errors import InvalidScenario, OutOfSupport
 
 _SEED_SPACE = 2**64
@@ -418,7 +418,7 @@ def scenario_from_dict(data: dict) -> Scenario:
 
 def load_scenario(path) -> Scenario:
     """Read a scenario config: JSON if the file starts with '{', else key=value."""
-    text = Path(path).read_text(encoding="utf-8-sig")
+    text = read_text(path)
     if text.lstrip().startswith("{"):
         try:
             data = json.loads(text)

@@ -92,15 +92,16 @@ def check_base_independence(
 
 
 def _require_dose(x2) -> None:
-    if x2 < 1:
-        raise DomainError(f"session count must be >= 1, got {x2}")
+    # the one session-count rule for phi, its surface and the CLI's --x2
+    if not 1 <= x2 <= MAX_DOSE:
+        raise DomainError(f"session count must be in 1..{MAX_DOSE}, got {x2}")
 
 
 def phi(model: TLearnerModel, cohort: Cohort, x1, x2) -> float:
     """Average predicted gain if everyone in bin x1 attended x2 sessions.
 
     Mean over the bin's members k of mu1(x1_k, x2) - mu0(x1_k, x2_k).
-    Defined for x2 >= 1 only: mu1 never saw a zero session count.
+    Defined for 1 <= x2 <= MAX_DOSE only: mu1 never saw a zero session count.
     """
     _require_dose(x2)
     rows = cohort.bin_members.get(x1)

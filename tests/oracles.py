@@ -131,11 +131,110 @@ def per_node_sort_forest(X, y, n_trees, seed, max_depth, min_split=2, min_leaf=1
     return trees
 
 
-def assert_same_tree(node, ref, mean_tol=1e-9):
+def distinct_row_tree(X, y, draw, max_depth, min_split=2, min_leaf=1):
+    """Reference CART over distinct feature rows, in plain per-node loops.
+
+    A distinct row is a tuple of feature values, so -0.0 and 0.0 merge; it
+    keeps the values of the first training row that has it, and the rows are
+    kept in ascending tuple order.  The rows ``draw`` lists, repeats included,
+    are tallied per distinct row in draw order: count, y sum, y*y sum, y min
+    and max.  A node's size is its drawn count and its mean the numpy sum of
+    its rows' y sums over that count.  Per feature, the node's rows are
+    stable-sorted by value and the first minimum of the running-sum child SSE
+    picks the threshold.  Across features, the first strict minimum of the
+    between-row SSE picks the feature: each side's count times squared
+    deviation of a row's mean from the side's mean, numpy-summed in tuple order.
+    """
+    keys = {}
+    for row in X:
+        key = tuple(float(v) for v in row)
+        keys.setdefault(key, key)
+    keys = sorted(keys.values())
+    index = {key: d for d, key in enumerate(keys)}
+    tally = {}  # distinct row -> [count, y sum, y*y sum, y min, y max]
+    for i in draw:
+        v = float(y[i])
+        t = tally.setdefault(index[tuple(float(x) for x in X[i])], [0, 0.0, 0.0, v, v])
+        t[0] += 1
+        t[1] += v
+        t[2] += v * v
+        t[3] = min(t[3], v)
+        t[4] = max(t[4], v)
+
+    def side_sse(rows):
+        count = sum(tally[d][0] for d in rows)
+        mean = np.sum(np.array([tally[d][1] for d in rows])) / count
+        terms = []
+        for d in rows:
+            dev = tally[d][1] / tally[d][0] - mean
+            terms.append(tally[d][0] * dev * dev)
+        return float(np.sum(np.array(terms)))
+
+    def grow(rows, depth):
+        n = sum(tally[d][0] for d in rows)
+        mean = float(np.sum(np.array([tally[d][1] for d in rows])) / n)
+        node = {"n": n, "mean": mean, "split": None}
+        if depth >= max_depth or n < min_split:
+            return node
+        if min(tally[d][3] for d in rows) == max(tally[d][4] for d in rows):
+            return node
+        found = []
+        for j in range(len(keys[0])):
+            ordered = sorted(rows, key=lambda d: keys[d][j])
+            running, cw, cs, cq = [], 0, 0.0, 0.0
+            for d in ordered:
+                cw, cs, cq = cw + tally[d][0], cs + tally[d][1], cq + tally[d][2]
+                running.append((cw, cs, cq))
+            best = None
+            for i in range(len(ordered) - 1):
+                lo, hi = keys[ordered[i]][j], keys[ordered[i + 1]][j]
+                n_left, s_left, q_left = running[i]
+                n_right = cw - n_left
+                if not lo < hi or n_left < min_leaf or n_right < min_leaf:
+                    continue
+                sse = (q_left - s_left * s_left / n_left) + (
+                    cq - q_left - (cs - s_left) * (cs - s_left) / n_right
+                )
+                if best is None or sse < best[0]:
+                    best = (sse, (lo + hi) / 2.0)
+            if best is not None:
+                found.append((j, best[1]))
+        if not found:
+            return node
+        if len(found) > 1:
+            scored = []
+            for j, threshold in found:
+                left = [d for d in rows if keys[d][j] < threshold]
+                right = [d for d in rows if not keys[d][j] < threshold]
+                scored.append((side_sse(left) + side_sse(right), j, threshold))
+            found = [min(scored, key=lambda t: t[0])[1:]]  # min keeps the first of equals
+        j, threshold = found[0]
+        node["split"] = (j, threshold)
+        node["left"] = grow([d for d in rows if keys[d][j] < threshold], depth + 1)
+        node["right"] = grow([d for d in rows if not keys[d][j] < threshold], depth + 1)
+        return node
+
+    return grow(sorted(tally), 0)
+
+
+def distinct_row_forest(X, y, n_trees, seed, max_depth, min_split=2, min_leaf=1):
+    """Bagged distinct_row_tree: tree i tallies the rows drawn by
+    ``default_rng([seed mod 2**64, i]).integers(0, n, size=n)``."""
+    n = y.size
+    return [
+        distinct_row_tree(
+            X, y, np.random.default_rng([seed % 2**64, i]).integers(0, n, size=n),
+            max_depth, min_split, min_leaf,
+        )
+        for i in range(n_trees)
+    ]
+
+
+def assert_same_tree(node, ref, mean_tol=1e-9, rel_tol=0.0):
     """Compare a fitted TreeNode against the reference dict, split for split;
-    with ``mean_tol=0`` node means must be equal."""
+    with both tolerances 0 node means must be equal."""
     assert node.n == ref["n"], f"node size {node.n} != {ref['n']}"
-    assert math.isclose(node.mean, ref["mean"], rel_tol=0.0, abs_tol=mean_tol), (
+    assert math.isclose(node.mean, ref["mean"], rel_tol=rel_tol, abs_tol=mean_tol), (
         f"mean {node.mean!r} != {ref['mean']!r}"
     )
     if ref["split"] is None:
@@ -144,8 +243,8 @@ def assert_same_tree(node, ref, mean_tol=1e-9):
     assert node.split is not None, f"missing split, expected {ref['split']}"
     assert node.split[0] == ref["split"][0], f"feature {node.split} != {ref['split']}"
     assert node.split[1] == ref["split"][1], f"threshold {node.split} != {ref['split']}"
-    assert_same_tree(node.left, ref["left"], mean_tol)
-    assert_same_tree(node.right, ref["right"], mean_tol)
+    assert_same_tree(node.left, ref["left"], mean_tol, rel_tol)
+    assert_same_tree(node.right, ref["right"], mean_tol, rel_tol)
 
 
 def exact_bin_key(x, w):

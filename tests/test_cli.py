@@ -264,6 +264,25 @@ def test_non_utf8_record_exit_2_naming_path_and_line(tmp_path, capsys, command):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("summarize", "# renames\nproficiency = pr\xe9\n"),
+        ("synth", "preset = standard_biased\n# caf\xe9\nn = 100\n"),
+        ("synth", '{"preset": "standard_biased",\n "n": 100, "id": "\xe9"}\n'),
+    ],
+    ids=["schema", "scenario", "scenario_json"],
+)
+def test_non_utf8_config_exit_2_naming_path_and_line(tmp_path, capsys, synth_csv, command, text):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(text.encode("latin-1"))
+    args = [command, "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"]
+    assert main(args + (["--input", str(synth_csv)] if command == "summarize" else [])) == 2
+    err = capsys.readouterr().err
+    assert f"{cfg}: line 2: byte 0xe9 is not UTF-8" in err
+    assert "Traceback" not in err
+
+
 def test_byte_order_mark_is_skipped_in_csv_and_config(tmp_path, synth_csv):
     text = synth_csv.read_text(encoding="utf-8").replace("proficiency", "placement", 1)
     cfg_text = "proficiency = placement\n"
@@ -413,6 +432,18 @@ def test_phi_checks_x2_before_loading(tmp_path, capsys):
     code = main(["phi", "--input", str(missing), "--out", str(tmp_path / "o"), "--x2", "abc"])
     assert code == 2
     assert "--x2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "x2", [str(MAX_DOSE + 1), "2," + "1" + "0" * 400], ids=["1001", "400_digits"]
+)
+def test_phi_x2_above_limit_exit_2_before_loading(tmp_path, capsys, x2):
+    missing = tmp_path / "missing.csv"
+    code = main(["phi", "--input", str(missing), "--out", str(tmp_path / "o"), "--x2", x2])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"session count must be in 1..{MAX_DOSE}" in err
+    assert "missing.csv" not in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -569,7 +600,7 @@ _FUZZ_CELLS = st.sampled_from(
         st.tuples(st.integers(0, len(_FUZZ_ROWS) - 1), st.integers(0, 8), _FUZZ_CELLS), max_size=6
     ),
     width=st.sampled_from(["1", "0.1", "1e-300"]),
-    x2=st.sampled_from([None, "1,2", "0", "abc"]),
+    x2=st.sampled_from([None, "1,2", "0", "abc", "1001", "1" + "0" * 400]),
 )
 def test_model_commands_on_mutated_cohorts_exit_with_documented_codes(
     command, n_rows, edits, width, x2

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catebench import forest
 from catebench.errors import DimensionMismatch, EmptyInput
 from catebench.forest import (
     RegressionForest,
@@ -120,43 +119,65 @@ def tied_training_sets(draw):
     st.integers(min_value=1, max_value=5),
     st.one_of(st.none(), st.integers(min_value=0, max_value=2**64)),
 )
-def test_split_search_equals_per_node_sort_bitwise(data, depth, min_split, min_leaf, seed):
+def test_split_search_equals_distinct_row_oracle_bitwise(data, depth, min_split, min_leaf, seed):
     X, y = data
     params = TreeParams(max_depth=depth, min_samples_split=min_split, min_samples_leaf=min_leaf)
     rows = [(X[i], y[i]) for i in range(y.size)]
     if seed is None:
         fitted = [fit_tree(rows, params)]
-        refs = [oracles.per_node_sort_tree(X, y, depth, min_split, min_leaf)]
+        refs = [oracles.distinct_row_tree(X, y, range(y.size), depth, min_split, min_leaf)]
     else:
         fitted = fit_forest(rows, params, n_trees=3, seed=seed).trees
-        refs = oracles.per_node_sort_forest(X, y, 3, seed, depth, min_split, min_leaf)
+        refs = oracles.distinct_row_forest(X, y, 3, seed, depth, min_split, min_leaf)
     for tree, ref in zip(fitted, refs, strict=True):
         oracles.assert_same_tree(tree, ref, mean_tol=0.0)
 
 
-def test_forest_on_more_than_65536_distinct_values_equals_per_node_sort_bitwise():
-    # two 16-bit digits per code: the root order takes two radix passes
+def _assert_same_structure(fitted, refs):
+    # summing per distinct row reassociates the per-row sums: every split
+    # and count must match, and means to 1e-12 relative
+    for tree, ref in zip(fitted, refs, strict=True):
+        oracles.assert_same_tree(tree, ref, mean_tol=0.0, rel_tol=1e-12)
+
+
+def test_forest_splits_equal_per_node_sort_over_a_seed_sweep():
+    # continuous outcomes: exact SSE ties between partitions do not occur
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(20, 300))
+        X = np.round(rng.uniform(0, 6, size=(n, int(rng.integers(1, 4)))), int(rng.integers(0, 3)))
+        if seed % 3 == 0:
+            X[:, -1] = 0.0  # a constant column, as mu0's session count
+        y = rng.normal(50, 10, size=n)
+        depth = int(rng.integers(1, 5))
+        params = TreeParams(max_depth=depth, min_samples_leaf=int(rng.integers(1, 4)))
+        rows = [(X[i], y[i]) for i in range(n)]
+        _assert_same_structure(
+            fit_forest(rows, params, n_trees=4, seed=seed).trees,
+            oracles.per_node_sort_forest(X, y, 4, seed, depth, 2, params.min_samples_leaf),
+        )
+        _assert_same_structure(
+            [fit_tree(rows, params)],
+            [oracles.per_node_sort_tree(X, y, depth, 2, params.min_samples_leaf)],
+        )
+
+
+def test_forest_on_70000_distinct_values_splits_as_per_node_sort():
     rng = np.random.default_rng(11)
     n = 70_000
     X = np.column_stack([rng.permutation(n) / 7.0, rng.integers(0, 4, n)])
     y = np.round(rng.normal(0, 1, n), 2)
     params = TreeParams(max_depth=2)
     fitted = fit_forest([(X[i], y[i]) for i in range(n)], params, n_trees=2, seed=5).trees
-    refs = oracles.per_node_sort_forest(X, y, 2, 5, 2)
-    for tree, ref in zip(fitted, refs, strict=True):
-        oracles.assert_same_tree(tree, ref, mean_tol=0.0)
+    _assert_same_structure(fitted, oracles.per_node_sort_forest(X, y, 2, 5, 2))
 
 
-def test_code_order_is_stable_argsort_bitwise():
-    rng = np.random.default_rng(2)
-    wide = rng.integers(0, 90_000, size=200_000) / 3.0  # > 65,536 distinct, many ties
-    assert np.unique(wide).size > 2**16
-    signed_zero = np.array([0.0, -0.0, 1.0, -0.0, -2.0, 0.0, 1.0, -0.0])
-    for x in (wide, np.full(300, 4.5), signed_zero, np.array([3.0])):
-        order = forest._code_order(forest._value_digits(x))
-        assert order.tobytes() == np.argsort(x, kind="stable").tobytes()
-    assert forest._value_digits(wide).shape == (2, wide.size)
-    assert forest._value_digits(np.full(300, 4.5)).shape == (0, 300)
+def test_rows_without_features_fit_one_leaf():
+    rows = [((), 1.0), ((), 2.0), ((), 6.0)]
+    tree = fit_tree(rows, TreeParams(max_depth=3))
+    assert tree.is_leaf and tree.n == 3 and tree.mean == 3.0
+    forest = fit_forest(rows, n_trees=4, seed=1)
+    assert forest.predict(()) == sum(t.mean for t in forest.trees) / 4
 
 
 def test_empty_and_ragged_inputs():
