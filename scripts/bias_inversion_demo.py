@@ -30,7 +30,7 @@ def main() -> None:
     summary = summarize(cohort)
     naive = summary.mean_y_treated - summary.mean_y_control
 
-    print(f"cohort: n={cohort.n}, treated={len(cohort.r1)}, control={len(cohort.r0)}")
+    print(f"cohort: n={cohort.n}, treated={summary.n_treated}, control={summary.n_control}")
     print(
         f"admission-test means: treated {summary.mean_x1_treated:.1f}"
         f" vs control {summary.mean_x1_control:.1f}"

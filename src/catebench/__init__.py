@@ -12,10 +12,7 @@ from .dataset import (
     GroupSummary,
     LoadReport,
     SchemaConfig,
-    StudentRecord,
     bin_value,
-    build_cohort,
-    group_by_covariate,
     load_cohort,
     save_cohort,
     summarize,

@@ -76,27 +76,6 @@ def bin_value(v, precision=1.0) -> float:
     return _bin_keys(np.array([v], dtype=np.float64), float(precision)).item()
 
 
-@dataclass(frozen=True)
-class StudentRecord:
-    """One student: covariate x1, session count x2, outcome y, extra counts."""
-
-    id: str
-    x1: float
-    x2: int
-    y: float
-    aux: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x1) and math.isfinite(self.y)):
-            raise ValueError("x1 and y must be finite")
-        if self.x2 < 0 or int(self.x2) != self.x2:
-            raise ValueError("x2 must be a nonnegative integer")
-
-    @property
-    def treated(self) -> bool:
-        return self.x2 >= 1
-
-
 @dataclass(frozen=True, eq=False)
 class Cohort:
     """Immutable columns, one entry per student in input row order.
@@ -105,10 +84,10 @@ class Cohort:
     (float64) the outcome and ``aux`` (int64, n x 5) the other counts in
     ``AUX_FIELDS`` order.  ``bins`` holds each key ``bin_value(x1, precision)``:
     the nearest whole number of widths, as an exact decimal (11.6 at 0.1).
-    A student is treated iff x2 >= 1; that mask is derived on demand.
-
-    ``records``, ``r1``, ``r0`` and ``groups`` are record-level views for
-    callers that want Python objects; each is built on first access.
+    ``Cohort(ids, x1, x2, y, aux, precision)`` is the one constructor; a count
+    that is not a whole number in int64's range raises ValueError rather than
+    being truncated.  Its two derived views are ``treated`` (x2 >= 1) and
+    ``bin_members`` (each bin key's rows).
     """
 
     ids: tuple
@@ -125,12 +104,12 @@ class Cohort:
         n = len(self.ids)
         x1 = np.array(self.x1, dtype=np.float64).reshape(n)
         y = np.array(self.y, dtype=np.float64).reshape(n)
-        x2 = np.array(self.x2, dtype=np.int64).reshape(n)
+        x2 = _counts(self.x2, "x2").reshape(n)
         if not (np.isfinite(x1).all() and np.isfinite(y).all()):
             raise ValueError("x1 and y must be finite")
         if (x2 < 0).any():
             raise ValueError("x2 must be nonnegative")
-        aux = np.array(self.aux, dtype=np.int64).reshape(n, len(AUX_FIELDS))
+        aux = _counts(self.aux, "aux").reshape(n, len(AUX_FIELDS))
         bins = _bin_keys(x1, float(self.precision))
         for name, column in zip(("x1", "x2", "y", "aux", "bins"), (x1, x2, y, aux, bins)):
             column.flags.writeable = False
@@ -154,31 +133,19 @@ class Cohort:
         order.flags.writeable = False  # the split views below inherit this
         return dict(zip(keys.tolist(), np.split(order, np.cumsum(np.bincount(inverse))[:-1])))
 
-    # --- record-level views ---------------------------------------------------
 
-    @cached_property
-    def records(self) -> tuple:
-        aux = (dict(zip(AUX_FIELDS, row)) for row in self.aux.tolist())
-        columns = zip(self.ids, self.x1.tolist(), self.x2.tolist(), self.y.tolist(), aux)
-        return tuple(StudentRecord(*fields) for fields in columns)
-
-    @cached_property
-    def r1(self) -> tuple:
-        return tuple(np.flatnonzero(self.treated).tolist())
-
-    @cached_property
-    def r0(self) -> tuple:
-        return tuple(np.flatnonzero(~self.treated).tolist())
-
-    @cached_property
-    def groups(self) -> dict:
-        return {b: tuple(rows.tolist()) for b, rows in self.bin_members.items()}
-
-    def x2_values(self) -> np.ndarray:
-        return self.x2.astype(float)
-
-    def y_values(self) -> np.ndarray:
-        return self.y.copy()
+def _counts(values, name) -> np.ndarray:
+    """``values`` as a new int64 array; a value that is not a whole number in
+    int64's range (a fraction, NaN, an infinity) raises ValueError, where a
+    cast would truncate it or warn."""
+    column = np.asarray(values)
+    if column.dtype.kind not in "bi":
+        column = column.astype(np.float64)
+        whole = (np.abs(column) < 2.0**63) & (column == np.trunc(column))  # False at NaN
+        if not whole.all():
+            bad = column[~whole][0].item()
+            raise ValueError(f"{name} must hold int64 whole numbers, got {bad!r}")
+    return np.array(column, dtype=np.int64)
 
 
 def _bin_keys(x1, precision) -> np.ndarray:
@@ -197,26 +164,6 @@ def _bin_keys(x1, precision) -> np.ndarray:
     if not finite.all():
         raise _bin_error(float(x1[np.argmin(finite)]), precision)
     return keys
-
-
-def build_cohort(records, precision=1.0) -> Cohort:
-    """Columns from StudentRecord objects; a missing aux count reads as zero."""
-    records = tuple(records)
-    return Cohort(
-        tuple(rec.id for rec in records),
-        [rec.x1 for rec in records],
-        [rec.x2 for rec in records],
-        [rec.y for rec in records],
-        [[rec.aux.get(name, 0) for name in AUX_FIELDS] for rec in records],
-        precision,
-    )
-
-
-def group_by_covariate(cohort: Cohort, precision=None) -> dict:
-    """Index sets per covariate bin; precision defaults to the cohort's own."""
-    if precision is None:
-        precision = cohort.precision
-    return Cohort(cohort.ids, cohort.x1, cohort.x2, cohort.y, cohort.aux, precision).groups
 
 
 @dataclass(frozen=True)
@@ -260,7 +207,7 @@ class SchemaConfig:
     @classmethod
     def from_file(cls, path) -> "SchemaConfig":
         columns = {name: name for name in CANONICAL_COLUMNS}
-        for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
+        for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -429,6 +376,9 @@ def load_cohort(path, config: SchemaConfig | None = None, precision=1.0):
             missing = [name for name in names if name not in header]
             if missing:
                 raise SchemaError(f"{path}: missing required columns: {', '.join(missing)}")
+            repeated = [name for name in names if header.count(name) > 1]
+            if repeated:
+                raise SchemaError(f"{path}: column {repeated[0]!r} appears twice in the header")
             positions = [header.index(name) for name in names]  # CANONICAL_COLUMNS order
 
             parts = [_bulk_columns([], len(header), positions)]  # empty columns to start from

@@ -426,7 +426,7 @@ def load_scenario(path) -> Scenario:
             raise InvalidScenario("json", str(exc)) from None
         return scenario_from_dict(data)
     data = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

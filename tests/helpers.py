@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from catebench.dataset import StudentRecord, build_cohort
+from catebench.dataset import AUX_FIELDS, Cohort
 from catebench.synth import (
     DoseModel,
     LogisticSelection,
@@ -13,11 +13,14 @@ from catebench.synth import (
 
 
 def cohort_from_arrays(x1, x2, y, precision=1.0):
-    records = [
-        StudentRecord(id=f"r{i}", x1=float(a), x2=int(b), y=float(c))
-        for i, (a, b, c) in enumerate(zip(x1, x2, y))
-    ]
-    return build_cohort(records, precision)
+    """A cohort of the given columns, ids r0, r1, ... and zero aux counts."""
+    ids = tuple(f"r{i}" for i in range(len(x1)))
+    return Cohort(ids, x1, x2, y, np.zeros((len(ids), len(AUX_FIELDS)), dtype=np.int64), precision)
+
+
+def cohort_columns(cohort):
+    """The cohort's ids and data columns as Python values, for == comparisons."""
+    return cohort.ids, *(column.tolist() for column in (cohort.x1, cohort.x2, cohort.y, cohort.aux))
 
 
 def mirrored_cohort(points, dose=1):
@@ -55,6 +58,6 @@ def random_cohort(seed, n=160):
     """Generated cohort guaranteed to have both arms populated."""
     for attempt in range(10):
         cohort, truth = generate(random_scenario(seed + 1000 * attempt, n), seed=seed + attempt)
-        if cohort.r1 and cohort.r0:
+        if cohort.treated.any() and not cohort.treated.all():
             return cohort, truth
     raise AssertionError("could not draw a cohort with both arms populated")

@@ -323,6 +323,9 @@ def load_cohort_rows(path, config=None, precision=1.0):
         missing = [name for name in names if name not in header]
         if missing:
             raise SchemaError(f"{path}: missing required columns: {', '.join(missing)}")
+        repeated = [name for name in names if header.count(name) > 1]
+        if repeated:
+            raise SchemaError(f"{path}: column {repeated[0]!r} appears twice in the header")
         positions = [header.index(name) for name in names]
 
         ids, x1, y, counts = [], [], [], []

@@ -81,7 +81,7 @@ def test_criterion_04_summand_identity():
     for seed in range(10):
         cohort, _ = helpers.random_cohort(seed + 400, n=180)
         model = fit_t_learner2(cohort, seed=seed, n_trees=10)
-        for bin_value in cohort.groups:
+        for bin_value in cohort.bin_members:
             for dose in range(1, model.dose_max + 1):
                 gap = abs(
                     phi(model, cohort, bin_value, dose) - phi_summand(model, bin_value, dose)
@@ -130,7 +130,7 @@ def test_criterion_06_dose_recovery():
     started = time.perf_counter()
     cohort, _ = generate(dose_recovery_scenario(20_000), seed=11)
     model = fit_t_learner2(cohort, TreeParams(max_depth=3), seed=3, n_trees=200)
-    bins = [b for b in sorted(cohort.groups) if 35 <= b <= 65]
+    bins = [b for b in sorted(cohort.bin_members) if 35 <= b <= 65]
     surface = phi_surface(model, cohort, x1_bins=bins, x2_values=range(1, 11))
     target = 1.0 + 0.5 * np.arange(1, 11)
     max_error = float(np.max(np.abs(surface.phi - target[np.newaxis, :])))
@@ -222,23 +222,12 @@ def test_criterion_09_oracle_equivalence():
         model = fit_t_learner(cohort, seed=seed, n_trees=10)
         model2 = fit_t_learner2(cohort, seed=seed, n_trees=10)
 
-        ate_terms = [
-            model.mu1.predict((rec.x1,)) - model.mu0.predict((rec.x1,))
-            for rec in cohort.records
-        ]
-        att_terms = [
-            cohort.records[i].y - model.mu0.predict((cohort.records[i].x1,))
-            for i in cohort.r1
-        ]
-        atu_terms = [
-            model.mu1.predict((cohort.records[j].x1,)) - cohort.records[j].y
-            for j in cohort.r0
-        ]
-        att2_terms = [
-            cohort.records[i].y
-            - model2.mu0.predict((cohort.records[i].x1, float(cohort.records[i].x2)))
-            for i in cohort.r1
-        ]
+        x1, x2, y = (column.tolist() for column in (cohort.x1, cohort.x2, cohort.y))
+        r1, r0 = np.flatnonzero(cohort.treated).tolist(), np.flatnonzero(~cohort.treated).tolist()
+        ate_terms = [model.mu1.predict((a,)) - model.mu0.predict((a,)) for a in x1]
+        att_terms = [y[i] - model.mu0.predict((x1[i],)) for i in r1]
+        atu_terms = [model.mu1.predict((x1[j],)) - y[j] for j in r0]
+        att2_terms = [y[i] - model2.mu0.predict((x1[i], float(x2[i]))) for i in r1]
         worst = max(
             worst,
             abs(ate(model, cohort) - oracles.fsum_mean(ate_terms)),

@@ -206,6 +206,17 @@ def test_summarize_missing_column_exit_2(tmp_path, capsys):
     assert "diff_deviation" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["summarize", "cate", "tree"])
+def test_header_repeating_a_mapped_column_exit_2(tmp_path, capsys, command):
+    path = tmp_path / "twice.csv"
+    body = HEADER + ",proficiency\nt,50,1,0,0,0,0,0,52,60\nc,40,0,0,0,0,0,0,45,30\n"
+    path.write_text(body, encoding="utf-8")
+    assert main([command, "--input", str(path), "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: column 'proficiency' appears twice in the header" in err
+    assert "Traceback" not in err
+
+
 def test_missing_input_file_exit_2(tmp_path):
     code = main(["summarize", "--input", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o"), "--quiet"])
     assert code == 2
@@ -281,6 +292,49 @@ def test_non_utf8_config_exit_2_naming_path_and_line(tmp_path, capsys, synth_csv
     err = capsys.readouterr().err
     assert f"{cfg}: line 2: byte 0xe9 is not UTF-8" in err
     assert "Traceback" not in err
+
+
+# config pieces: lines both readers accept, line breaks of every kind
+# (str.splitlines also breaks at \x0c, \x85 and U+2028), and odd bytes: a BOM,
+# NUL, and bytes that are not UTF-8 (a lone \x85, \xe9, a truncated sequence)
+_CONFIG_TEXT = st.sampled_from([
+    b"\n", b"\r\n", b"\r", b"\x0c", "\x85".encode(), "\u2028".encode(), b" # note", b"=", b" ",
+    b"preset = standard_biased", b"n = 50", b"noise_sd = 2.5", b"proficiency = score",
+    b"diff_deviation = proficiency", b"id = id", b"{", b'"n": 50}',
+])
+_CONFIG_ODD = st.sampled_from([b"\xef\xbb\xbf", b"\x00", b"\x85", b"\xe9", b"\xe2\x80"])
+
+
+def _config_bytes(pieces, odd):
+    for position, piece in sorted(odd, reverse=True):
+        pieces.insert(min(position, len(pieces)), piece)
+    return b"".join(pieces)
+
+
+_CONFIG_BYTES = st.builds(
+    _config_bytes,
+    st.lists(_CONFIG_TEXT, max_size=16),
+    st.lists(st.tuples(st.integers(0, 16), _CONFIG_ODD | st.binary(max_size=3)), max_size=2),
+)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=_CONFIG_BYTES)
+@pytest.mark.parametrize("command", ["summarize", "synth"], ids=["schema", "scenario"])
+def test_any_config_bytes_exit_0_or_2(tmp_path, capsys, synth_csv, command, data):
+    cfg = tmp_path / "fuzz.cfg"
+    cfg.write_bytes(data)
+    args = [command, "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"]
+    code = main(args + (["--input", str(synth_csv)] if command == "summarize" else []))
+    err = capsys.readouterr().err
+    assert code in (0, 2)
+    assert "Traceback" not in err
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1  # the physical line of the first bad byte
+        byte = data[exc.start]
+        assert err == f"error: {cfg}: line {line}: byte 0x{byte:02x} is not UTF-8 ({exc.reason})\n"
 
 
 def test_byte_order_mark_is_skipped_in_csv_and_config(tmp_path, synth_csv):

@@ -17,12 +17,10 @@ from hypothesis import strategies as st
 from catebench import dataset
 from catebench.dataset import (
     AUX_FIELDS,
+    Cohort,
     GroupSummary,
     SchemaConfig,
-    StudentRecord,
     bin_value,
-    build_cohort,
-    group_by_covariate,
     load_cohort,
     save_cohort,
     summarize,
@@ -87,7 +85,7 @@ def test_output_standardized(scores):
 
 def test_bin_rounding_rule():
     cohort = helpers.cohort_from_arrays([35.0, 35.4, 36.0], [0, 0, 0], [50.0, 51.0, 52.0])
-    groups = group_by_covariate(cohort, precision=1.0)
+    groups = cohort.bin_members
     assert set(groups) == {35.0, 36.0}
     assert len(groups[35.0]) == 2
     assert len(groups[36.0]) == 1
@@ -95,20 +93,20 @@ def test_bin_rounding_rule():
 
 def test_single_record_single_bin():
     cohort = helpers.cohort_from_arrays([42.0], [1], [50.0])
-    assert group_by_covariate(cohort) == {42.0: (0,)}
+    assert {b: rows.tolist() for b, rows in cohort.bin_members.items()} == {42.0: [0]}
 
 
 def test_groups_partition_thousand_random_records():
     rng = np.random.default_rng(4)
     x1 = rng.uniform(20, 80, 1000)
     cohort = helpers.cohort_from_arrays(x1, rng.integers(0, 3, 1000), rng.normal(50, 10, 1000))
-    groups = group_by_covariate(cohort, precision=1.0)
+    groups = cohort.bin_members
     seen = [i for members in groups.values() for i in members]
     assert len(seen) == 1000
     assert sorted(seen) == list(range(1000))
     for b, members in groups.items():
         for i in members:
-            assert bin_value(cohort.records[i].x1, 1.0) == b
+            assert bin_value(cohort.x1[i], 1.0) == b
 
 
 @settings(max_examples=60, deadline=None)
@@ -117,27 +115,57 @@ def test_groups_partition_thousand_random_records():
     st.sampled_from([0.5, 1.0, 2.0]),
 )
 def test_partition_property(x1s, precision):
-    cohort = helpers.cohort_from_arrays(x1s, [0] * len(x1s), [50.0] * len(x1s))
-    groups = group_by_covariate(cohort, precision=precision)
+    cohort = helpers.cohort_from_arrays(x1s, [0] * len(x1s), [50.0] * len(x1s), precision)
+    groups = cohort.bin_members
     seen = sorted(i for members in groups.values() for i in members)
     assert seen == list(range(len(x1s)))
 
 
 def test_treated_control_partition():
     cohort = helpers.cohort_from_arrays([40, 50, 60], [0, 2, 1], [45, 50, 55])
-    assert cohort.r1 == (1, 2)
-    assert cohort.r0 == (0,)
-    assert set(cohort.r1) | set(cohort.r0) == {0, 1, 2}
-    assert not set(cohort.r1) & set(cohort.r0)
+    r1, r0 = np.flatnonzero(cohort.treated).tolist(), np.flatnonzero(~cohort.treated).tolist()
+    assert r1 == [1, 2]
+    assert r0 == [0]
+    assert set(r1) | set(r0) == {0, 1, 2}
+    assert not set(r1) & set(r0)
+
+
+def _one_student(x1=50.0, x2=0, y=50.0, aux=(0, 0, 0, 0, 0), precision=1.0):
+    return Cohort(("a",), [x1], [x2], [y], [list(aux)], precision)
 
 
 def test_record_validation():
     with pytest.raises(ValueError):
-        StudentRecord(id="a", x1=float("nan"), x2=0, y=50.0)
+        _one_student(x1=float("nan"))
     with pytest.raises(ValueError):
-        StudentRecord(id="a", x1=50.0, x2=-1, y=50.0)
+        _one_student(x2=-1)
     with pytest.raises(ValueError):
-        build_cohort([], precision=0.0)
+        Cohort((), [], [], [], np.zeros((0, len(AUX_FIELDS))), precision=0.0)
+
+
+@pytest.mark.parametrize(
+    "x2, aux",
+    [
+        (1.5, (0, 0, 0, 0, 0)),
+        (float("nan"), (0, 0, 0, 0, 0)),
+        (float("inf"), (0, 0, 0, 0, 0)),
+        (1e19, (0, 0, 0, 0, 0)),
+        (1, (0, 0.7, 0, 0, 0)),
+        (1, (0, 0, 0, 0, float("nan"))),
+        (1, (float("-inf"), 0, 0, 0, 0)),
+    ],
+    ids=["x2_fraction", "x2_nan", "x2_inf", "x2_above_int64", "aux_fraction", "aux_nan", "aux_inf"],
+)
+def test_non_integer_counts_rejected(x2, aux):
+    # a cast would truncate 1.5 to 1 and 0.7 to 0, and warn at NaN
+    with pytest.raises(ValueError, match="whole numbers"):
+        _one_student(x2=x2, aux=aux)
+
+
+def test_whole_float_counts_accepted():
+    cohort = Cohort(("a",), [50.0], [2.0], [1.0], np.zeros((1, len(AUX_FIELDS))))
+    assert cohort.x2.dtype == cohort.aux.dtype == np.int64
+    assert cohort.x2.tolist() == [2]
 
 
 # --- summarize --------------------------------------------------------------
@@ -192,15 +220,15 @@ def test_drops_rows_missing_outcome(tmp_path):
 def test_treated_iff_count_positive(tmp_path):
     body = HEADER + "\na,50.0,2,0,0,0,0,0,55.0\nb,50.0,0,0,0,0,0,0,50.0\n"
     cohort, _ = load_cohort(_write(tmp_path, body))
-    assert cohort.records[0].treated and cohort.records[0].x2 == 2
-    assert cohort.r1 == (0,)
+    assert cohort.treated[0] and cohort.x2[0] == 2
+    assert np.flatnonzero(cohort.treated).tolist() == [0]
 
 
 def test_missing_count_reads_as_zero(tmp_path):
     body = HEADER + "\na,50.0,,,,,,,55.0\nb,50.0,1,0,0,0,0,0,50.0\n"
     cohort, _ = load_cohort(_write(tmp_path, body))
-    assert cohort.records[0].x2 == 0
-    assert cohort.records[0].aux == {k: 0 for k in cohort.records[0].aux}
+    assert cohort.x2[0] == 0
+    assert cohort.aux[0].tolist() == [0] * len(AUX_FIELDS)
 
 
 def test_missing_column_is_schema_error(tmp_path):
@@ -240,7 +268,7 @@ def test_column_renames_via_sidecar_config(tmp_path):
     body = "id,prof,f2f,remote,basic_class,exercises,videos,references,exam\n"
     body += "a,41.0,1,0,0,0,0,0,44.0\n"
     cohort, report = load_cohort(_write(tmp_path, body), config=config)
-    assert cohort.records[0].x1 == 41.0
+    assert cohort.x1[0] == 41.0
     assert report.columns["proficiency"] == "prof"
 
 
@@ -249,6 +277,30 @@ def test_two_keys_mapped_to_one_column_rejected(tmp_path):
     body = HEADER + "\na,41.0,1,0,0,0,0,0,44.0\n"
     with pytest.raises(SchemaError, match="'proficiency' and 'diff_deviation' both map to"):
         load_cohort(_write(tmp_path, body), config=SchemaConfig.from_file(cfg))
+
+
+def test_header_repeating_a_mapped_column_rejected(tmp_path):
+    body = HEADER + ",proficiency\na,41.0,1,0,0,0,0,0,44.0,39.0\nb,45.0,0,0,0,0,0,0,48.0,40.0\n"
+    path = _write(tmp_path, body)
+    with pytest.raises(SchemaError) as err:
+        load_cohort(path)
+    assert str(err.value) == f"{path}: column 'proficiency' appears twice in the header"
+    # a repeated column that nothing maps is read past
+    body = HEADER + ",note,note\na,41.0,1,0,0,0,0,0,44.0,x,y\n"
+    assert load_cohort(_write(tmp_path, body))[0].n == 1
+
+
+def test_config_lines_end_only_at_newlines(tmp_path):
+    # str.splitlines would also break at U+2028, which the csv reader keeps in a name
+    cfg = tmp_path / "schema.cfg"
+    cfg.write_bytes("# renames\r\nproficiency = score\u2028x\n".encode("utf-8"))
+    assert SchemaConfig.from_file(cfg).columns["proficiency"] == "score\u2028x"
+    body = HEADER.replace("proficiency", "score\u2028x") + "\na,41.0,1,0,0,0,0,0,44.0\n"
+    assert load_cohort(_write(tmp_path, body), config=SchemaConfig.from_file(cfg))[0].x1[0] == 41.0
+    cfg.write_bytes(b"proficiency = p\x0cdiff = q\nx\n")
+    with pytest.raises(SchemaError) as err:
+        SchemaConfig.from_file(cfg)
+    assert str(err.value) == f"{cfg}: line 2: expected 'canonical = actual'"
 
 
 def test_unknown_config_key_rejected(tmp_path):
@@ -264,8 +316,7 @@ def test_round_trip_is_identity(tmp_path):
     reloaded, report = load_cohort(path)
     assert report.n_dropped == 0
     assert reloaded.n == cohort.n == 1389
-    for a, b in zip(cohort.records, reloaded.records):
-        assert a == b
+    assert helpers.cohort_columns(reloaded) == helpers.cohort_columns(cohort)
     # second pass: save the reloaded cohort and compare bytes
     path2 = tmp_path / "round2.csv"
     save_cohort(reloaded, path2)
@@ -305,7 +356,7 @@ def test_columnar_bin_keys_equal_bin_value_bitwise(x1s, width):
     assert all(map(math.isfinite, expected))  # a key that overflows is an error too
     cohort = helpers.cohort_from_arrays(x1s, [0] * len(x1s), [50.0] * len(x1s), precision=width)
     assert _bits(cohort.bins) == _bits(expected)  # sign of zero included
-    assert _bits(group_by_covariate(cohort)) == _bits(sorted(set(expected)))
+    assert _bits(cohort.bin_members) == _bits(sorted(set(expected)))
 
 
 # widths whose shortest decimal has few digits, as a user types them

@@ -124,7 +124,7 @@ def test_scatter_export_contract(tmp_path):
     assert rows[0] == ["x2", "tau", "x1_bin"]
     assert len(rows) == cohort.n + 1
     # x2 column holds the observed counts in record order
-    assert [int(r[0]) for r in rows[1:]] == [rec.x2 for rec in cohort.records]
+    assert [int(r[0]) for r in rows[1:]] == cohort.x2.tolist()
 
 
 def test_ols_json_export(tmp_path):

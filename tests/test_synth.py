@@ -26,6 +26,7 @@ from catebench.synth import (
     true_effects,
 )
 
+import helpers
 import oracles
 
 
@@ -33,20 +34,20 @@ def test_same_seed_is_bitwise_identical():
     scenario = standard_biased_scenario(800)
     a_cohort, a_truth = generate(scenario, seed=7)
     b_cohort, b_truth = generate(scenario, seed=7)
-    assert a_cohort.records == b_cohort.records
+    assert helpers.cohort_columns(a_cohort) == helpers.cohort_columns(b_cohort)
     assert np.array_equal(a_truth.y0, b_truth.y0)
     assert np.array_equal(a_truth.noise, b_truth.noise)
     assert np.array_equal(a_truth.latent_dose, b_truth.latent_dose)
     c_cohort, _ = generate(scenario, seed=8)
-    assert c_cohort.records != a_cohort.records
+    assert helpers.cohort_columns(c_cohort) != helpers.cohort_columns(a_cohort)
 
 
 def test_observed_outcome_is_potential_plus_noise_exactly():
     cohort, truth = generate(standard_biased_scenario(500), seed=1)
-    y = cohort.y_values()
+    y = cohort.y
     assigned = np.where(truth.treated, truth.y1, truth.y0)
     assert np.array_equal(y, assigned + truth.noise)
-    x2 = cohort.x2_values()
+    x2 = cohort.x2
     assert np.array_equal(x2 > 0, truth.treated)
     assert np.array_equal(x2[truth.treated], truth.latent_dose[truth.treated])
 
@@ -81,7 +82,7 @@ def test_cohort_shape_91_of_1389_in_expectation():
     rate = 91.0 / 1389.0
     intercept = math.log(rate / (1.0 - rate))
     scenario = Scenario(n=1389, selection=LogisticSelection(intercept=intercept, slope=0.0))
-    counts = [len(generate(scenario, seed=s)[0].r1) for s in range(5)]
+    counts = [np.count_nonzero(generate(scenario, seed=s)[0].treated) for s in range(5)]
     sd = math.sqrt(1389 * rate * (1 - rate))
     for count in counts:
         assert abs(count - 91) <= 5 * sd
@@ -211,11 +212,22 @@ def test_load_scenario_json_and_key_value(tmp_path):
     assert err.value.field == "nn"
 
 
+def test_flat_scenario_lines_end_only_at_newlines(tmp_path):
+    # str.splitlines would also break at the form feed and call "seed" line 3
+    path = tmp_path / "scenario.cfg"
+    path.write_bytes(b"n = 100\x0cpreset = bogus\nseed\n")
+    with pytest.raises(InvalidScenario) as err:
+        load_scenario(path)
+    assert str(err.value) == f"invalid scenario field 'line': {path}: line 2: expected key=value"
+    path.write_bytes("n = 40\r\nnoise_sd = 2.5\r\n".encode("utf-8"))
+    assert (load_scenario(path).n, load_scenario(path).noise_sd) == (40, 2.5)
+
+
 def test_save_synthetic_round_trips_through_loader(tmp_path):
     cohort, truth = generate(standard_biased_scenario(200), seed=3)
     truth_path = save_synthetic(cohort, truth, tmp_path / "cohort.csv")
     reloaded, report = load_cohort(tmp_path / "cohort.csv")
-    assert reloaded.records == cohort.records
+    assert helpers.cohort_columns(reloaded) == helpers.cohort_columns(cohort)
     assert report.n_dropped == 0
     payload = json.loads(truth_path.read_text())
     assert payload["true_ate"] == truth.true_ate

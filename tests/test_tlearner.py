@@ -32,7 +32,7 @@ def test_identical_arms_give_zero_tau_everywhere():
     points = [(35.0, 40.0), (45.0, 50.0), (55.0, 60.0), (65.0, 55.0)]
     cohort = helpers.mirrored_cohort(points)
     model = fit_t_learner(cohort, TreeParams(max_depth=3), n_trees=1)
-    for b in cohort.groups:
+    for b in cohort.bin_members:
         assert cate_tau(model, b) == 0.0
     assert ate(model, cohort) == 0.0
 
@@ -89,35 +89,30 @@ def test_att_zero_when_outcomes_match_predictions():
 def test_effect_scalars_match_fsum_oracle():
     cohort, _ = helpers.random_cohort(21)
     model = fit_t_learner(cohort, TreeParams(max_depth=2), seed=4, n_trees=15)
-    terms_ate = [
-        model.mu1.predict((rec.x1,)) - model.mu0.predict((rec.x1,)) for rec in cohort.records
-    ]
+    x1, y = cohort.x1.tolist(), cohort.y.tolist()
+    terms_ate = [model.mu1.predict((a,)) - model.mu0.predict((a,)) for a in x1]
     assert abs(ate(model, cohort) - oracles.fsum_mean(terms_ate)) <= 1e-12
-    terms_att = [
-        cohort.records[i].y - model.mu0.predict((cohort.records[i].x1,)) for i in cohort.r1
-    ]
+    terms_att = [y[i] - model.mu0.predict((x1[i],)) for i in np.flatnonzero(cohort.treated)]
     assert abs(att(model, cohort) - oracles.fsum_mean(terms_att)) <= 1e-12
-    terms_atu = [
-        model.mu1.predict((cohort.records[j].x1,)) - cohort.records[j].y for j in cohort.r0
-    ]
+    terms_atu = [model.mu1.predict((x1[j],)) - y[j] for j in np.flatnonzero(~cohort.treated)]
     assert abs(atu(model, cohort) - oracles.fsum_mean(terms_atu)) <= 1e-12
 
 
 def test_ate_equals_binweighted_tau():
     cohort, _ = helpers.random_cohort(8)
     model = fit_t_learner(cohort, seed=1, n_trees=10)
-    weighted = sum(len(members) * cate_tau(model, b) for b, members in cohort.groups.items())
+    weighted = sum(len(members) * cate_tau(model, b) for b, members in cohort.bin_members.items())
     assert abs(ate(model, cohort) - weighted / cohort.n) <= 1e-9
 
 
 def test_tau_constant_within_bins():
     cohort, _ = helpers.random_cohort(5)  # integer covariate values
     model = fit_t_learner(cohort, seed=2, n_trees=8)
-    for b, members in cohort.groups.items():
+    for b, members in cohort.bin_members.items():
         expected = cate_tau(model, b)
         for k in members:
-            rec = cohort.records[k]
-            got = model.mu1.predict((rec.x1,)) - model.mu0.predict((rec.x1,))
+            x1 = cohort.x1[k].item()
+            got = model.mu1.predict((x1,)) - model.mu0.predict((x1,))
             assert got == expected
 
 
@@ -125,13 +120,10 @@ def test_arm_isolation_under_fixed_seed():
     cohort, _ = helpers.random_cohort(9)
     model = fit_t_learner(cohort, seed=6, n_trees=10)
     # perturb one control outcome and refit: mu1 must be bitwise unchanged
-    records = list(cohort.records)
-    j = cohort.r0[0]
-    perturbed = helpers.cohort_from_arrays(
-        [r.x1 for r in records],
-        [r.x2 for r in records],
-        [r.y + (10.0 if i == j else 0.0) for i, r in enumerate(records)],
-    )
+    j = np.flatnonzero(~cohort.treated)[0]
+    y = cohort.y.copy()
+    y[j] += 10.0
+    perturbed = helpers.cohort_from_arrays(cohort.x1, cohort.x2, y)
     model2 = fit_t_learner(perturbed, seed=6, n_trees=10)
     probe = np.linspace(20, 80, 61)[:, None]
     assert np.array_equal(model.mu1.predict_many(probe), model2.mu1.predict_many(probe))
@@ -163,15 +155,16 @@ def test_linear_shift_recovered_at_interior_bins():
     )
     cohort, _ = generate(scenario, seed=12)
     model = fit_t_learner(cohort, TreeParams(max_depth=8), seed=1, n_trees=30)
-    for b in sorted(cohort.groups):
+    for b in sorted(cohort.bin_members):
         if 38 <= b <= 62:
             assert abs(cate_tau(model, b) - 5.0) <= 0.5
 
 
 def test_biased_scenario_sign_reversal():
     cohort, truth = generate(standard_biased_scenario(6000), seed=2)
-    naive = np.mean([cohort.records[i].y for i in cohort.r1]) - np.mean(
-        [cohort.records[j].y for j in cohort.r0]
+    y = cohort.y.tolist()
+    naive = np.mean([y[i] for i in np.flatnonzero(cohort.treated)]) - np.mean(
+        [y[j] for j in np.flatnonzero(~cohort.treated)]
     )
     model = fit_t_learner(cohort, TreeParams(max_depth=4), seed=0, n_trees=60)
     assert naive < 0
@@ -183,7 +176,7 @@ def test_effect_report_contract(tmp_path):
     cohort, _ = helpers.random_cohort(14)
     model = fit_t_learner(cohort, seed=3, n_trees=8)
     report = effect_report(model, cohort)
-    bins = sorted(cohort.groups)
+    bins = sorted(cohort.bin_members)
     assert [row.x1 for row in report.rows] == [float(b) for b in bins]
     assert len(report.rows) == len(bins)
     for row in report.rows:

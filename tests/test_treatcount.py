@@ -39,8 +39,8 @@ def test_mu0_never_splits_the_dose_feature():
 
     for tree in model.mu0.trees:
         walk(tree)
-    assert model.n_treated == len(cohort.r1)
-    assert model.n_control == len(cohort.r0)
+    assert model.n_treated == np.count_nonzero(cohort.treated)
+    assert model.n_control == np.count_nonzero(~cohort.treated)
 
 
 def test_fit_succeeds_with_single_treated_record():
@@ -118,7 +118,7 @@ def test_phi_zero_when_arms_identical():
     points = [(40.0, 45.0), (50.0, 52.0), (60.0, 58.0)]
     cohort = helpers.mirrored_cohort(points, dose=1)
     model = fit_t_learner2(cohort, n_trees=1)
-    for b in cohort.groups:
+    for b in cohort.bin_members:
         for dose in (1, 2, 5):
             assert phi(model, cohort, b, dose) == 0.0
 
@@ -126,7 +126,7 @@ def test_phi_zero_when_arms_identical():
 def test_phi_domain_and_empty_bin_errors():
     cohort, _ = helpers.random_cohort(2)
     model = fit_t_learner2(cohort, n_trees=4)
-    some_bin = next(iter(cohort.groups))
+    some_bin = next(iter(cohort.bin_members))
     with pytest.raises(DomainError):
         phi(model, cohort, some_bin, 0)
     with pytest.raises(DomainError):
@@ -147,7 +147,7 @@ def test_summand_identity_everywhere():
     for seed in (23, 31):
         cohort, _ = helpers.random_cohort(seed, n=200)
         model = fit_t_learner2(cohort, seed=seed, n_trees=10)
-        for b in cohort.groups:
+        for b in cohort.bin_members:
             for dose in range(1, model.dose_max + 1):
                 agg = phi(model, cohort, b, dose)
                 summand = phi_summand(model, b, dose)
@@ -157,7 +157,7 @@ def test_summand_identity_everywhere():
 def test_phi_increases_with_dose_on_dose_scenario():
     cohort, _ = generate(dose_recovery_scenario(4000), seed=1)
     model = fit_t_learner2(cohort, TreeParams(max_depth=3), seed=2, n_trees=60)
-    bins = [b for b in sorted(cohort.groups) if 40 <= b <= 60]
+    bins = [b for b in sorted(cohort.bin_members) if 40 <= b <= 60]
     for b in bins[:5]:
         values = [phi(model, cohort, b, dose) for dose in range(1, 11)]
         assert all(b2 >= b1 for b1, b2 in zip(values, values[1:]))
@@ -176,10 +176,9 @@ def test_att2_trivial_zero():
 def test_att2_matches_fsum_oracle():
     cohort, _ = helpers.random_cohort(41)
     model = fit_t_learner2(cohort, seed=9, n_trees=12)
+    x1, x2, y = (column.tolist() for column in (cohort.x1, cohort.x2, cohort.y))
     terms = [
-        cohort.records[i].y
-        - model.mu0.predict((cohort.records[i].x1, float(cohort.records[i].x2)))
-        for i in cohort.r1
+        y[i] - model.mu0.predict((x1[i], float(x2[i]))) for i in np.flatnonzero(cohort.treated)
     ]
     assert abs(att2(model, cohort) - oracles.fsum_mean(terms)) <= 1e-12
 
@@ -199,7 +198,7 @@ def test_att2_equals_att_for_aligned_fits():
 def test_surface_single_cell():
     cohort, _ = helpers.random_cohort(7)
     model = fit_t_learner2(cohort, seed=1, n_trees=6)
-    some_bin = sorted(cohort.groups)[1]
+    some_bin = sorted(cohort.bin_members)[1]
     surface = phi_surface(model, cohort, x1_bins=[some_bin], x2_values=[5])
     assert surface.phi.shape == (1, 1)
     assert surface.phi[0, 0] == phi(model, cohort, some_bin, 5)
