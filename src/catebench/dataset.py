@@ -47,6 +47,7 @@ AUX_FIELDS = ("remote", "basic_class", "exercises", "videos", "references")
 COUNT_COLUMNS = ("f2f",) + AUX_FIELDS
 _COUNT_MAX = 2**63 - 1  # counts are stored as int64
 _DECIMAL_MAX = 1e100  # keeps squared sums over any feasible row count finite
+DECIMAL_RANGE = f"[-{_DECIMAL_MAX:g}, {_DECIMAL_MAX:g}]"
 _CHUNK_ROWS = 1024  # records converted per bulk step: bounds the reader's transient memory
 
 
@@ -84,10 +85,10 @@ class Cohort:
     (float64) the outcome and ``aux`` (int64, n x 5) the other counts in
     ``AUX_FIELDS`` order.  ``bins`` holds each key ``bin_value(x1, precision)``:
     the nearest whole number of widths, as an exact decimal (11.6 at 0.1).
-    ``Cohort(ids, x1, x2, y, aux, precision)`` is the one constructor; a count
-    that is not a whole number in int64's range raises ValueError rather than
-    being truncated.  Its two derived views are ``treated`` (x2 >= 1) and
-    ``bin_members`` (each bin key's rows).
+    ``Cohort(ids, x1, x2, y, aux, precision)`` is the one constructor; it holds
+    the loader's value rule (``in_decimal_range`` for x1 and y, ``_counts`` for
+    the counts) and raises ValueError otherwise.  Its two derived views are
+    ``treated`` (x2 >= 1) and ``bin_members`` (each bin key's rows).
     """
 
     ids: tuple
@@ -102,13 +103,10 @@ class Cohort:
         if not 0 < self.precision < math.inf:
             raise ValueError("precision must be finite and positive")
         n = len(self.ids)
-        x1 = np.array(self.x1, dtype=np.float64).reshape(n)
-        y = np.array(self.y, dtype=np.float64).reshape(n)
+        x1, y = (np.array(column, dtype=np.float64).reshape(n) for column in (self.x1, self.y))
+        if not (in_decimal_range(x1) and in_decimal_range(y)):
+            raise ValueError(f"x1 and y must be decimals in {DECIMAL_RANGE}")
         x2 = _counts(self.x2, "x2").reshape(n)
-        if not (np.isfinite(x1).all() and np.isfinite(y).all()):
-            raise ValueError("x1 and y must be finite")
-        if (x2 < 0).any():
-            raise ValueError("x2 must be nonnegative")
         aux = _counts(self.aux, "aux").reshape(n, len(AUX_FIELDS))
         bins = _bin_keys(x1, float(self.precision))
         for name, column in zip(("x1", "x2", "y", "aux", "bins"), (x1, x2, y, aux, bins)):
@@ -134,17 +132,25 @@ class Cohort:
         return dict(zip(keys.tolist(), np.split(order, np.cumsum(np.bincount(inverse))[:-1])))
 
 
+def in_decimal_range(values) -> bool:
+    """Whether every value is a decimal in [-1e100, 1e100]; NaN is not."""
+    values = np.asarray(values)
+    return values.size == 0 or bool(-_DECIMAL_MAX <= values.min() and values.max() <= _DECIMAL_MAX)
+
+
 def _counts(values, name) -> np.ndarray:
-    """``values`` as a new int64 array; a value that is not a whole number in
-    int64's range (a fraction, NaN, an infinity) raises ValueError, where a
-    cast would truncate it or warn."""
+    """``values`` as a new int64 array; a value that is not a nonnegative whole
+    number in int64's range (a negative, a fraction, NaN, an infinity) raises
+    ValueError, where a cast would truncate it or warn."""
     column = np.asarray(values)
-    if column.dtype.kind not in "bi":
+    if column.dtype.kind in "bi":
+        valid = column >= 0
+    else:
         column = column.astype(np.float64)
-        whole = (np.abs(column) < 2.0**63) & (column == np.trunc(column))  # False at NaN
-        if not whole.all():
-            bad = column[~whole][0].item()
-            raise ValueError(f"{name} must hold int64 whole numbers, got {bad!r}")
+        valid = (column >= 0) & (column < 2.0**63) & (column == np.trunc(column))  # False at NaN
+    if not valid.all():
+        bad = column[~valid][0].item()
+        raise ValueError(f"{name} must hold nonnegative int64 whole numbers, got {bad!r}")
     return np.array(column, dtype=np.int64)
 
 
@@ -207,14 +213,9 @@ class SchemaConfig:
     @classmethod
     def from_file(cls, path) -> "SchemaConfig":
         columns = {name: name for name in CANONICAL_COLUMNS}
-        for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
+        for lineno, key, value in config_lines(read_text(path)):
+            if value is None:
                 raise SchemaError(f"{path}: line {lineno}: expected 'canonical = actual'")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
             if key not in columns:
                 raise SchemaError(f"{path}: line {lineno}: unknown column key {key!r}")
             if not value:
@@ -232,33 +233,18 @@ class LoadReport:
     columns: dict
 
 
-def _parse_float(cell, path, rownum, column) -> float:
+def _cell_error(cell, decimal) -> str | None:
+    """Why a stripped cell breaks its column's rule (a decimal for the
+    covariate and outcome, else a count; "" reads as 0), or None."""
     try:
-        value = float(cell)
+        value = float(cell) if decimal else int(cell or "0")
     except ValueError:
-        raise ParseError(
-            f"{path}: row {rownum}, column {column!r}: not a number: {cell!r}"
-        ) from None
-    if not abs(value) <= _DECIMAL_MAX:
-        bound = f"[-{_DECIMAL_MAX:g}, {_DECIMAL_MAX:g}]"
-        raise ParseError(f"{path}: row {rownum}, column {column!r}: {cell!r} is not in {bound}")
-    return value
-
-
-def _parse_count(cell, path, rownum, column) -> int:
-    if cell == "":
-        return 0
-    try:
-        value = int(cell)
-    except ValueError:
-        raise ParseError(
-            f"{path}: row {rownum}, column {column!r}: not an integer count: {cell!r}"
-        ) from None
+        return f"not a number: {cell!r}" if decimal else f"not an integer count: {cell!r}"
+    if decimal:
+        return None if in_decimal_range(value) else f"{cell!r} is not in {DECIMAL_RANGE}"
     if value < 0:
-        raise ParseError(f"{path}: row {rownum}, column {column!r}: negative count")
-    if value > _COUNT_MAX:
-        raise ParseError(f"{path}: row {rownum}, column {column!r}: count above {_COUNT_MAX}")
-    return value
+        return "negative count"
+    return None if value <= _COUNT_MAX else f"count above {_COUNT_MAX}"
 
 
 def _chunks(reader):
@@ -299,8 +285,7 @@ def _bulk_columns(rows, width, positions):
             out[:] = np.fromiter(map(parsed.__getitem__, column), np.int64, n)
     except (ValueError, OverflowError):
         return None
-    in_range = (np.abs(x1) <= _DECIMAL_MAX).all() and (np.abs(y) <= _DECIMAL_MAX).all()
-    if not in_range or (counts < 0).any():
+    if not (in_decimal_range(x1) and in_decimal_range(y)) or (counts < 0).any():
         return None
     return cells[0], x1, y, counts.T, len(rows), len(rows) - n
 
@@ -315,27 +300,41 @@ def _raise_first_error(path, rows, first_rownum, width, positions, names):
         cells = [row[pos].strip() for pos in positions]
         if cells[1] == "" or cells[8] == "":
             continue
-        _parse_float(cells[1], path, rownum, names[1])
-        _parse_float(cells[8], path, rownum, names[8])
-        for k in range(2, 8):
-            _parse_count(cells[k], path, rownum, names[k])
+        for k in (1, 8, *range(2, 8)):  # the covariate and outcome, then the counts
+            error = _cell_error(cells[k], k in (1, 8))
+            if error:
+                raise ParseError(f"{path}: row {rownum}, column {names[k]!r}: {error}")
     raise RuntimeError(f"{path}: rows {first_rownum}.. failed the column checks but no row did")
 
 
 def _not_utf8(path, exc: UnicodeDecodeError) -> ParseError:
-    """The error for a file that is not UTF-8, naming the physical line
-    (1-based) of its first byte that is not; the text layer decodes ahead of
-    any reader, so the line is found by re-reading the file's bytes."""
+    """The error for a file that is not UTF-8, with ``exc``'s byte and reason,
+    naming that byte's physical line (1-based; ``bytes.splitlines`` ends one at
+    "\\n", "\\r\\n" or a lone "\\r", as ``read_text`` and the csv module do).
+    The text layer decodes ahead of any reader, so the file is re-read line by line."""
+    lineno = 0
     with path.open("rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        for line in fh:
             try:
                 line.decode("utf-8")
-            except UnicodeDecodeError:
+            except UnicodeDecodeError as here:
+                lineno += len(line[: here.start + 1].splitlines())  # the bad byte ends no line
                 byte = exc.object[exc.start]
                 return ParseError(
                     f"{path}: line {lineno}: byte 0x{byte:02x} is not UTF-8 ({exc.reason})"
                 )
+            lineno += len(line.splitlines())
     raise RuntimeError(f"{path}: a UTF-8 decode failed, but every line decodes")
+
+
+def config_lines(text):
+    """(line number, key, value) for each ``key = value`` line of ``read_text``'s
+    text, stripped, past "#" comments and blank lines; value is None without "="."""
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            key, equals, value = line.partition("=")
+            yield lineno, key.strip(), value.strip() if equals else None
 
 
 def read_text(path) -> str:
@@ -343,9 +342,12 @@ def read_text(path) -> str:
     not UTF-8 raises ParseError naming the path and line."""
     path = Path(path)
     try:
-        return path.read_text(encoding="utf-8-sig")
+        # decoded whole: the incremental utf-8-sig decoder of a text stream
+        # reads a file that is only a truncated BOM (b"\xef", b"\xef\xbb") as ""
+        text = path.read_bytes().decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise _not_utf8(path, exc) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def load_cohort(path, config: SchemaConfig | None = None, precision=1.0):
@@ -371,6 +373,7 @@ def load_cohort(path, config: SchemaConfig | None = None, precision=1.0):
         try:
             header = next(reader, None)
             if header is None:
+                read_text(path)  # raises ParseError if the file is a truncated BOM
                 raise SchemaError(f"{path}: empty file, header row required")
             header = [h.strip() for h in header]
             missing = [name for name in names if name not in header]

@@ -89,8 +89,12 @@ def test_synth_invalid_scenario_exit_2(tmp_path, capsys):
         (f'{{"n": {MAX_N + 1}}}', "n"),
         (f"n = 10\ndose_max = {MAX_DOSE + 1}\n", "dose.max_dose"),
         ("n = 10\ndose_max = 1000000000000000000000000000000\n", "dose.max_dose"),
-        # each effect is finite, but their cohort mean is not
+        # each effect is finite, but y1 is outside the cohort's [-1e100, 1e100]
         ("n = 100\neffect_a = 1e307\n", "effect_true"),
+        # every draw is finite, but summarize would refuse the saved cohort
+        ("n = 10\nmu0_kind = linear_x1\nmu0_b = 1e99\n", "mu0_true"),
+        ("n = 100\neffect_a = 1e101\n", "effect_true"),
+        ("n = 100\nnoise_sd = 1e101\n", "noise_sd"),
     ],
 )
 def test_synth_malformed_scenario_exit_2(tmp_path, capsys, text, field):
@@ -100,6 +104,7 @@ def test_synth_malformed_scenario_exit_2(tmp_path, capsys, text, field):
     err = capsys.readouterr().err
     assert err.startswith(f"error: invalid scenario field '{field}'")
     assert "Traceback" not in err
+    assert not (tmp_path / "o" / "cohort.csv").exists()
     assert not (tmp_path / "o" / "cohort.truth.json").exists()
 
 
@@ -275,14 +280,30 @@ def test_non_utf8_record_exit_2_naming_path_and_line(tmp_path, capsys, command):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("data", [b"\xef", b"\xef\xbb"], ids=["one", "two"])
+@pytest.mark.parametrize("role", ["input", "config"])
+def test_truncated_byte_order_mark_exit_2_naming_line_1(tmp_path, capsys, synth_csv, role, data):
+    path = tmp_path / "bom"
+    path.write_bytes(data)
+    inputs = {"input": synth_csv, "config": None}
+    inputs[role] = path
+    args = ["summarize", "--input", str(inputs["input"]), "--out", str(tmp_path / "o"), "--quiet"]
+    assert main(args + (["--config", str(path)] if role == "config" else [])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: line 1: byte 0xef is not UTF-8 (unexpected end of data)")
+
+
 @pytest.mark.parametrize(
     "command, text",
     [
         ("summarize", "# renames\nproficiency = pr\xe9\n"),
         ("synth", "preset = standard_biased\n# caf\xe9\nn = 100\n"),
         ("synth", '{"preset": "standard_biased",\n "n": 100, "id": "\xe9"}\n'),
+        # a lone \r ends line 1 for the config reader, so the decode error counts it too
+        ("summarize", "proficiency = p\rq = \xe9\n"),
+        ("synth", "preset = standard_biased\rn = \xe9\n"),
     ],
-    ids=["schema", "scenario", "scenario_json"],
+    ids=["schema", "scenario", "scenario_json", "schema_cr", "scenario_cr"],
 )
 def test_non_utf8_config_exit_2_naming_path_and_line(tmp_path, capsys, synth_csv, command, text):
     cfg = tmp_path / "latin1.cfg"
@@ -332,7 +353,9 @@ def test_any_config_bytes_exit_0_or_2(tmp_path, capsys, synth_csv, command, data
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1  # the physical line of the first bad byte
+        # the physical line of the first bad byte: lines end at \n, \r\n or a lone \r
+        head = data[: exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
         byte = data[exc.start]
         assert err == f"error: {cfg}: line {line}: byte 0x{byte:02x} is not UTF-8 ({exc.reason})\n"
 

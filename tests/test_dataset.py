@@ -139,6 +139,14 @@ def test_record_validation():
         _one_student(x1=float("nan"))
     with pytest.raises(ValueError):
         _one_student(x2=-1)
+    # the loader's value rule: it rejects each of these cells
+    with pytest.raises(ValueError, match="aux must hold nonnegative"):
+        _one_student(aux=(0, 0, -1, 0, 0))
+    for kwargs in ({"x1": 1.0000000000000002e100}, {"x1": -1e101}, {"y": 1e101}):
+        with pytest.raises(ValueError, match=r"x1 and y must be decimals in \[-1e\+100, 1e\+100\]"):
+            _one_student(**kwargs)
+    cohort = Cohort(("a", "b"), [1e100, -1e100], [1, 0], [-1e100, 1e100], np.zeros((2, 5), int))
+    assert (cohort.x1.tolist(), cohort.y.tolist()) == ([1e100, -1e100], [-1e100, 1e100])
     with pytest.raises(ValueError):
         Cohort((), [], [], [], np.zeros((0, len(AUX_FIELDS))), precision=0.0)
 
@@ -323,6 +331,49 @@ def test_round_trip_is_identity(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+# mostly within the value rule, and sometimes just past it
+_ROUND_TRIP_DECIMALS = (
+    st.floats(min_value=-1e100, max_value=1e100)
+    | st.sampled_from([-0.0, 5e-324, -5e-324, 1e100, -1e100, 1.0000000000000002e100])
+    | st.floats()
+)
+_ROUND_TRIP_COUNTS = st.integers(-1, 2**63 - 1) | st.sampled_from([0, 1, 2**63 - 1])
+# ids are stripped printable text: the loader strips cells and reads every id as a string
+_ROUND_TRIP_IDS = st.text(
+    st.characters(codec="utf-8", categories=("L", "N", "P", "S", "Zs")), max_size=6
+).filter(lambda text: text == text.strip())
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            _ROUND_TRIP_IDS,
+            _ROUND_TRIP_DECIMALS,
+            _ROUND_TRIP_COUNTS,
+            _ROUND_TRIP_DECIMALS,
+            st.lists(_ROUND_TRIP_COUNTS, min_size=len(AUX_FIELDS), max_size=len(AUX_FIELDS)),
+        ),
+        max_size=8,
+    )
+)
+def test_every_cohort_that_constructs_loads_back_equal(rows):
+    ids, x1, x2, y, aux = list(zip(*rows)) or [()] * 5
+    try:
+        cohort = Cohort(ids, x1, x2, y, np.array(aux, dtype=np.int64).reshape(len(ids), -1))
+    except ValueError:
+        return  # outside the value rule
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cohort.csv"
+        save_cohort(cohort, path)
+        loaded, report = load_cohort(path)
+    assert (report.n_rows, report.n_dropped) == (cohort.n, 0)
+    assert loaded.ids == cohort.ids
+    assert _bits(loaded.x1) == _bits(cohort.x1) and _bits(loaded.y) == _bits(cohort.y)
+    assert loaded.x2.tolist() == cohort.x2.tolist()
+    assert loaded.aux.tolist() == cohort.aux.tolist()
+
+
 # --- columnar bin keys and count limits -------------------------------------
 
 _WIDTHS = st.one_of(
@@ -346,17 +397,34 @@ def _bits(values):
 @given(st.lists(_COVARIATES, min_size=1, max_size=30), _WIDTHS)
 @example([2.5, 1.7976931348623157e308], 3.0)  # finite quotient, overflowing key
 def test_columnar_bin_keys_equal_bin_value_bitwise(x1s, width):
+    # the bin keys are checked over the whole float range on the array itself;
+    # a cohort holds only covariates within its value rule
+    x1 = np.array(x1s, dtype=np.float64)
     try:
         expected = [bin_value(v, width) for v in x1s]
     except DomainError as exc:  # a quotient that is not finite has no bin
+        expected, message = None, str(exc)
         with pytest.raises(DomainError) as got:
-            helpers.cohort_from_arrays(x1s, [0] * len(x1s), [50.0] * len(x1s), precision=width)
-        assert str(got.value) == str(exc)
-        return
-    assert all(map(math.isfinite, expected))  # a key that overflows is an error too
-    cohort = helpers.cohort_from_arrays(x1s, [0] * len(x1s), [50.0] * len(x1s), precision=width)
-    assert _bits(cohort.bins) == _bits(expected)  # sign of zero included
-    assert _bits(cohort.bin_members) == _bits(sorted(set(expected)))
+            dataset._bin_keys(x1, width)
+        assert str(got.value) == message
+    else:
+        assert all(map(math.isfinite, expected))  # a key that overflows is an error too
+        assert _bits(dataset._bin_keys(x1, width)) == _bits(expected)  # sign of zero included
+
+    def build():
+        return helpers.cohort_from_arrays(x1s, [0] * len(x1s), [50.0] * len(x1s), precision=width)
+
+    if any(abs(v) > 1e100 for v in x1s):
+        with pytest.raises(ValueError, match=r"x1 and y must be decimals in \[-1e\+100, 1e\+100\]"):
+            build()
+    elif expected is None:
+        with pytest.raises(DomainError) as got:
+            build()
+        assert str(got.value) == message
+    else:
+        cohort = build()
+        assert _bits(cohort.bins) == _bits(expected)
+        assert _bits(cohort.bin_members) == _bits(sorted(set(expected)))
 
 
 # widths whose shortest decimal has few digits, as a user types them
@@ -389,6 +457,10 @@ def test_bin_key_whose_exact_product_overflows_keys_as_code_times_width():
     x = 1.7e308
     assert bin_value(x, 2.5) == round(x / 2.5) * 2.5
     assert math.isfinite(bin_value(x, 2.5))
+    key = bin_value(x, 2.5)
+    assert dataset._bin_keys(np.array([x, -x]), 2.5).tolist() == [key, -key]
+    with pytest.raises(ValueError, match="x1 and y must be decimals"):  # beyond the cohort's range
+        helpers.cohort_from_arrays([x], [0], [50.0], precision=2.5)
 
 
 def test_count_limit_is_int64(tmp_path):
@@ -564,6 +636,19 @@ def test_non_utf8_byte_names_its_physical_line(tmp_path):
     with pytest.raises(ParseError) as err:
         load_cohort(path)
     assert str(err.value) == f"{path}: line 4: byte 0xe9 is not UTF-8 (invalid continuation byte)"
+
+
+def test_non_utf8_byte_after_carriage_returns_names_its_physical_line(tmp_path):
+    # a lone \r ends a record for the csv reader, and a line for the decode error
+    path = tmp_path / "cr.csv"
+    body = HEADER + "\ra,50,1,0,0,0,0,0,55\rJos\xe9,52,1,0,0,0,0,0,51\r"
+    path.write_bytes(body.encode("latin-1"))
+    with pytest.raises(ParseError) as err:
+        load_cohort(path)
+    assert str(err.value) == f"{path}: line 3: byte 0xe9 is not UTF-8 (invalid continuation byte)"
+    path.write_bytes(body.replace("Jos\xe9,52,1", "Jose,52,-1").encode())
+    with pytest.raises(ParseError, match="row 3, column 'f2f'"):  # the same record, by row
+        load_cohort(path)
 
 
 def test_non_utf8_byte_in_a_later_chunk_names_its_physical_line(tmp_path):

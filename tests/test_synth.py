@@ -146,10 +146,20 @@ def test_invalid_scenarios_name_the_field():
     with pytest.raises(InvalidScenario) as err:
         generate(Scenario(n=100, noise_sd=1e308), seed=0)
     assert err.value.field == "noise_sd"
-    # every drawn effect is finite, but their sum overflows the mean
+    # each y1 = y0 + 1e307 is finite, but outside the cohort's [-1e100, 1e100]
     with pytest.raises(InvalidScenario) as err:
         generate(Scenario(n=100, effect_true=ResponseFn("constant", 1e307)), seed=0)
     assert err.value.field == "effect_true"
+    # every draw is finite, but the loader would refuse the saved cohort
+    with pytest.raises(InvalidScenario) as err:
+        generate(Scenario(n=100, mu0_true=ResponseFn("linear_x1", 0.0, 1e99)), seed=0)
+    assert err.value.field == "mu0_true"
+    with pytest.raises(InvalidScenario) as err:
+        generate(Scenario(n=100, effect_true=ResponseFn("constant", 1e101)), seed=0)
+    assert err.value.field == "effect_true"
+    with pytest.raises(InvalidScenario) as err:
+        generate(Scenario(n=100, noise_sd=1e101), seed=0)
+    assert err.value.field == "noise_sd"
     # size caps: validation comes first, so nothing of that size is allocated
     with pytest.raises(InvalidScenario) as err:
         generate(Scenario(n=MAX_N + 1), seed=0)
