@@ -76,9 +76,7 @@ def _parse_x2(raw: str) -> tuple:
         raise SchemaError(f"--x2 expects integers, got {raw!r}") from None
     if not values:
         raise SchemaError("--x2 list is empty")
-    for v in values:
-        treatcount._require_dose(v)
-    return values
+    return tuple(map(treatcount._require_dose, values))
 
 
 def cmd_summarize(args) -> int:

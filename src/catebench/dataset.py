@@ -55,11 +55,15 @@ def to_deviation(raw_scores) -> list[float]:
     """Standardize scores to deviation values: 10 * (x - mean) / sd + 50.
 
     Uses the population standard deviation (divisor n).  The output has
-    mean 50 and population sd 10.
+    mean 50 and population sd 10.  Every score must pass the cohort's value
+    rule (``in_decimal_range``), which keeps every intermediate finite;
+    any other score, NaN or an infinity included, raises DomainError.
     """
     scores = np.asarray(list(raw_scores), dtype=float)
     if scores.size < 2:
         raise EmptyOrSingleton("need at least two scores to standardize")
+    if not in_decimal_range(scores):
+        raise DomainError(f"scores must be decimals in {DECIMAL_RANGE}")
     mean = float(scores.mean())
     sd = float(scores.std())
     if sd == 0.0:
@@ -87,7 +91,9 @@ class Cohort:
     the nearest whole number of widths, as an exact decimal (11.6 at 0.1).
     ``Cohort(ids, x1, x2, y, aux, precision)`` is the one constructor; it holds
     the loader's value rule (``in_decimal_range`` for x1 and y, ``_counts`` for
-    the counts) and raises ValueError otherwise.  Its two derived views are
+    the counts) and its id rule (``_ids_ok``: a str equal to its own strip(),
+    with no "\\r" and no NUL, that encodes as UTF-8), so a saved cohort loads
+    back equal; it raises ValueError otherwise.  Its two derived views are
     ``treated`` (x2 >= 1) and ``bin_members`` (each bin key's rows).
     """
 
@@ -108,11 +114,15 @@ class Cohort:
             raise ValueError(f"x1 and y must be decimals in {DECIMAL_RANGE}")
         x2 = _counts(self.x2, "x2").reshape(n)
         aux = _counts(self.aux, "aux").reshape(n, len(AUX_FIELDS))
+        ids = tuple(self.ids)
+        if not _ids_ok(ids):
+            bad = next(i for i in ids if not _ids_ok((i,)))
+            raise ValueError(f"id {bad!r} is not a UTF-8 str without edge whitespace, '\\r' or NUL")
         bins = _bin_keys(x1, float(self.precision))
         for name, column in zip(("x1", "x2", "y", "aux", "bins"), (x1, x2, y, aux, bins)):
             column.flags.writeable = False
             object.__setattr__(self, name, column)
-        object.__setattr__(self, "ids", tuple(self.ids))
+        object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "precision", float(self.precision))
 
     @property
@@ -136,6 +146,19 @@ def in_decimal_range(values) -> bool:
     """Whether every value is a decimal in [-1e100, 1e100]; NaN is not."""
     values = np.asarray(values)
     return values.size == 0 or bool(-_DECIMAL_MAX <= values.min() and values.max() <= _DECIMAL_MAX)
+
+
+def _ids_ok(ids: tuple) -> bool:
+    """Whether every id is a str that equals its own strip(), holds no "\\r" and
+    no NUL, and encodes as UTF-8: what a cohort CSV reads back unchanged (csv
+    writes a "\\r" bare; Python 3.10's reader refuses NUL).  Checked joined."""
+    try:
+        text = "\r".join(ids)  # TypeError for an id that is not a str
+        text.encode("utf-8")  # UnicodeEncodeError for a lone surrogate
+    except (TypeError, UnicodeEncodeError):
+        return False
+    no_cr = text.count("\r") == max(len(ids) - 1, 0)  # only the separators
+    return no_cr and "\0" not in text and tuple(map(str.strip, ids)) == ids
 
 
 def _counts(values, name) -> np.ndarray:
@@ -233,9 +256,13 @@ class LoadReport:
     columns: dict
 
 
-def _cell_error(cell, decimal) -> str | None:
-    """Why a stripped cell breaks its column's rule (a decimal for the
-    covariate and outcome, else a count; "" reads as 0), or None."""
+def _cell_error(cell, k) -> str | None:
+    """Why a stripped cell breaks the rule of canonical column ``k`` (the id
+    rule for the id, a decimal for the covariate and outcome, else a count;
+    "" reads as 0), or None."""
+    if k == 0:  # a stripped cell of UTF-8 text can only break it with "\r" or NUL
+        return None if _ids_ok((cell,)) else f"an id may not hold '\\r' or NUL: {cell!r}"
+    decimal = k in (1, 8)
     try:
         value = float(cell) if decimal else int(cell or "0")
     except ValueError:
@@ -285,7 +312,8 @@ def _bulk_columns(rows, width, positions):
             out[:] = np.fromiter(map(parsed.__getitem__, column), np.int64, n)
     except (ValueError, OverflowError):
         return None
-    if not (in_decimal_range(x1) and in_decimal_range(y)) or (counts < 0).any():
+    valid = in_decimal_range(x1) and in_decimal_range(y) and _ids_ok(cells[0])
+    if not valid or (counts < 0).any():
         return None
     return cells[0], x1, y, counts.T, len(rows), len(rows) - n
 
@@ -300,8 +328,8 @@ def _raise_first_error(path, rows, first_rownum, width, positions, names):
         cells = [row[pos].strip() for pos in positions]
         if cells[1] == "" or cells[8] == "":
             continue
-        for k in (1, 8, *range(2, 8)):  # the covariate and outcome, then the counts
-            error = _cell_error(cells[k], k in (1, 8))
+        for k in (0, 1, 8, *range(2, 8)):  # the id, covariate and outcome, then the counts
+            error = _cell_error(cells[k], k)
             if error:
                 raise ParseError(f"{path}: row {rownum}, column {names[k]!r}: {error}")
     raise RuntimeError(f"{path}: rows {first_rownum}.. failed the column checks but no row did")

@@ -74,10 +74,12 @@ def check_base_independence(
     split candidates.  When no tree of mu0 splits on the session count, that
     is proved from the forest's structure and no probe is predicted:
     ``predict_many`` reads a feature only to compare it with a threshold.
-    Otherwise every record is predicted at every probe.  Violations are
-    report content, not exceptions.
+    Otherwise every record is predicted at every probe, each 0 or passing
+    ``_require_dose``.  Violations are report content, not exceptions.
     """
-    probes = tuple(int(v) for v in probe_x2) if probe_x2 is not None else default_dose_probes(model)
+    probes = default_dose_probes(model) if probe_x2 is None else tuple(
+        0 if v == 0 else _require_dose(v) for v in probe_x2
+    )
     thresholds = model.mu0.thresholds()
     if len(thresholds) == 2 and not thresholds[1].size:
         return IndependenceReport(cohort.n, probes, ())
@@ -87,36 +89,35 @@ def check_base_independence(
     for v in probes:
         at_probe = model.mu0.predict_many(np.column_stack([x1, np.full_like(x1, float(v))]))
         for k in np.nonzero(at_probe != base)[0]:
-            violations.append((int(k), int(v), float(at_probe[k]), float(base[k])))
+            violations.append((int(k), v, float(at_probe[k]), float(base[k])))
     return IndependenceReport(cohort.n, probes, tuple(violations))
 
 
-def _require_dose(x2) -> None:
-    # the one session-count rule for phi, its surface and the CLI's --x2
-    if not 1 <= x2 <= MAX_DOSE:
-        raise DomainError(f"session count must be in 1..{MAX_DOSE}, got {x2}")
+def _require_dose(x2) -> int:
+    """The one session-count rule, for phi, its surface, the summand, --x2 and
+    the nonzero independence probes: a whole number in 1..MAX_DOSE, returned as
+    an int (2.0 is 2).  Anything else (2.5, NaN, -1, "2") raises DomainError."""
+    try:
+        if 1 <= x2 <= MAX_DOSE and x2 == int(x2):
+            return int(x2)
+    except (TypeError, ValueError):
+        pass
+    raise DomainError(f"session count must be in 1..{MAX_DOSE} and a whole number, got {x2}")
 
 
 def phi(model: TLearnerModel, cohort: Cohort, x1, x2) -> float:
-    """Average predicted gain if everyone in bin x1 attended x2 sessions.
-
-    Mean over the bin's members k of mu1(x1_k, x2) - mu0(x1_k, x2_k).
-    Defined for 1 <= x2 <= MAX_DOSE only: mu1 never saw a zero session count.
-    """
-    _require_dose(x2)
-    rows = cohort.bin_members.get(x1)
-    if rows is None:
+    """Average predicted gain if everyone in bin x1 attended x2 sessions: the one
+    cell of ``phi_surface(model, cohort, (x1,), (x2,))``; an empty bin raises EmptyBin."""
+    surface = phi_surface(model, cohort, (x1,), (x2,))
+    if surface.n_missing:
         raise EmptyBin(x1)
-    x1_obs = cohort.x1[rows]
-    m1 = model.mu1.predict_many(np.column_stack([x1_obs, np.full_like(x1_obs, float(x2))]))
-    m0 = model.mu0.predict_many(np.column_stack([x1_obs, cohort.x2[rows]]))
-    return float(np.mean(m1 - m0))
+    return float(surface.phi[0, 0])
 
 
 def phi_summand(model: TLearnerModel, x1, x2) -> float:
     """Single-summand form evaluated at the bin value: mu1(x1, x2) - mu0(x1, 0)."""
-    _require_dose(x2)
-    return model.mu1.predict((float(x1), float(x2))) - model.mu0.predict((float(x1), 0.0))
+    x2 = float(_require_dose(x2))
+    return model.mu1.predict((float(x1), x2)) - model.mu0.predict((float(x1), 0.0))
 
 
 @dataclass(frozen=True)
@@ -147,7 +148,7 @@ class CateSurface:
     def to_json(self, path) -> None:
         write_json(path, {
             "x1_values": [float(b) for b in self.x1_values],
-            "x2_values": [int(v) for v in self.x2_values],
+            "x2_values": list(self.x2_values),
             "phi": [
                 [None if math.isnan(v) else float(v) for v in row] for row in self.phi
             ],
@@ -161,34 +162,32 @@ class CateSurface:
 def phi_surface(
     model: TLearnerModel, cohort: Cohort, x1_bins=None, x2_values=None
 ) -> CateSurface:
-    """Tabulate phi over a sorted grid; cell values match per-cell phi() calls.
+    """phi over a sorted grid: cell (x1, x2) is the mean over bin x1's members k
+    of mu1(x1_k, x2) - mu0(x1_k, x2_k), for x2 passing ``_require_dose`` (mu1
+    never saw a zero session count).  Defaults: all populated covariate bins,
+    and session counts 1..max observed plus the reference series.
 
-    Defaults: all populated covariate bins, and session counts 1..max
-    observed plus the reference series.
+    Only the requested bins' members are predicted, gathered bin after bin: each
+    cell is the mean of one slice, and a row's prediction ignores its batch.
     """
     if x2_values is None:
         x2_values = default_dose_probes(model, include_zero=False)
-    x2_values = tuple(sorted({int(v) for v in x2_values}))
-    for v in x2_values:
-        _require_dose(v)
+    x2_values = tuple(sorted(set(map(_require_dose, x2_values))))
     members = cohort.bin_members
     x1_bins = tuple(members) if x1_bins is None else tuple(sorted(set(x1_bins)))
 
-    X = np.column_stack([cohort.x1, cohort.x2])
+    present = [(r, members[b]) for r, b in enumerate(x1_bins) if b in members]
+    rows = np.concatenate([np.empty(0, np.intp)] + [part for _, part in present])
+    bounds = np.cumsum([0] + [part.size for _, part in present]).tolist()
+    X = np.column_stack([cohort.x1[rows], cohort.x2[rows]])
     mu0_obs = model.mu0.predict_many(X)
 
     grid = np.full((len(x1_bins), len(x2_values)), np.nan)
-    n_missing = 0
     for c, dose in enumerate(x2_values):
         X[:, 1] = dose
         diff = model.mu1.predict_many(X) - mu0_obs
-        for r, b in enumerate(x1_bins):
-            rows = members.get(b)
-            if rows is None:
-                n_missing += 1
-                continue
-            grid[r, c] = float(np.mean(diff[rows]))
+        for (r, _), start, end in zip(present, bounds, bounds[1:]):
+            grid[r, c] = np.mean(diff[start:end])
+    n_missing = (len(x1_bins) - len(present)) * len(x2_values)
     flags = tuple(bool(v < model.dose_min or v > model.dose_max) for v in x2_values)
-    return CateSurface(
-        x1_bins, x2_values, grid, model.dose_min, model.dose_max, flags, n_missing
-    )
+    return CateSurface(x1_bins, x2_values, grid, model.dose_min, model.dose_max, flags, n_missing)

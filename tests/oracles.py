@@ -275,6 +275,17 @@ def per_row_forest_mean(trees, X):
     return np.asarray(out, dtype=float)
 
 
+def phi_per_record(model, cohort, b, dose):
+    """phi the per-record way: each member of bin ``b`` predicted alone with
+    ``RegressionForest.predict``, the differences averaged with ``np.mean``."""
+    rows = cohort.bin_members[b]
+    diffs = [
+        model.mu1.predict((x1, float(dose))) - model.mu0.predict((x1, float(x2)))
+        for x1, x2 in zip(cohort.x1[rows], cohort.x2[rows])
+    ]
+    return float(np.mean(diffs))
+
+
 def load_cohort_rows(path, config=None, precision=1.0):
     """Cohort loading the per-cell way: one CSV record at a time, each cell
     parsed as it is met, the first bad cell raising.  Only the result types
@@ -343,6 +354,11 @@ def load_cohort_rows(path, config=None, precision=1.0):
             if cells[1] == "" or cells[8] == "":
                 n_dropped += 1
                 continue
+            if "\r" in cells[0] or "\0" in cells[0]:
+                raise ParseError(
+                    f"{path}: row {rownum}, column {names[0]!r}:"
+                    f" an id may not hold '\\r' or NUL: {cells[0]!r}"
+                )
             x1.append(parse_float(cells[1], rownum, names[1]))
             y.append(parse_float(cells[8], rownum, names[8]))
             counts.append([parse_count(cells[k], rownum, names[k]) for k in range(2, 8)])

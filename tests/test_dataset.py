@@ -3,7 +3,9 @@
 import csv
 import json
 import math
+import re
 import struct
+import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -66,6 +68,30 @@ def test_rejects_empty_and_singleton():
 def test_rejects_zero_variance():
     with pytest.raises(ZeroVariance):
         to_deviation([3.0, 3.0, 3.0])
+
+
+@pytest.mark.parametrize(
+    "scores",
+    [[1.0, math.inf], [0.0, 1e300, -1e300], [1e200, -1e200], [0.0, math.nan], [1e100, 1.01e100]],
+    ids=["inf", "sd_overflows", "beyond_range", "nan", "just_beyond"],
+)
+def test_rejects_scores_outside_the_value_rule(scores):
+    # outside the range the mean or sd is not finite: the outputs would be NaN, or all 50.0
+    with pytest.raises(DomainError, match=r"scores must be decimals in \[-1e\+100, 1e\+100\]"):
+        to_deviation(scores)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(min_value=-1e100, max_value=1e100), min_size=2, max_size=50))
+@example([1e100, -1e100])
+@example([1e100, 1e100, -1e100])
+@example([0.0, 5e-324])
+def test_deviation_is_finite_within_the_value_rule(scores):
+    try:
+        out = to_deviation(scores)
+    except ZeroVariance:
+        return
+    assert all(map(math.isfinite, out))
 
 
 @settings(max_examples=100, deadline=None)
@@ -149,6 +175,23 @@ def test_record_validation():
     assert (cohort.x1.tolist(), cohort.y.tolist()) == ([1e100, -1e100], [-1e100, 1e100])
     with pytest.raises(ValueError):
         Cohort((), [], [], [], np.zeros((0, len(AUX_FIELDS))), precision=0.0)
+
+
+@pytest.mark.parametrize(
+    "ids",
+    [(" a",), ("a\t",), ("a\u2028",), (1,), ("a\rb",), ("a\x00",), ("a\ud800",), (b"a",)],
+    ids=["lead_space", "trail_tab", "trail_u2028", "int", "cr", "nul", "surrogate", "bytes"],
+)
+def test_ids_outside_the_id_rule_rejected(ids):
+    # each would be changed by a save and load, refused by the loader, or unwritable
+    with pytest.raises(ValueError, match=re.escape(f"id {ids[0]!r} is not a UTF-8 str")):
+        Cohort(("ok",) + ids, [50.0, 40.0], [1, 0], [55.0, 45.0], np.zeros((2, 5), int))
+
+
+def test_ids_within_the_id_rule_accepted():
+    ids = ("", "a b", "a\nb", "x\u2028y", "\u00e9", "s0")
+    cohort = Cohort(ids, [50.0] * 6, [1, 0] * 3, [55.0] * 6, np.zeros((6, 5), int))
+    assert cohort.ids == ids
 
 
 @pytest.mark.parametrize(
@@ -338,10 +381,13 @@ _ROUND_TRIP_DECIMALS = (
     | st.floats()
 )
 _ROUND_TRIP_COUNTS = st.integers(-1, 2**63 - 1) | st.sampled_from([0, 1, 2**63 - 1])
-# ids are stripped printable text: the loader strips cells and reads every id as a string
-_ROUND_TRIP_IDS = st.text(
-    st.characters(codec="utf-8", categories=("L", "N", "P", "S", "Zs")), max_size=6
-).filter(lambda text: text == text.strip())
+# any text, surrogates included, and ints: an id outside Cohort's id rule raises ValueError
+_ROUND_TRIP_IDS = (
+    st.text(max_size=6)
+    | st.text(st.characters(exclude_categories=()), max_size=3)
+    | st.sampled_from([" a", "a\r", "a\rb", "a\nb", "a\ud800", "a\x00", "a\u2028", "\x85a", ""])
+    | st.integers()
+)
 
 
 @settings(max_examples=200, deadline=None)
@@ -362,7 +408,7 @@ def test_every_cohort_that_constructs_loads_back_equal(rows):
     try:
         cohort = Cohort(ids, x1, x2, y, np.array(aux, dtype=np.int64).reshape(len(ids), -1))
     except ValueError:
-        return  # outside the value rule
+        return  # outside the value rule or the id rule
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cohort.csv"
         save_cohort(cohort, path)
@@ -472,6 +518,19 @@ def test_count_limit_is_int64(tmp_path):
         load_cohort(_write(tmp_path, body))
 
 
+@pytest.mark.parametrize("chunk", [1, dataset._CHUNK_ROWS])
+@pytest.mark.parametrize("bad", ["a\rb", "a\x00b"], ids=["cr", "nul"])
+def test_quoted_id_with_carriage_return_or_nul_names_row_and_column(tmp_path, bad, chunk):
+    # the loader never builds a cohort that Cohort's id rule refuses
+    body = HEADER + '\na,50.0,1,0,0,0,0,0,55.0\n"' + bad + '",45.0,0,0,0,0,0,0,48.0\n'
+    with mock.patch.object(dataset, "_CHUNK_ROWS", chunk), pytest.raises(ParseError) as exc:
+        load_cohort(_write(tmp_path, body))
+    if "\x00" in bad and sys.version_info < (3, 11):
+        assert "row 3: line contains NUL" in str(exc.value)  # the csv reader refuses NUL here
+    else:
+        assert f"row 3, column 'id': an id may not hold '\\r' or NUL: {bad!r}" in str(exc.value)
+
+
 # --- the column-wise loader against the per-cell oracle -------------------------
 
 # twelve valid rows: both arms, an empty count, padded cells, distinct decimals
@@ -481,7 +540,7 @@ _DIFF_ROWS = tuple(
     for i in range(12)
 )
 _DIFF_CELLS = st.sampled_from(
-    ["", " ", "1_000", "+5", "٣", "nan", "inf", "1e101", "-1", str(2**63), "abc"]
+    ["", " ", "1_000", "+5", "٣", "nan", "inf", "1e101", "-1", str(2**63), "abc", "x\ry"]
 )
 # rows inserted whole: blank (as [], spaces, or all-empty fields), ragged, and
 # quoted cells that span lines
@@ -527,6 +586,7 @@ _CLEAN = dict(edits=[], inserts=[], chunk=2, line_end="\n")
 @example(n_rows=6, **{**_CLEAN, "edits": [(4, 2, str(2**63)), (4, 8, "")]})
 @example(n_rows=6, **{**_CLEAN, "edits": [(2, 1, "1_000"), (3, 4, "+5"), (4, 6, "٣")]})
 @example(n_rows=6, **{**_CLEAN, "inserts": [(2, [" "] * 9), (4, ["r", "5\n0"])]})
+@example(n_rows=6, **{**_CLEAN, "edits": [(3, 0, "x\ry")], "line_end": "\r\n"})  # a quoted id
 @given(
     n_rows=st.integers(0, len(_DIFF_ROWS)),
     edits=st.lists(

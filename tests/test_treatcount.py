@@ -1,15 +1,18 @@
 """Two-variable learner: base independence, the summand identity, surfaces."""
 
 import csv
+import functools
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catebench.errors import DomainError, EmptyArm, EmptyBin
 from catebench.forest import RegressionForest, TreeNode, TreeParams
-from catebench.synth import dose_recovery_scenario, generate
+from catebench.synth import MAX_DOSE, dose_recovery_scenario, generate
 from catebench.tlearner import att, fit_t_learner
 from catebench.treatcount import (
     REFERENCE_DOSES,
@@ -135,6 +138,27 @@ def test_phi_domain_and_empty_bin_errors():
         phi(model, cohort, 9999.0, 1)
 
 
+def test_fractional_session_count_raises_everywhere():
+    # 2.5 sessions is no count: truncated to 2 or evaluated as 2.5, one cell
+    # would have two values
+    cohort, _ = helpers.random_cohort(2)
+    model = fit_t_learner2(cohort, n_trees=4)
+    some_bin = next(iter(cohort.bin_members))
+    message = r"session count must be in 1\.\.1000 and a whole number, got 2\.5"
+    with pytest.raises(DomainError, match=message):
+        phi(model, cohort, some_bin, 2.5)
+    with pytest.raises(DomainError, match=message):
+        phi_surface(model, cohort, x2_values=[1, 2.5])
+    with pytest.raises(DomainError, match=message):
+        phi_summand(model, some_bin, 2.5)
+    for probe in (1.5, float("nan"), -1, MAX_DOSE + 1):
+        with pytest.raises(DomainError, match="whole number"):
+            check_base_independence(model, cohort, probe_x2=[0, probe])
+    assert phi(model, cohort, some_bin, 2.0) == phi(model, cohort, some_bin, 2)
+    assert phi_surface(model, cohort, x2_values=[2.0, np.int64(3)]).x2_values == (2, 3)
+    assert check_base_independence(model, cohort, probe_x2=[0.0, 2.0]).probes == (0, 2)
+
+
 def test_phi_finds_a_tenth_width_bin_by_its_decimal():
     # 257 * 0.1 is 25.700000000000003; the bin key is 25.7 itself
     x1 = [25.68, 25.71, 25.74, 25.69, 25.72, 30.0]
@@ -201,10 +225,12 @@ def test_surface_single_cell():
     some_bin = sorted(cohort.bin_members)[1]
     surface = phi_surface(model, cohort, x1_bins=[some_bin], x2_values=[5])
     assert surface.phi.shape == (1, 1)
-    assert surface.phi[0, 0] == phi(model, cohort, some_bin, 5)
+    assert surface.phi[0, 0] == oracles.phi_per_record(model, cohort, some_bin, 5)
 
 
 def test_surface_cells_match_phi_calls_exactly():
+    # the default surface, and phi as its one-cell view, against each member
+    # predicted alone
     cohort, _ = helpers.random_cohort(28, n=220)
     model = fit_t_learner2(cohort, seed=4, n_trees=10)
     doses = (1, 2, 3, 5, 10, 14)
@@ -212,7 +238,57 @@ def test_surface_cells_match_phi_calls_exactly():
     assert surface.x2_values == doses
     for r, b in enumerate(surface.x1_values):
         for c, dose in enumerate(doses):
-            assert surface.phi[r, c] == phi(model, cohort, b, dose)
+            expected = oracles.phi_per_record(model, cohort, b, dose)
+            assert surface.phi[r, c] == expected
+            assert phi(model, cohort, b, dose) == expected
+
+
+@functools.lru_cache(maxsize=None)
+def _surface_case():
+    cohort, _ = helpers.random_cohort(12, n=240)
+    model = fit_t_learner2(cohort, seed=3, n_trees=8)
+    return cohort, model, phi_surface(model, cohort, x2_values=range(1, 21))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_subset_surface_cells_equal_full_surface_cells(data):
+    cohort, model, full = _surface_case()
+    keys = sorted(cohort.bin_members)
+    bins = data.draw(st.lists(st.sampled_from(keys), unique=True, max_size=len(keys)))
+    absent = data.draw(st.floats(allow_nan=False).filter(lambda b: b not in cohort.bin_members))
+    doses = data.draw(st.lists(st.integers(1, 20), min_size=1, max_size=6, unique=True))
+    surface = phi_surface(model, cohort, x1_bins=bins + [absent], x2_values=doses)
+    assert surface.x1_values == tuple(sorted(bins + [absent]))
+    assert surface.x2_values == tuple(sorted(doses))
+    assert surface.n_missing == len(doses)
+    for r, b in enumerate(surface.x1_values):
+        for c, dose in enumerate(surface.x2_values):
+            cell = surface.phi[r, c]
+            if b == absent:
+                assert math.isnan(cell)
+            else:
+                assert cell == full.phi[keys.index(b), dose - 1]
+
+
+def test_one_cell_phi_predicts_only_its_bins_rows(monkeypatch):
+    cohort, _ = helpers.random_cohort(7)
+    model = fit_t_learner2(cohort, seed=1, n_trees=6)
+    some_bin = sorted(cohort.bin_members)[2]
+    rows = cohort.bin_members[some_bin]
+    calls = []
+    predict_many = RegressionForest.predict_many
+
+    def recording(self, X):
+        calls.append(X.tolist())  # a copy: the surface reuses X for each session count
+        return predict_many(self, X)
+
+    monkeypatch.setattr(RegressionForest, "predict_many", recording)
+    value = phi(model, cohort, some_bin, 4)
+    assert len(calls) == 2  # mu0 at the observed counts, then mu1 at 4 sessions
+    assert calls[0] == np.column_stack([cohort.x1[rows], cohort.x2[rows]]).tolist()
+    assert calls[1] == np.column_stack([cohort.x1[rows], np.full(rows.size, 4)]).tolist()
+    assert value == oracles.phi_per_record(model, cohort, some_bin, 4)
 
 
 def test_surface_ordering_flags_and_missing(tmp_path):
