@@ -26,6 +26,7 @@ from .errors import (
     EmptyBin,
     EmptyInput,
     EmptyOrSingleton,
+    Inconsistent,
     InvalidScenario,
     OutOfSupport,
     ParseError,

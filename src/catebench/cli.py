@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataset, linreg, synth, tlearner, treatcount
-from .errors import CatebenchError, EmptyInput, RankDeficient, SchemaError
+from .errors import CatebenchError, EmptyInput, Inconsistent, RankDeficient, SchemaError
 from .forest import TreeParams, export_tree, fit_tree
 
 TREE_FEATURES = ("proficiency", "f2f") + dataset.AUX_FIELDS
@@ -134,12 +134,10 @@ def cmd_phi(args) -> int:
     independence = treatcount.check_base_independence(model, cohort)
     if not independence.ok:
         first = independence.violations[0]
-        print(
+        raise Inconsistent(
             "internal consistency failure: control response depends on the"
-            f" session count (record {first[0]}, probe {first[1]})",
-            file=sys.stderr,
+            f" session count (record {first[0]}, probe {first[1]})"
         )
-        return 4
     surface = treatcount.phi_surface(model, cohort, x2_values=x2_values)
     a2 = treatcount.att2(model, cohort)
     out = _out_dir(args)

@@ -58,17 +58,20 @@ def to_deviation(raw_scores) -> list[float]:
     mean 50 and population sd 10.  Every score must pass the cohort's value
     rule (``in_decimal_range``), which keeps every intermediate finite;
     any other score, NaN or an infinity included, raises DomainError.
+    ZeroVariance is raised exactly when every score is equal; the deviations
+    are scaled by the largest before squaring, so no tiny spread underflows.
     """
     scores = np.asarray(list(raw_scores), dtype=float)
     if scores.size < 2:
         raise EmptyOrSingleton("need at least two scores to standardize")
     if not in_decimal_range(scores):
         raise DomainError(f"scores must be decimals in {DECIMAL_RANGE}")
-    mean = float(scores.mean())
-    sd = float(scores.std())
-    if sd == 0.0:
+    if scores.min() == scores.max():
         raise ZeroVariance("all scores are equal; deviation values are undefined")
-    return [10.0 * (s - mean) / sd + 50.0 for s in scores.tolist()]
+    deviations = scores - scores.mean()
+    unit = deviations / np.abs(deviations).max()  # in [-1, 1], one entry at +-1
+    rms = float(np.sqrt(np.mean(unit * unit)))  # in [1 / sqrt(n), 1]: sd / largest deviation
+    return [10.0 * u / rms + 50.0 for u in unit.tolist()]
 
 
 def _bin_error(v, precision) -> DomainError:
@@ -163,11 +166,14 @@ def _ids_ok(ids: tuple) -> bool:
 
 def _counts(values, name) -> np.ndarray:
     """``values`` as a new int64 array; a value that is not a nonnegative whole
-    number in int64's range (a negative, a fraction, NaN, an infinity) raises
-    ValueError, where a cast would truncate it or warn."""
+    number in int64's range (a negative, a fraction, NaN, an infinity, a uint64
+    above 2**63 - 1) raises ValueError, where a cast would truncate, wrap or
+    warn.  Integer columns never pass through float64, so each value is exact."""
     column = np.asarray(values)
     if column.dtype.kind in "bi":
         valid = column >= 0
+    elif column.dtype.kind == "u":
+        valid = column <= _COUNT_MAX
     else:
         column = column.astype(np.float64)
         valid = (column >= 0) & (column < 2.0**63) & (column == np.trunc(column))  # False at NaN
@@ -335,26 +341,6 @@ def _raise_first_error(path, rows, first_rownum, width, positions, names):
     raise RuntimeError(f"{path}: rows {first_rownum}.. failed the column checks but no row did")
 
 
-def _not_utf8(path, exc: UnicodeDecodeError) -> ParseError:
-    """The error for a file that is not UTF-8, with ``exc``'s byte and reason,
-    naming that byte's physical line (1-based; ``bytes.splitlines`` ends one at
-    "\\n", "\\r\\n" or a lone "\\r", as ``read_text`` and the csv module do).
-    The text layer decodes ahead of any reader, so the file is re-read line by line."""
-    lineno = 0
-    with path.open("rb") as fh:
-        for line in fh:
-            try:
-                line.decode("utf-8")
-            except UnicodeDecodeError as here:
-                lineno += len(line[: here.start + 1].splitlines())  # the bad byte ends no line
-                byte = exc.object[exc.start]
-                return ParseError(
-                    f"{path}: line {lineno}: byte 0x{byte:02x} is not UTF-8 ({exc.reason})"
-                )
-            lineno += len(line.splitlines())
-    raise RuntimeError(f"{path}: a UTF-8 decode failed, but every line decodes")
-
-
 def config_lines(text):
     """(line number, key, value) for each ``key = value`` line of ``read_text``'s
     text, stripped, past "#" comments and blank lines; value is None without "="."""
@@ -366,15 +352,20 @@ def config_lines(text):
 
 
 def read_text(path) -> str:
-    """A UTF-8 text file's contents, a byte order mark skipped; a byte that is
-    not UTF-8 raises ParseError naming the path and line."""
+    """A UTF-8 text file's contents, a byte order mark skipped, lines ended by
+    "\\n".  The one locator of a bad byte: a byte that is not UTF-8 raises
+    ParseError naming the path and the byte's physical line (1-based; a line
+    ends at "\\n", "\\r\\n" or a lone "\\r", as in the csv module)."""
     path = Path(path)
     try:
         # decoded whole: the incremental utf-8-sig decoder of a text stream
-        # reads a file that is only a truncated BOM (b"\xef", b"\xef\xbb") as ""
+        # reads a file that is only a truncated BOM (b"\xef", b"\xef\xbb") as "",
+        # and counts its error offsets from the start of one decode block
         text = path.read_bytes().decode("utf-8-sig")
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(path, exc) from None
+    except UnicodeDecodeError as exc:  # exc.object is the whole file past any BOM
+        lineno = len(exc.object[: exc.start + 1].splitlines())  # the bad byte ends no line
+        reason = f"byte 0x{exc.object[exc.start]:02x} is not UTF-8 ({exc.reason})"
+        raise ParseError(f"{path}: line {lineno}: {reason}") from None
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
@@ -385,7 +376,8 @@ def load_cohort(path, config: SchemaConfig | None = None, precision=1.0):
     report; empty count cells default to 0 (no sessions recorded).  The file
     is read in chunks of records, each converted column by column; an error
     names the first bad row (rows count CSV records, blank ones included) and
-    column, only the row for a record the csv module cannot read, or the
+    column, only the row for a record the csv module cannot read, or (from
+    ``read_text``, so only a file that fails to decode is read whole) the
     physical line of the first byte that is not UTF-8.
     """
     cfg = config or SchemaConfig.default()
@@ -423,8 +415,9 @@ def load_cohort(path, config: SchemaConfig | None = None, precision=1.0):
         except csv.Error as exc:
             # a record the csv module refuses, such as a field above its size limit
             raise ParseError(f"{path}: row {rownum}: {exc}") from None
-        except UnicodeDecodeError as exc:
-            raise _not_utf8(path, exc) from None  # rownum may lag the decoder
+        except UnicodeDecodeError:
+            read_text(path)  # raises the ParseError that names the bad byte's line
+            raise
     ids, x1, y, counts, n_rows, n_dropped = zip(*parts)
     x1, y, counts = (np.concatenate(column) for column in (x1, y, counts))
     cohort = Cohort(tuple(chain.from_iterable(ids)), x1, counts[:, 0], y, counts[:, 1:], precision)

@@ -5,7 +5,7 @@ class CatebenchError(Exception):
     """Base class for all package-specific errors.
 
     ``exit_code`` is the CLI's exit status for the error: 2 for bad input
-    unless a subclass says otherwise.
+    unless a subclass says otherwise (EmptyArm 3, Inconsistent 4, RankDeficient 5).
     """
 
     exit_code = 2
@@ -56,6 +56,12 @@ class EmptyBin(CatebenchError):
 class DomainError(CatebenchError):
     """A value lies outside its domain (e.g. session count 0, or a covariate
     with no finite bin key at the bin width)."""
+
+
+class Inconsistent(CatebenchError):
+    """A fitted model breaks an invariant its construction guarantees: a bug."""
+
+    exit_code = 4
 
 
 class RankDeficient(CatebenchError):

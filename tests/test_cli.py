@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from catebench import cli, errors
+from catebench import cli, errors, treatcount
 from catebench.cli import main
 from catebench.forest import TreeParams, export_tree, fit_tree
 from catebench.synth import MAX_DOSE, MAX_N
@@ -511,6 +511,22 @@ def test_phi_checks_x2_before_loading(tmp_path, capsys):
     assert "--x2" in capsys.readouterr().err
 
 
+def test_phi_independence_violation_exit_4_before_any_output(tmp_path, capsys, monkeypatch, synth_csv):
+    def violating(model, cohort, probe_x2=None):
+        return treatcount.IndependenceReport(cohort.n, (0, 1, 2), ((7, 2, 51.5, 50.0),))
+
+    monkeypatch.setattr(treatcount, "check_base_independence", violating)
+    out = tmp_path / "o"
+    assert main(["phi", "--input", str(synth_csv), "--out", str(out), "--trees", "2"]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: internal consistency failure: control response depends on the"
+        " session count (record 7, probe 2)\n"
+    )
+    assert captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "x2", [str(MAX_DOSE + 1), "2," + "1" + "0" * 400], ids=["1001", "400_digits"]
 )
@@ -653,7 +669,7 @@ def test_every_package_error_exits_with_its_code(tmp_path, capsys, monkeypatch, 
 
     monkeypatch.setattr(cli, "cmd_synth", handler)
     assert main(["synth", "--out", str(tmp_path / "o"), "--quiet"]) == error_class.exit_code
-    assert error_class.exit_code in {2, 3, 5}
+    assert error_class.exit_code in {2, 3, 4, 5}
     err = capsys.readouterr().err
     assert err == f"error: {exc}\n"
     assert "Traceback" not in err

@@ -46,6 +46,9 @@ def test_score_at_mean_maps_to_50():
 
 def test_two_point_symmetry_is_fixed():
     assert to_deviation([40.0, 60.0]) == [40.0, 60.0]
+    # the squared deviations of these underflow unless they are scaled first
+    for tiny in (1e-170, 3e-162, 5e-324):
+        assert to_deviation([tiny, -tiny]) == [60.0, 40.0]
 
 
 def test_matches_two_pass_oracle():
@@ -66,8 +69,10 @@ def test_rejects_empty_and_singleton():
 
 
 def test_rejects_zero_variance():
-    with pytest.raises(ZeroVariance):
-        to_deviation([3.0, 3.0, 3.0])
+    # the mean of the last two rounds off their common value, so their sd is not 0
+    for scores in ([3.0, 3.0, 3.0], [0.1, 0.1, 0.1], [0.7] * 7):
+        with pytest.raises(ZeroVariance):
+            to_deviation(scores)
 
 
 @pytest.mark.parametrize(
@@ -81,17 +86,23 @@ def test_rejects_scores_outside_the_value_rule(scores):
         to_deviation(scores)
 
 
+_SCORE = st.floats(min_value=-1e100, max_value=1e100)
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.floats(min_value=-1e100, max_value=1e100), min_size=2, max_size=50))
+@given(
+    st.lists(_SCORE, min_size=2, max_size=50)
+    | st.builds(lambda v, n: [v] * n, _SCORE, st.integers(2, 50))  # equal scores
+)
 @example([1e100, -1e100])
 @example([1e100, 1e100, -1e100])
 @example([0.0, 5e-324])
 def test_deviation_is_finite_within_the_value_rule(scores):
-    try:
-        out = to_deviation(scores)
-    except ZeroVariance:
+    if min(scores) == max(scores):  # ZeroVariance exactly then
+        with pytest.raises(ZeroVariance):
+            to_deviation(scores)
         return
-    assert all(map(math.isfinite, out))
+    assert all(map(math.isfinite, to_deviation(scores)))
 
 
 @settings(max_examples=100, deadline=None)
@@ -217,6 +228,21 @@ def test_whole_float_counts_accepted():
     cohort = Cohort(("a",), [50.0], [2.0], [1.0], np.zeros((1, len(AUX_FIELDS))))
     assert cohort.x2.dtype == cohort.aux.dtype == np.int64
     assert cohort.x2.tolist() == [2]
+
+
+def test_unsigned_counts_kept_exactly(tmp_path):
+    # through float64, 2**53 + 1 became 2**53 and 2**63 - 1 became 2**63, out of range
+    x2 = np.array([2**53 + 1, 2**63 - 1], dtype=np.uint64)
+    aux = np.array([[0, 2**53 + 1, 0, 0, 3], [1, 0, 0, 0, 0]], dtype=np.uint64)
+    cohort = Cohort(("a", "b"), [50.0, 51.0], x2, [1.0, 2.0], aux)
+    assert cohort.x2.dtype == cohort.aux.dtype == np.int64
+    assert cohort.x2.tolist() == [2**53 + 1, 2**63 - 1]
+    assert cohort.aux.tolist() == aux.tolist()
+    save_cohort(cohort, tmp_path / "u.csv")
+    loaded, _ = load_cohort(tmp_path / "u.csv")
+    assert loaded.x2.tolist() == cohort.x2.tolist() and loaded.aux.tolist() == cohort.aux.tolist()
+    with pytest.raises(ValueError, match="whole numbers, got 9223372036854775808"):
+        _one_student(x2=np.array(2**63, dtype=np.uint64))
 
 
 # --- summarize --------------------------------------------------------------
@@ -724,6 +750,32 @@ def test_non_utf8_byte_in_a_later_chunk_names_its_physical_line(tmp_path):
     with pytest.raises(ParseError) as err:
         load_cohort(path)
     assert str(err.value) == f"{path}: line {bad + 3}: byte 0xe9 is not UTF-8 (invalid continuation byte)"
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_non_utf8_byte_deep_in_a_cohort_names_its_line(tmp_path, end):
+    # line 3,212 of 5,001 lies far past the text layer's first decode block
+    rows = _cohort_rows(5000)
+    rows[3210] = "Jos\xe9,52,1,0,0,0,0,0,51"
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(end.join([HEADER, *rows, ""]).encode("latin-1"))
+    assert path.stat().st_size > 64 * 1024
+    with pytest.raises(ParseError) as err:
+        load_cohort(path)
+    assert str(err.value) == f"{path}: line 3212: byte 0xe9 is not UTF-8 (invalid continuation byte)"
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_non_utf8_byte_deep_in_a_schema_config_names_its_line(tmp_path, end):
+    lines = [f"# padding comment {i:04d} of a long schema config" for i in range(400)]
+    lines[300] = "# caf\xe9"
+    lines.append("proficiency = score")
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(end.join([*lines, ""]).encode("latin-1"))
+    assert path.stat().st_size > 8 * 1024
+    with pytest.raises(ParseError) as err:
+        SchemaConfig.from_file(path)
+    assert str(err.value) == f"{path}: line 301: byte 0xe9 is not UTF-8 (invalid continuation byte)"
 
 
 # --- the JSON writer -------------------------------------------------------------
