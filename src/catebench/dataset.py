@@ -60,6 +60,9 @@ def to_deviation(raw_scores) -> list[float]:
     any other score, NaN or an infinity included, raises DomainError.
     ZeroVariance is raised exactly when every score is equal; the deviations
     are scaled by the largest before squaring, so no tiny spread underflows.
+    Scores below 1 in magnitude are first multiplied, exactly, by the power
+    of two that puts the largest in [0.5, 1), so a mean of subnormal scores
+    is not rounded away.
     """
     scores = np.asarray(list(raw_scores), dtype=float)
     if scores.size < 2:
@@ -68,6 +71,9 @@ def to_deviation(raw_scores) -> list[float]:
         raise DomainError(f"scores must be decimals in {DECIMAL_RANGE}")
     if scores.min() == scores.max():
         raise ZeroVariance("all scores are equal; deviation values are undefined")
+    largest = float(np.abs(scores).max())
+    if largest < 1.0:
+        scores = np.ldexp(scores, -np.frexp(largest)[1])
     deviations = scores - scores.mean()
     unit = deviations / np.abs(deviations).max()  # in [-1, 1], one entry at +-1
     rms = float(np.sqrt(np.mean(unit * unit)))  # in [1 / sqrt(n), 1]: sd / largest deviation

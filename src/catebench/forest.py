@@ -1,8 +1,10 @@
 """Depth-limited CART regression trees and deterministically seeded bagging.
 
 Split search is exhaustive: candidate thresholds are the midpoints between
-consecutive distinct sorted values of each feature, scored by the summed
-squared error of the two children.  Ties break to the lowest feature index,
+consecutive distinct sorted values of each feature, scored by the gain
+``L²/n_L + R²/n_R`` of the children's sums of y less the node mean: the
+between-child sum of squares, highest where the children's squared error is
+least, and moved by no offset in y.  Ties break to the lowest feature index,
 then the lowest threshold.  A sample routes left iff its feature value is
 strictly below the threshold, so a value exactly at a threshold goes right.
 
@@ -12,10 +14,10 @@ what makes the two-variable control response ignore its session-count input.
 A fit works on the distinct feature rows.  Once per fit, every training row
 is keyed by its per-feature ``np.unique`` codes (-0.0 merges with 0.0), and
 each feature stable-orders the distinct rows.  A tree weights each distinct
-row by its bootstrap draw (``fit_tree`` draws every row once): a count, y
-and y² sums added in draw order, and a y min and max for the pure-node
-stop.  Counts are drawn rows, as ``min_samples_*`` and ``TreeNode.n`` read
-them.  Nodes split by cumulative sums over their distinct rows, and a child
+row by its bootstrap draw (``fit_tree`` draws every row once): a count and
+a y sum added in draw order, and a y min and max for the pure-node stop.
+Counts are drawn rows, as ``min_samples_*`` and ``TreeNode.n`` read them.
+Nodes split by cumulative sums over their distinct rows, and a child
 filters its parent's orders, so no node sorts.  Summing per distinct row
 only reassociates a per-row fit's sums: node means move by a few ulps, and
 a split only between partitions that tie in exact arithmetic.
@@ -129,44 +131,43 @@ def _distinct_rows(X):
     return values, key, np.array(order)
 
 
-def _partition_sse(w, s, mask):
-    # canonical score of a partition of the node's distinct rows, summed in
-    # key order, so candidates that split the rows alike score bitwise equal;
-    # the within-row spread, the same for every partition, is left out
-    sse = 0.0
-    for side in (mask, ~mask):
-        ws, ss = w.compress(side), s.compress(side)
-        d = ss / ws - ss.sum() / ws.sum()
-        sse += float((ws * d * d).sum())
-    return sse
+def _gain(n_left, left, n_right, right):  # between-child sum of squares
+    return left * left / n_left + right * right / n_right
 
 
-def _best_split(values, stats, order, min_leaf):
-    """Lowest-SSE (feature, threshold) among all midpoint candidates, or None;
-    ``order[j]`` is the node's distinct rows in stable order of ``values[j]``."""
+def _best_split(values, stats, order, mean, min_leaf):
+    """Highest-gain (feature, threshold) among all midpoint candidates, or
+    None; ``order[j]`` is the node's distinct rows in stable order of
+    ``values[j]`` and ``mean`` the node mean that centres their y sums."""
     found = []
     for j, (x, oj) in enumerate(zip(values, order)):
         sx = x.take(oj)
         cut = np.nonzero(sx[:-1] < sx[1:])[0]  # last index of each value block
         if cut.size == 0:
             continue
-        run = stats[:3].take(oj, axis=1).cumsum(axis=1)  # count, y sum, y² sum
+        run = stats[:2].take(oj, axis=1)
+        run[1] -= run[0] * mean
+        run = run.cumsum(axis=1)  # count, centred y sum
         left = run[:, cut]
         right = run[:, -1:] - left
         ok = (left[0] >= min_leaf) & (right[0] >= min_leaf)
         if not ok.any():
             continue
-        sse = (left[2] - left[1] ** 2 / left[0]) + (right[2] - right[1] ** 2 / right[0])
-        sse[~ok] = np.inf
-        k = int(np.argmin(sse))  # first minimum: lowest threshold wins ties
-        if np.isfinite(sse[k]):
+        gain = _gain(left[0], left[1], right[0], right[1])
+        gain[~ok] = -np.inf
+        k = int(np.argmax(gain))  # first maximum: lowest threshold wins ties
+        if np.isfinite(gain[k]):
             found.append((j, float((sx[cut[k]] + sx[cut[k] + 1]) / 2.0)))
     if len(found) < 2:
-        # a lone candidate is never compared, so its canonical SSE is not needed
+        # a lone candidate is never compared, so its partition gain is not needed
         return found[0] if found else None
-    count, total = stats[:2].take(order[0], axis=1)
-    scores = [_partition_sse(count, total, values[j].take(order[0]) < t) for j, t in found]
-    return found[scores.index(min(scores))]  # the first of equal scores: lowest feature
+    # each gain from the partition alone, summed in key order, so candidates
+    # that split the rows alike score bitwise equal
+    count, centred = stats[:2].take(order[0], axis=1)
+    centred -= count * mean
+    scores = [_gain(count[s].sum(), centred[s].sum(), count[~s].sum(), centred[~s].sum())
+              for s in (values[j].take(order[0]) < t for j, t in found)]
+    return found[scores.index(max(scores))]  # the first of equal scores: lowest feature
 
 
 def _child_order(order, keep):
@@ -176,14 +177,14 @@ def _child_order(order, keep):
 
 def _grow(values, stats, order, depth, params) -> TreeNode:
     """Grow a subtree.  ``stats`` holds each distinct row's drawn count, y
-    sum, y² sum, y min and y max; ``order[j]`` is the node's drawn distinct
-    rows in stable order of ``values[j]``, so ``order[0]`` is key order."""
-    count, total, _, lo, hi = stats.take(order[0], axis=1)
+    sum, y min and y max; ``order[j]`` is the node's drawn distinct rows in
+    stable order of ``values[j]``, so ``order[0]`` is key order."""
+    count, total, lo, hi = stats.take(order[0], axis=1)
     n = int(count.sum())
     node = TreeNode(n=n, mean=float(total.sum() / n))
     if depth >= params.max_depth or n < params.min_samples_split or lo.min() == hi.max():
         return node
-    found = _best_split(values, stats, order, params.min_samples_leaf)
+    found = _best_split(values, stats, order, node.mean, params.min_samples_leaf)
     if found is None:
         return node
     node.split = found
@@ -199,12 +200,10 @@ def _fit(values, key, order, y, draw, params) -> TreeNode:
     k = key.take(draw)
     yk = y.take(draw)
     size = order.shape[1]
-    stats = np.array([
-        np.bincount(k, minlength=size), np.bincount(k, yk, size), np.bincount(k, yk * yk, size),
-        np.full(size, np.inf), np.full(size, -np.inf),
-    ])
-    np.minimum.at(stats[3], k, yk)
-    np.maximum.at(stats[4], k, yk)
+    stats = np.array([np.bincount(k, minlength=size), np.bincount(k, yk, size),
+                      np.full(size, np.inf), np.full(size, -np.inf)])
+    np.minimum.at(stats[2], k, yk)
+    np.maximum.at(stats[3], k, yk)
     return _grow(values, stats, _child_order(order, stats[0] > 0), 0, params)
 
 

@@ -12,7 +12,7 @@ from .dataset import Cohort, write_csv, write_json
 from .errors import RankDeficient, Underdetermined
 from .tlearner import TLearnerModel
 
-# refuse a design matrix (with constant column) conditioned beyond this
+# refuse a centred design matrix conditioned beyond this
 _RANK_DEFICIENT_COND = 1e12
 
 
@@ -35,8 +35,12 @@ class OlsFit:
 def ols_fit(design, targets) -> OlsFit:
     """Least-squares fit of targets on the design columns plus a constant.
 
-    r_squared is 1 - SSE/SST, with the convention that a constant target
-    (SST = 0) fits perfectly.
+    The columns and the targets are centred on their means before the SVD,
+    and the intercept is recovered as ``mean(y) - mean(X) @ beta``, so an
+    offset in a column neither conditions the fit badly nor moves a slope;
+    RankDeficient is raised only when the centred columns are collinear (a
+    constant column among them).  r_squared is 1 - SSE/SST, with the
+    convention that a constant target (SST = 0) fits perfectly.
     """
     X = np.asarray(design, dtype=float)
     if X.ndim == 1:
@@ -48,20 +52,21 @@ def ols_fit(design, targets) -> OlsFit:
     if n <= p + 1:
         raise Underdetermined(f"need more than {p + 1} rows to fit {p} features, got {n}")
 
-    A = np.column_stack([np.ones(n), X])
-    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    x_mean, y_mean = X.mean(axis=0), y.mean()
+    Xc, yc = X - x_mean, y - y_mean
+    U, s, Vt = np.linalg.svd(Xc, full_matrices=False)
     cond = np.inf if s[-1] == 0.0 else float(s[0] / s[-1])
     if cond > _RANK_DEFICIENT_COND:
         raise RankDeficient(
             f"design matrix condition number {cond:.3g} exceeds {_RANK_DEFICIENT_COND:g}"
         )
-    beta = Vt.T @ (U.T @ y / s)
+    beta = Vt.T @ (U.T @ yc / s)
 
-    resid = y - A @ beta
-    sst = float(np.sum((y - y.mean()) ** 2))
+    resid = yc - Xc @ beta
+    sst = float(np.sum(yc ** 2))
     r2 = 1.0 if sst == 0.0 else 1.0 - float(resid @ resid) / sst
     r2 = min(1.0, max(0.0, r2))
-    return OlsFit(tuple(float(b) for b in beta[1:]), float(beta[0]), r2, n)
+    return OlsFit(tuple(float(b) for b in beta), float(y_mean - x_mean @ beta), r2, n)
 
 
 @dataclass(frozen=True)

@@ -76,11 +76,13 @@ def brute_force_tree(X, y, max_depth, min_split=2, min_leaf=1, depth=0):
 def per_node_sort_tree(X, y, max_depth, min_split=2, min_leaf=1, depth=0):
     """Reference CART that stable-argsorts every feature again at every node.
 
-    Same nested dicts as brute_force_tree, with the library's arithmetic: per
-    feature, the first minimum of the cumulative-sum child SSE over sorted
-    values picks the threshold; across features, the canonical partition SSE
-    (child deviations from their means, squared and summed) picks the feature,
-    first strict minimum winning.  Node means are numpy means in row order.
+    Same nested dicts as brute_force_tree, with the library's arithmetic: the
+    gain of a split is L*L/n_left + R*R/n_right, where L and R are the
+    children's sums of y minus the node mean.  Per feature, the first maximum
+    of the gain from cumulative sums over sorted values picks the threshold;
+    across features, the gain recomputed from each partition picks the
+    feature, first strict maximum winning.  Node means are numpy means in row
+    order.
     """
     node = {"n": int(y.size), "mean": float(y.mean()), "split": None}
     if depth >= max_depth or y.size < min_split or y.min() == y.max():
@@ -95,20 +97,18 @@ def per_node_sort_tree(X, y, max_depth, min_split=2, min_leaf=1, depth=0):
         ok = (n_left >= min_leaf) & (n_right >= min_leaf)
         if not ok.any():
             continue
-        csum, csq = np.cumsum(sy), np.cumsum(sy * sy)
-        sse = (csq[cut] - csum[cut] ** 2 / n_left) + (
-            csq[-1] - csq[cut] - (csum[-1] - csum[cut]) ** 2 / n_right
-        )
-        sse[~ok] = np.inf
-        k = int(np.argmin(sse))
-        if not np.isfinite(sse[k]):
+        csum = np.cumsum(sy - node["mean"])
+        gain = csum[cut] ** 2 / n_left + (csum[-1] - csum[cut]) ** 2 / n_right
+        gain[~ok] = -np.inf
+        k = int(np.argmax(gain))
+        if not np.isfinite(gain[k]):
             continue
         threshold = float((sx[cut[k]] + sx[cut[k] + 1]) / 2.0)
         mask = X[:, j] < threshold
-        dl = y[mask] - y[mask].mean()
-        dr = y[~mask] - y[~mask].mean()
-        canonical = float(dl @ dl + dr @ dr)
-        if best is None or canonical < best[0]:
+        dl = float(np.sum(y[mask] - node["mean"]))
+        dr = float(np.sum(y[~mask] - node["mean"]))
+        canonical = dl * dl / mask.sum() + dr * dr / (~mask).sum()
+        if best is None or canonical > best[0]:
             best = (canonical, j, threshold)
     if best is None:
         return node
@@ -137,13 +137,15 @@ def distinct_row_tree(X, y, draw, max_depth, min_split=2, min_leaf=1):
     A distinct row is a tuple of feature values, so -0.0 and 0.0 merge; it
     keeps the values of the first training row that has it, and the rows are
     kept in ascending tuple order.  The rows ``draw`` lists, repeats included,
-    are tallied per distinct row in draw order: count, y sum, y*y sum, y min
-    and max.  A node's size is its drawn count and its mean the numpy sum of
-    its rows' y sums over that count.  Per feature, the node's rows are
-    stable-sorted by value and the first minimum of the running-sum child SSE
-    picks the threshold.  Across features, the first strict minimum of the
-    between-row SSE picks the feature: each side's count times squared
-    deviation of a row's mean from the side's mean, numpy-summed in tuple order.
+    are tallied per distinct row in draw order: count, y sum, y min and max.
+    A node's size is its drawn count and its mean m the numpy sum of its rows'
+    y sums over that count.  A row's centred sum is its y sum minus count * m,
+    and a split's gain is L*L/n_left + R*R/n_right, L and R the children's
+    centred sums.  Per feature, the node's rows are stable-sorted by value,
+    running sums of count and centred sum give each threshold's gain, and the
+    first maximum picks the threshold.  Across features, the first strict
+    maximum of the gain recomputed from each partition, its centred sums
+    numpy-summed in tuple order, picks the feature.
     """
     keys = {}
     for row in X:
@@ -151,24 +153,21 @@ def distinct_row_tree(X, y, draw, max_depth, min_split=2, min_leaf=1):
         keys.setdefault(key, key)
     keys = sorted(keys.values())
     index = {key: d for d, key in enumerate(keys)}
-    tally = {}  # distinct row -> [count, y sum, y*y sum, y min, y max]
+    tally = {}  # distinct row -> [count, y sum, y min, y max]
     for i in draw:
         v = float(y[i])
-        t = tally.setdefault(index[tuple(float(x) for x in X[i])], [0, 0.0, 0.0, v, v])
+        t = tally.setdefault(index[tuple(float(x) for x in X[i])], [0, 0.0, v, v])
         t[0] += 1
         t[1] += v
-        t[2] += v * v
-        t[3] = min(t[3], v)
-        t[4] = max(t[4], v)
+        t[2] = min(t[2], v)
+        t[3] = max(t[3], v)
 
-    def side_sse(rows):
+    def gain(n_left, left, n_right, right):
+        return left * left / n_left + right * right / n_right
+
+    def side(rows, mean):
         count = sum(tally[d][0] for d in rows)
-        mean = np.sum(np.array([tally[d][1] for d in rows])) / count
-        terms = []
-        for d in rows:
-            dev = tally[d][1] / tally[d][0] - mean
-            terms.append(tally[d][0] * dev * dev)
-        return float(np.sum(np.array(terms)))
+        return count, float(np.sum(np.array([tally[d][1] - tally[d][0] * mean for d in rows])))
 
     def grow(rows, depth):
         n = sum(tally[d][0] for d in rows)
@@ -176,27 +175,25 @@ def distinct_row_tree(X, y, draw, max_depth, min_split=2, min_leaf=1):
         node = {"n": n, "mean": mean, "split": None}
         if depth >= max_depth or n < min_split:
             return node
-        if min(tally[d][3] for d in rows) == max(tally[d][4] for d in rows):
+        if min(tally[d][2] for d in rows) == max(tally[d][3] for d in rows):
             return node
         found = []
         for j in range(len(keys[0])):
             ordered = sorted(rows, key=lambda d: keys[d][j])
-            running, cw, cs, cq = [], 0, 0.0, 0.0
+            running, cw, cs = [], 0, 0.0
             for d in ordered:
-                cw, cs, cq = cw + tally[d][0], cs + tally[d][1], cq + tally[d][2]
-                running.append((cw, cs, cq))
+                cw, cs = cw + tally[d][0], cs + (tally[d][1] - tally[d][0] * mean)
+                running.append((cw, cs))
             best = None
             for i in range(len(ordered) - 1):
                 lo, hi = keys[ordered[i]][j], keys[ordered[i + 1]][j]
-                n_left, s_left, q_left = running[i]
+                n_left, s_left = running[i]
                 n_right = cw - n_left
                 if not lo < hi or n_left < min_leaf or n_right < min_leaf:
                     continue
-                sse = (q_left - s_left * s_left / n_left) + (
-                    cq - q_left - (cs - s_left) * (cs - s_left) / n_right
-                )
-                if best is None or sse < best[0]:
-                    best = (sse, (lo + hi) / 2.0)
+                g = gain(n_left, s_left, n_right, cs - s_left)
+                if best is None or g > best[0]:
+                    best = (g, (lo + hi) / 2.0)
             if best is not None:
                 found.append((j, best[1]))
         if not found:
@@ -204,10 +201,10 @@ def distinct_row_tree(X, y, draw, max_depth, min_split=2, min_leaf=1):
         if len(found) > 1:
             scored = []
             for j, threshold in found:
-                left = [d for d in rows if keys[d][j] < threshold]
-                right = [d for d in rows if not keys[d][j] < threshold]
-                scored.append((side_sse(left) + side_sse(right), j, threshold))
-            found = [min(scored, key=lambda t: t[0])[1:]]  # min keeps the first of equals
+                left = side([d for d in rows if keys[d][j] < threshold], mean)
+                right = side([d for d in rows if not keys[d][j] < threshold], mean)
+                scored.append((gain(*left, *right), j, threshold))
+            found = [max(scored, key=lambda t: t[0])[1:]]  # max keeps the first of equals
         j, threshold = found[0]
         node["split"] = (j, threshold)
         node["left"] = grow([d for d in rows if keys[d][j] < threshold], depth + 1)
@@ -251,6 +248,28 @@ def exact_bin_key(x, w):
     """Bin key in exact rational arithmetic: the nearest whole number of
     widths (ties to even) times the width's shortest decimal, rounded once."""
     return float(round(x / w) * Fraction(repr(w)))
+
+
+def exact_ols(X, y):
+    """Least squares with a constant column in exact rational arithmetic:
+    the normal equations solved by Gauss-Jordan elimination.  Returns
+    (slopes, intercept) as Fractions."""
+    rows = [[Fraction(1)] + [Fraction(float(v)) for v in row] for row in X]
+    ys = [Fraction(float(v)) for v in y]
+    p = len(rows[0])
+    system = [
+        [sum(r[i] * r[j] for r in rows) for j in range(p)] + [sum(r[i] * t for r, t in zip(rows, ys))]
+        for i in range(p)
+    ]
+    for i in range(p):
+        pivot = next(k for k in range(i, p) if system[k][i] != 0)
+        system[i], system[pivot] = system[pivot], system[i]
+        system[i] = [v / system[i][i] for v in system[i]]
+        for k in range(p):
+            if k != i:
+                system[k] = [a - system[k][i] * b for a, b in zip(system[k], system[i])]
+    beta = [system[i][p] for i in range(p)]
+    return beta[1:], beta[0]
 
 
 def fsum_mean(values):

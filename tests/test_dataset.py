@@ -49,6 +49,8 @@ def test_two_point_symmetry_is_fixed():
     # the squared deviations of these underflow unless they are scaled first
     for tiny in (1e-170, 3e-162, 5e-324):
         assert to_deviation([tiny, -tiny]) == [60.0, 40.0]
+    # the mean of these is not representable unless they are scaled first
+    assert to_deviation([0.0, 5e-324]) == [40.0, 60.0]
 
 
 def test_matches_two_pass_oracle():

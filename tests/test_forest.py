@@ -172,6 +172,25 @@ def test_forest_on_70000_distinct_values_splits_as_per_node_sort():
     _assert_same_structure(fitted, oracles.per_node_sort_forest(X, y, 2, 5, 2))
 
 
+@pytest.mark.parametrize("offset", [0.0, 1e6, -1e6, 1e9, -1e9, 1e12, -1e12])
+def test_an_offset_in_y_moves_no_split(offset):
+    # a step of 1 at x0 = 3.3 under noise sd 0.5, plus a rounded second
+    # feature: far from 0, a one-pass score Σy² - (Σy)²/n cancels to noise,
+    # so splits must come from sums that do not grow with the offset
+    params, n = TreeParams(max_depth=2), 60
+    for seed in range(25):
+        rng = np.random.default_rng(seed)
+        X = np.column_stack([rng.uniform(0, 6, n), np.round(rng.uniform(0, 6, n))])
+        y = (X[:, 0] >= 3.3) + rng.normal(0, 0.5, n) + offset
+        rows = [(X[i], y[i]) for i in range(n)]
+        oracles.assert_same_tree(fit_tree(rows, params), oracles.brute_force_tree(X, y, 2),
+                                 rel_tol=1e-12)
+        for i, tree in enumerate(fit_forest(rows, params, n_trees=3, seed=seed).trees):
+            draw = np.random.default_rng([seed, i]).integers(0, n, size=n)
+            oracles.assert_same_tree(tree, oracles.brute_force_tree(X[draw], y[draw], 2),
+                                     rel_tol=1e-12)
+
+
 def test_rows_without_features_fit_one_leaf():
     rows = [((), 1.0), ((), 2.0), ((), 6.0)]
     tree = fit_tree(rows, TreeParams(max_depth=3))

@@ -14,6 +14,7 @@ from catebench.synth import biased_dose_scenario, generate
 from catebench.tlearner import fit_t_learner
 
 import helpers
+import oracles
 
 
 def test_exact_linear_targets_recovered():
@@ -45,6 +46,22 @@ def test_matches_pseudo_inverse_oracle():
     beta = np.linalg.pinv(A) @ y  # independent solve path
     assert fit.intercept == pytest.approx(beta[0], abs=1e-8)
     assert fit.coefficients == pytest.approx(tuple(beta[1:]), abs=1e-8)
+
+
+def test_an_offset_in_a_column_moves_no_slope():
+    # x1 near 1e8 with a spread of 10: a design with a constant column is
+    # conditioned far beyond the 1e12 refusal, the centred columns are not
+    rng = np.random.default_rng(5)
+    n = 80
+    x1 = 1e8 + rng.uniform(0, 10, n)
+    x2 = rng.integers(0, 6, n).astype(float)
+    y = 0.3 * (x1 - 1e8) - 1.25 * x2 + rng.normal(0, 0.5, n)
+    X = np.column_stack([x1, x2])
+    fit = ols_fit(X, y)
+    slopes, intercept = oracles.exact_ols(X, y)
+    for got, want in zip(fit.coefficients, slopes, strict=True):
+        assert abs(got - float(want)) <= 1e-12 * abs(float(want))
+    assert abs(fit.intercept - float(intercept)) <= 1e-12 * abs(float(intercept))
 
 
 def test_rank_deficient_inputs():
