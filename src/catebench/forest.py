@@ -1,4 +1,5 @@
-"""Depth-limited CART regression trees and deterministically seeded bagging.
+"""Depth-limited CART regression trees, deterministically seeded bagging, and
+one forest predictor: a node table that a forest compiles once from its trees.
 
 Split search is exhaustive: candidate thresholds are the midpoints between
 consecutive distinct sorted values of each feature, scored by the gain
@@ -26,6 +27,7 @@ a split only between partitions that tie in exact arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -46,21 +48,16 @@ class TreeParams:
     min_samples_leaf: int = 1
 
     def __post_init__(self):
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
-        if self.min_samples_split < 1:
-            raise ValueError("min_samples_split must be >= 1")
-        if self.min_samples_leaf < 1:
-            raise ValueError("min_samples_leaf must be >= 1")
+        for name in ("max_depth", "min_samples_split", "min_samples_leaf"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
 
 
 @dataclass
 class TreeNode:
-    """A fitted node: sample count, mean outcome, and an optional split.
-
-    ``split`` is (feature index, threshold); internal nodes have both
-    children, leaves have neither.
-    """
+    """A fitted node as plain data.  ``split`` is (feature index, threshold);
+    internal nodes have both children, leaves neither.  A tree of d features
+    is predicted by ``RegressionForest((tree,), d)``."""
 
     n: int
     mean: float
@@ -71,23 +68,6 @@ class TreeNode:
     @property
     def is_leaf(self) -> bool:
         return self.split is None
-
-    def predict(self, x) -> float:
-        return float(self.predict_many(np.asarray([x], dtype=float))[0])
-
-    def predict_many(self, X: np.ndarray) -> np.ndarray:
-        out = np.empty(X.shape[0], dtype=float)
-        self._route(X, np.arange(X.shape[0]), out)
-        return out
-
-    def _route(self, X, idx, out):
-        if self.split is None:
-            out[idx] = self.mean
-            return
-        feature, threshold = self.split
-        mask = X[idx, feature] < threshold
-        self.left._route(X, idx[mask], out)
-        self.right._route(X, idx[~mask], out)
 
 
 def _coerce_rows(rows):
@@ -215,7 +195,11 @@ def fit_tree(rows, params: TreeParams | None = None) -> TreeNode:
 
 @dataclass(frozen=True)
 class RegressionForest:
-    """Bagged CART trees; the prediction is the mean of per-tree predictions."""
+    """Bagged CART trees; the prediction is the mean of per-tree predictions.
+
+    On first use the trees compile into one node table, in scikit-learn's
+    ``Tree`` layout: tree t's root is row t, and a leaf is its own child.
+    """
 
     trees: tuple
     feature_count: int
@@ -246,23 +230,36 @@ class RegressionForest:
             (np.searchsorted(thr, X[:, j], side="right"), thr.size + 1)
             for j, thr in enumerate(self.thresholds())
         ))
-        cells = X[first]
-        acc = self.trees[0].predict_many(cells)
-        for tree in self.trees[1:]:
-            acc += tree.predict_many(cells)
+        feature, threshold, left, right, mean, depth = self._table
+        cells = X.take(first, axis=0).ravel()
+        base = np.arange(first.size) * self.feature_count
+        acc = None
+        for root, levels in enumerate(depth):
+            node = np.full(first.size, root)
+            for _ in range(levels):
+                goes_left = cells.take(base + feature.take(node)) < threshold.take(node)
+                node = np.where(goes_left, left.take(node), right.take(node))
+            acc = mean.take(node) if acc is None else acc + mean.take(node)
         return (acc / len(self.trees))[inverse]
 
-    def thresholds(self) -> list:
-        """Sorted distinct split thresholds of every tree, one array per feature."""
-        found = [[] for _ in range(self.feature_count)]
-        stack = list(self.trees)
-        while stack:
-            node = stack.pop()
+    @cached_property
+    def _table(self):  # columns feature, threshold, left, right and mean; each tree's depth
+        queue = [(node, root, 0) for root, node in enumerate(self.trees)]
+        rows, depth = [], [0] * len(self.trees)
+        for i, (node, root, level) in enumerate(queue):  # breadth first, as the queue grows
+            kids = (i, i)
             if node.split is not None:
-                found[node.split[0]].append(node.split[1])
-                stack.append(node.left)
-                stack.append(node.right)
-        return [np.unique(np.asarray(values, dtype=float)) for values in found]
+                kids, depth[root] = (len(queue), len(queue) + 1), level + 1
+                queue += [(node.left, root, level + 1), (node.right, root, level + 1)]
+            rows.append((*(node.split or (0, np.nan)), *kids, node.mean))
+        feature, threshold, left, right, mean = map(np.array, zip(*rows))
+        return feature, threshold, left, right, mean.astype(float), depth
+
+    def thresholds(self) -> list:
+        """Sorted distinct thresholds of the node table's split rows, one array per feature."""
+        feature, threshold, left = self._table[:3]
+        split = left != np.arange(left.size)
+        return [np.unique(threshold[split & (feature == j)]) for j in range(self.feature_count)]
 
 
 def fit_forest(
@@ -298,7 +295,8 @@ def export_tree(tree: TreeNode, feature_names) -> TreeReport:
     """Render a fitted tree, one block per node in depth-first order.
 
     Internal nodes show ``<name> < <threshold>`` then the sample count and
-    mean outcome; terminal nodes have no splitting criterion.
+    mean outcome; terminal nodes have no splitting criterion.  A threshold is
+    in ``g`` format if that reads back as it, else whole; a mean keeps 6 digits.
     """
     names = list(feature_names)
     lines: list[str] = []
@@ -309,7 +307,9 @@ def export_tree(tree: TreeNode, feature_names) -> TreeReport:
         if node.split is not None:
             feature, threshold = node.split
             data["split"] = {"feature": feature, "name": names[feature], "threshold": threshold}
-            lines.append(f"{pad}{names[feature]} < {format(threshold, 'g')}")
+            text = format(threshold, "g")
+            text = text if float(text) == threshold else repr(float(threshold))
+            lines.append(f"{pad}{names[feature]} < {text}")
         lines.extend((f"{pad}n = {node.n}", f"{pad}mean = {format(node.mean, 'g')}"))
         if node.split is not None:
             data["left"] = walk(node.left, depth + 1)

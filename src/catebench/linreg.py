@@ -12,7 +12,7 @@ from .dataset import Cohort, write_csv, write_json
 from .errors import RankDeficient, Underdetermined
 from .tlearner import TLearnerModel
 
-# refuse a centred design matrix conditioned beyond this
+# refuse centred design columns, scaled to unit length, conditioned beyond this
 _RANK_DEFICIENT_COND = 1e12
 
 
@@ -37,10 +37,13 @@ def ols_fit(design, targets) -> OlsFit:
 
     The columns and the targets are centred on their means before the SVD,
     and the intercept is recovered as ``mean(y) - mean(X) @ beta``, so an
-    offset in a column neither conditions the fit badly nor moves a slope;
-    RankDeficient is raised only when the centred columns are collinear (a
-    constant column among them).  r_squared is 1 - SSE/SST, with the
-    convention that a constant target (SST = 0) fits perfectly.
+    offset in a column neither conditions the fit badly nor moves a slope.
+    RankDeficient is raised only when the centred columns are collinear:
+    when, each scaled to unit length, they are conditioned beyond 1e12, or
+    one of them is constant.  A column's scale alone is never refused; the
+    solve itself uses the unscaled centred columns.  r_squared is
+    1 - SSE/SST, with the convention that a constant target (SST = 0) fits
+    perfectly.
     """
     X = np.asarray(design, dtype=float)
     if X.ndim == 1:
@@ -54,12 +57,16 @@ def ols_fit(design, targets) -> OlsFit:
 
     x_mean, y_mean = X.mean(axis=0), y.mean()
     Xc, yc = X - x_mean, y - y_mean
-    U, s, Vt = np.linalg.svd(Xc, full_matrices=False)
-    cond = np.inf if s[-1] == 0.0 else float(s[0] / s[-1])
+    cond = np.inf  # a constant column
+    if (X.max(axis=0) > X.min(axis=0)).all():
+        # scaled to unit length, no column's units count against the fit
+        unit = np.linalg.svd(Xc / np.linalg.norm(Xc, axis=0), compute_uv=False)
+        cond = np.inf if unit[-1] == 0.0 else float(unit[0] / unit[-1])
     if cond > _RANK_DEFICIENT_COND:
         raise RankDeficient(
             f"design matrix condition number {cond:.3g} exceeds {_RANK_DEFICIENT_COND:g}"
         )
+    U, s, Vt = np.linalg.svd(Xc, full_matrices=False)
     beta = Vt.T @ (U.T @ yc / s)
 
     resid = yc - Xc @ beta

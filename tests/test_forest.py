@@ -222,7 +222,7 @@ def test_conservation_and_refit_invariants():
         check(node.right)
 
     check(tree)
-    preds = tree.predict_many(X)
+    preds = RegressionForest((tree,), 2).predict_many(X)
     root_sse = float(np.sum((y - y.mean()) ** 2))
     assert float(np.sum((y - preds) ** 2)) <= root_sse + 1e-9
 
@@ -237,7 +237,7 @@ def test_single_leaf_predicts_mean_everywhere():
 
 
 def test_boundary_value_routes_right():
-    tree = fit_tree(STUMP_ROWS, TreeParams(max_depth=1))
+    tree = RegressionForest((fit_tree(STUMP_ROWS, TreeParams(max_depth=1)),), 1)
     assert tree.predict([5.0]) == 10.0
     assert tree.predict([4.999]) == 0.0
     assert tree.predict([5.1]) == 10.0
@@ -262,15 +262,23 @@ def test_predict_many_agrees_with_scalar_predict():
         assert forest.predict(probe[i]) == batch[i]
 
 
-def _split_thresholds(forest):
+def _split_thresholds(forest, feature=None):
     found = set()
     stack = list(forest.trees)
     while stack:
         node = stack.pop()
         if node.split is not None:
-            found.add(node.split[1])
+            if feature in (None, node.split[0]):
+                found.add(node.split[1])
             stack += [node.left, node.right]
     return sorted(found)
+
+
+def _assert_thresholds_match_node_walk(forest):
+    got = forest.thresholds()
+    assert len(got) == forest.feature_count
+    for j, thr in enumerate(got):
+        assert thr.tolist() == _split_thresholds(forest, j)
 
 
 def _assert_matches_per_row_mean(forest, data):
@@ -322,9 +330,27 @@ def test_hand_built_forest_splitting_on_second_feature(data):
         node(1, 7.5, node(1, 2.5, leaf(-0.0), leaf(1e16)), leaf(0.3)),
         leaf(-3.0),
         node(0, 2.5, leaf(1.0), node(1, -1.0, leaf(2.0), leaf(1.0 / 3.0))),
+        # a depth-4 chain that alternates features, beside the lone leaf and the stumps
+        node(0, 5.0, leaf(0.5),
+             node(1, 0.5,
+                  node(0, 7.5, leaf(-2.0), node(1, 4.0, leaf(1e-3), leaf(9.0))),
+                  leaf(-1e16))),
     )
     forest = RegressionForest(trees, 2)
+    _assert_thresholds_match_node_walk(forest)
     _assert_matches_per_row_mean(forest, data)
+
+
+def test_thresholds_equal_a_node_walk():
+    rng = np.random.default_rng(12)
+    for d in (1, 2, 3):
+        X = np.round(rng.uniform(0, 10, size=(80, d)), 1)
+        y = rng.normal(0, 1, size=80)
+        rows = [(X[i], y[i]) for i in range(80)]
+        for depth in (1, 3):
+            forest = fit_forest(rows, TreeParams(max_depth=depth), n_trees=6, seed=d)
+            _assert_thresholds_match_node_walk(forest)
+            assert sum(thr.size for thr in forest.thresholds()) > 0
 
 
 # --- fit_forest -------------------------------------------------------------
@@ -362,6 +388,16 @@ def test_forest_prediction_within_outcome_hull(seed, n):
 
 
 # --- export_tree ------------------------------------------------------------
+
+
+def test_report_threshold_reads_back_as_the_split():
+    # 1e8 + 0.55 reads "1e+08" in six digits; the report writes it whole
+    rows = [((1e8 + 0.1 * i,), float(i > 5)) for i in range(12)]
+    tree = fit_tree(rows, TreeParams(max_depth=1))
+    report = export_tree(tree, ["x"])
+    assert report.text.splitlines()[0] == "x < 100000000.55"
+    assert float(report.text.splitlines()[0][4:]) == tree.split[1]
+    assert report.data["split"]["threshold"] == tree.split[1]
 
 
 def test_single_leaf_report_has_no_criterion():

@@ -64,6 +64,24 @@ def test_an_offset_in_a_column_moves_no_slope():
     assert abs(fit.intercept - float(intercept)) <= 1e-12 * abs(float(intercept))
 
 
+def test_a_column_scale_alone_is_not_refused():
+    # one column spans 1e13, the other six counts: the centred design is
+    # conditioned near 1.7e12, but scaled to unit length near 1
+    rng = np.random.default_rng(0)
+    X = np.column_stack([rng.uniform(0, 1e13, 100), rng.integers(0, 6, 100)])
+    y = rng.normal(0, 1, 100)
+    fit = ols_fit(X, y)
+    slopes, intercept = oracles.exact_ols(X, y)
+    for got, want in zip(fit.coefficients, slopes, strict=True):
+        assert abs(got - float(want)) <= 1e-12 * abs(float(want))
+    assert abs(fit.intercept - float(intercept)) <= 1e-12 * abs(float(intercept))
+    for x in (X[:, 0], X[:, 1]):
+        with pytest.raises(RankDeficient):
+            ols_fit(np.column_stack([x, 2.0 * x]), y)
+        with pytest.raises(RankDeficient):
+            ols_fit(np.column_stack([x, np.full(100, 0.1)]), y)
+
+
 def test_rank_deficient_inputs():
     rng = np.random.default_rng(3)
     x = rng.normal(0, 1, 30)
