@@ -1,8 +1,9 @@
 """Depth-limited CART regression trees, deterministically seeded bagging, and
 one forest predictor: a node table that a forest compiles once from its trees.
 
-Split search is exhaustive: candidate thresholds are the midpoints between
-consecutive distinct sorted values of each feature, scored by the gain
+Depth is the one setting.  Split search is exhaustive: candidate thresholds
+are the midpoints of consecutive distinct sorted values of each feature (the
+upper value where a midpoint rounds onto the lower), scored by the gain
 ``L²/n_L + R²/n_R`` of the children's sums of y less the node mean: the
 between-child sum of squares, highest where the children's squared error is
 least, and moved by no offset in y.  Ties break to the lowest feature index,
@@ -17,7 +18,8 @@ is keyed by its per-feature ``np.unique`` codes (-0.0 merges with 0.0), and
 each feature stable-orders the distinct rows.  A tree weights each distinct
 row by its bootstrap draw (``fit_tree`` draws every row once): a count and
 a y sum added in draw order, and a y min and max for the pure-node stop.
-Counts are drawn rows, as ``min_samples_*`` and ``TreeNode.n`` read them.
+``TreeNode.n`` counts drawn rows.  A node holds only drawn distinct rows and
+a threshold separates two values, so a split leaves drawn rows on each side.
 Nodes split by cumulative sums over their distinct rows, and a child
 filters its parent's orders, so no node sorts.  Summing per distinct row
 only reassociates a per-row fit's sums: node means move by a few ulps, and
@@ -31,7 +33,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyInput
+from .dataset import DECIMAL_RANGE, in_decimal_range
+from .errors import DimensionMismatch, DomainError, EmptyInput
 
 _SEED_SPACE = 2**64
 
@@ -43,14 +46,13 @@ def _tree_rng(seed: int, index: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class TreeParams:
+    """A tree's one setting: the depth it grows to, unless a node is pure."""
+
     max_depth: int = 2
-    min_samples_split: int = 2
-    min_samples_leaf: int = 1
 
     def __post_init__(self):
-        for name in ("max_depth", "min_samples_split", "min_samples_leaf"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        if self.max_depth < 1:
+            raise ValueError("max_depth must be >= 1")
 
 
 @dataclass
@@ -81,6 +83,8 @@ def _coerce_rows(rows):
     if X.ndim != 2:
         raise DimensionMismatch("feature vectors must be one-dimensional sequences")
     y = np.array([r[1] for r in rows], dtype=float)
+    if not (in_decimal_range(X) and in_decimal_range(y)):
+        raise DomainError(f"features and outcomes must be decimals in {DECIMAL_RANGE}")
     return X, y
 
 
@@ -115,9 +119,9 @@ def _gain(n_left, left, n_right, right):  # between-child sum of squares
     return left * left / n_left + right * right / n_right
 
 
-def _best_split(values, stats, order, mean, min_leaf):
-    """Highest-gain (feature, threshold) among all midpoint candidates, or
-    None; ``order[j]`` is the node's distinct rows in stable order of
+def _best_split(values, stats, order, mean):
+    """Highest-gain (feature, threshold) among all candidates, or None;
+    ``order[j]`` is the node's drawn distinct rows in stable order of
     ``values[j]`` and ``mean`` the node mean that centres their y sums."""
     found = []
     for j, (x, oj) in enumerate(zip(values, order)):
@@ -130,14 +134,10 @@ def _best_split(values, stats, order, mean, min_leaf):
         run = run.cumsum(axis=1)  # count, centred y sum
         left = run[:, cut]
         right = run[:, -1:] - left
-        ok = (left[0] >= min_leaf) & (right[0] >= min_leaf)
-        if not ok.any():
-            continue
-        gain = _gain(left[0], left[1], right[0], right[1])
-        gain[~ok] = -np.inf
-        k = int(np.argmax(gain))  # first maximum: lowest threshold wins ties
-        if np.isfinite(gain[k]):
-            found.append((j, float((sx[cut[k]] + sx[cut[k] + 1]) / 2.0)))
+        k = int(np.argmax(_gain(*left, *right)))  # first maximum: lowest threshold wins ties
+        lo, hi = float(sx[cut[k]]), float(sx[cut[k] + 1])
+        mid = (lo + hi) / 2.0
+        found.append((j, mid if lo < mid else hi))  # adjacent floats: mid rounds onto lo
     if len(found) < 2:
         # a lone candidate is never compared, so its partition gain is not needed
         return found[0] if found else None
@@ -162,9 +162,9 @@ def _grow(values, stats, order, depth, params) -> TreeNode:
     count, total, lo, hi = stats.take(order[0], axis=1)
     n = int(count.sum())
     node = TreeNode(n=n, mean=float(total.sum() / n))
-    if depth >= params.max_depth or n < params.min_samples_split or lo.min() == hi.max():
+    if depth >= params.max_depth or lo.min() == hi.max():
         return node
-    found = _best_split(values, stats, order, node.mean, params.min_samples_leaf)
+    found = _best_split(values, stats, order, node.mean)
     if found is None:
         return node
     node.split = found
@@ -187,10 +187,10 @@ def _fit(values, key, order, y, draw, params) -> TreeNode:
     return _grow(values, stats, _child_order(order, stats[0] > 0), 0, params)
 
 
-def fit_tree(rows, params: TreeParams | None = None) -> TreeNode:
+def fit_tree(rows, params: TreeParams = TreeParams()) -> TreeNode:
     """Fit one CART regression tree on (feature vector, outcome) pairs."""
     X, y = _coerce_rows(rows)
-    return _fit(*_distinct_rows(X), y, np.arange(y.size), params or TreeParams())
+    return _fit(*_distinct_rows(X), y, np.arange(y.size), params)
 
 
 @dataclass(frozen=True)
@@ -264,7 +264,7 @@ class RegressionForest:
 
 def fit_forest(
     rows,
-    params: TreeParams | None = None,
+    params: TreeParams = TreeParams(),
     n_trees: int = 100,
     seed: int = 0,
 ) -> RegressionForest:
@@ -274,7 +274,6 @@ def fit_forest(
     Trees are fitted one after another in the calling thread.
     """
     X, y = _coerce_rows(rows)
-    params = params or TreeParams()
     if n_trees < 1:
         raise ValueError("n_trees must be >= 1")
     distinct = _distinct_rows(X)

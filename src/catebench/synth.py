@@ -89,9 +89,7 @@ class DoseModel:
         doses = np.arange(1, self.max_dose + 1)
         if self.kind == "uniform":
             weights = np.ones(self.max_dose)
-        elif self.p >= 1.0:
-            weights = (doses == 1).astype(float)
-        else:
+        else:  # at p = 1 this is one weight on dose 1, since 0.0 ** 0 == 1.0
             weights = (1.0 - self.p) ** (doses - 1) * self.p
         return weights / weights.sum()
 

@@ -38,7 +38,7 @@ class TLearnerModel:
     dose_max: int
 
 
-def _fit_arms(cohort: Cohort, n_features, params, seed, n_trees):
+def _fit_arms(cohort: Cohort, n_features, params: TreeParams, seed, n_trees):
     """Fit mu1 on the treated rows and mu0 on the control rows, each in row
     order, over the first ``n_features`` of (x1, x2).
 
@@ -51,7 +51,6 @@ def _fit_arms(cohort: Cohort, n_features, params, seed, n_trees):
         raise EmptyArm("R1")
     if treated.all():
         raise EmptyArm("R0")
-    params = params or TreeParams()
     X = np.column_stack([cohort.x1, cohort.x2][:n_features])
 
     def fit(arm):
@@ -70,7 +69,7 @@ def _fit_arms(cohort: Cohort, n_features, params, seed, n_trees):
 
 def fit_t_learner(
     cohort: Cohort,
-    params: TreeParams | None = None,
+    params: TreeParams = TreeParams(),
     seed: int = 0,
     n_trees: int = 100,
 ) -> TLearnerModel:

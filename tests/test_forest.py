@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catebench.errors import DimensionMismatch, EmptyInput
+from catebench.errors import DimensionMismatch, DomainError, EmptyInput
 from catebench.forest import (
     RegressionForest,
     TreeNode,
@@ -66,19 +66,6 @@ def test_tie_breaks_to_lowest_feature_then_threshold():
     oracles.assert_same_tree(tree2, ref2)
 
 
-def test_min_samples_leaf_blocks_unbalanced_split():
-    rows = [((0.0,), 0.0), ((1.0,), 0.0), ((2.0,), 0.0), ((3.0,), 9.0)]
-    tree = fit_tree(rows, TreeParams(max_depth=1, min_samples_leaf=2))
-    assert tree.split is not None
-    assert tree.left.n >= 2 and tree.right.n >= 2
-
-
-def test_min_samples_split_stops_node():
-    rows = [((0.0,), 0.0), ((1.0,), 5.0), ((2.0,), 9.0)]
-    tree = fit_tree(rows, TreeParams(max_depth=3, min_samples_split=4))
-    assert tree.is_leaf
-
-
 def test_zero_variance_feature_never_selected():
     rng = np.random.default_rng(1)
     X = np.column_stack([rng.uniform(0, 10, 40), np.zeros(40)])
@@ -97,11 +84,13 @@ def test_zero_variance_feature_never_selected():
 
 @st.composite
 def tied_training_sets(draw):
-    """1-3 features over few distinct values (-0.0 beside 0.0), often a
-    constant column and duplicated rows, and outcomes with many ties."""
+    """1-3 features over few distinct values (-0.0 beside 0.0, and adjacent
+    floats, whose midpoint rounds onto the lower), often a constant column
+    and duplicated rows, and outcomes with many ties."""
     d = draw(st.integers(min_value=1, max_value=3))
     n = draw(st.integers(min_value=1, max_value=40))
-    value = st.sampled_from([-1.5, -0.0, 0.0, 0.25, 1.0, 2.0, 7.0])
+    adjacent = [50.0, float(np.nextafter(50.0, np.inf)), 2.0**53, 2.0**53 + 2]
+    value = st.sampled_from([-1.5, -0.0, 0.0, 0.25, 1.0, 2.0, 7.0] + adjacent)
     X = np.array(draw(st.lists(st.lists(value, min_size=d, max_size=d), min_size=n, max_size=n)))
     if draw(st.booleans()):
         X[:, draw(st.integers(min_value=0, max_value=d - 1))] = 3.0
@@ -115,20 +104,18 @@ def tied_training_sets(draw):
 @given(
     tied_training_sets(),
     st.integers(min_value=1, max_value=6),
-    st.integers(min_value=1, max_value=5),
-    st.integers(min_value=1, max_value=5),
     st.one_of(st.none(), st.integers(min_value=0, max_value=2**64)),
 )
-def test_split_search_equals_distinct_row_oracle_bitwise(data, depth, min_split, min_leaf, seed):
+def test_split_search_equals_distinct_row_oracle_bitwise(data, depth, seed):
     X, y = data
-    params = TreeParams(max_depth=depth, min_samples_split=min_split, min_samples_leaf=min_leaf)
+    params = TreeParams(max_depth=depth)
     rows = [(X[i], y[i]) for i in range(y.size)]
     if seed is None:
         fitted = [fit_tree(rows, params)]
-        refs = [oracles.distinct_row_tree(X, y, range(y.size), depth, min_split, min_leaf)]
+        refs = [oracles.distinct_row_tree(X, y, range(y.size), depth)]
     else:
         fitted = fit_forest(rows, params, n_trees=3, seed=seed).trees
-        refs = oracles.distinct_row_forest(X, y, 3, seed, depth, min_split, min_leaf)
+        refs = oracles.distinct_row_forest(X, y, 3, seed, depth)
     for tree, ref in zip(fitted, refs, strict=True):
         oracles.assert_same_tree(tree, ref, mean_tol=0.0)
 
@@ -150,16 +137,13 @@ def test_forest_splits_equal_per_node_sort_over_a_seed_sweep():
             X[:, -1] = 0.0  # a constant column, as mu0's session count
         y = rng.normal(50, 10, size=n)
         depth = int(rng.integers(1, 5))
-        params = TreeParams(max_depth=depth, min_samples_leaf=int(rng.integers(1, 4)))
+        params = TreeParams(max_depth=depth)
         rows = [(X[i], y[i]) for i in range(n)]
         _assert_same_structure(
             fit_forest(rows, params, n_trees=4, seed=seed).trees,
-            oracles.per_node_sort_forest(X, y, 4, seed, depth, 2, params.min_samples_leaf),
+            oracles.per_node_sort_forest(X, y, 4, seed, depth),
         )
-        _assert_same_structure(
-            [fit_tree(rows, params)],
-            [oracles.per_node_sort_tree(X, y, depth, 2, params.min_samples_leaf)],
-        )
+        _assert_same_structure([fit_tree(rows, params)], [oracles.per_node_sort_tree(X, y, depth)])
 
 
 def test_forest_on_70000_distinct_values_splits_as_per_node_sort():
@@ -197,6 +181,16 @@ def test_rows_without_features_fit_one_leaf():
     assert tree.is_leaf and tree.n == 3 and tree.mean == 3.0
     forest = fit_forest(rows, n_trees=4, seed=1)
     assert forest.predict(()) == sum(t.mean for t in forest.trees) / 4
+
+
+@pytest.mark.parametrize("bad", [1e101, -1e101, np.inf, np.nan])
+def test_values_outside_the_decimal_range_raise_domain_error(bad):
+    # sums, squares and midpoints of values in [-1e100, 1e100] stay finite
+    with pytest.raises(DomainError):
+        fit_tree([((bad,), 0.0), ((1.0,), 1.0)])
+    with pytest.raises(DomainError):
+        fit_forest([((0.0,), bad), ((1.0,), 1.0)], n_trees=1)
+    assert fit_tree([((-1e100,), -1e100), ((1e100,), 1e100)]).split == (0, 0.0)
 
 
 def test_empty_and_ragged_inputs():
@@ -449,5 +443,3 @@ def test_short_name_list_rejected():
 def test_params_validation():
     with pytest.raises(ValueError):
         TreeParams(max_depth=0)
-    with pytest.raises(ValueError):
-        TreeParams(min_samples_leaf=0)
