@@ -11,7 +11,6 @@ import argparse
 from pathlib import Path
 
 from catebench.dataset import save_cohort, summarize
-from catebench.forest import TreeParams
 from catebench.synth import generate, standard_biased_scenario
 from catebench.tlearner import effect_report, fit_t_learner
 
@@ -38,7 +37,7 @@ def main() -> None:
     print(f"naive outcome gap (treated - control): {naive:+.2f}")
     print(f"true average effect: {truth.true_ate:+.2f}")
 
-    model = fit_t_learner(cohort, TreeParams(max_depth=args.depth), args.seed, args.trees)
+    model = fit_t_learner(cohort, args.depth, args.seed, args.trees)
     report = effect_report(model, cohort)
     print(
         f"estimated: ate {report.ate:+.2f}, att {report.att:+.2f}, atu {report.atu:+.2f}"

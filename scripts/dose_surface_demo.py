@@ -10,7 +10,6 @@ the regression diagnostic.
 import argparse
 from pathlib import Path
 
-from catebench.forest import TreeParams
 from catebench.linreg import tau_dose_regression
 from catebench.synth import biased_dose_scenario, generate
 from catebench.tlearner import att, fit_t_learner
@@ -27,9 +26,8 @@ def main() -> None:
     args = parser.parse_args()
 
     cohort, truth = generate(biased_dose_scenario(args.n), seed=args.seed)
-    params = TreeParams(max_depth=args.depth)
-    model2 = fit_t_learner2(cohort, params, args.seed, args.trees)
-    model1 = fit_t_learner(cohort, params, args.seed, args.trees)
+    model2 = fit_t_learner2(cohort, args.depth, args.seed, args.trees)
+    model1 = fit_t_learner(cohort, args.depth, args.seed, args.trees)
 
     independence = check_base_independence(model2, cohort)
     print(f"base-response independence: {'ok' if independence.ok else 'VIOLATED'}")

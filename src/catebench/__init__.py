@@ -38,7 +38,6 @@ from .errors import (
 from .forest import (
     RegressionForest,
     TreeNode,
-    TreeParams,
     TreeReport,
     export_tree,
     fit_forest,

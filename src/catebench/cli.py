@@ -23,8 +23,9 @@ from pathlib import Path
 import numpy as np
 
 from . import dataset, linreg, synth, tlearner, treatcount
-from .errors import CatebenchError, EmptyInput, Inconsistent, RankDeficient, SchemaError
-from .forest import TreeParams, export_tree, fit_tree
+from .errors import (CatebenchError, DomainError, EmptyInput, Inconsistent, RankDeficient,
+                     SchemaError)
+from .forest import export_tree, fit_tree
 
 TREE_FEATURES = ("proficiency", "f2f") + dataset.AUX_FIELDS
 
@@ -63,10 +64,6 @@ def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _tree_params(args) -> TreeParams:
-    return TreeParams(max_depth=args.depth)
 
 
 def _parse_x2(raw: str) -> tuple:
@@ -113,7 +110,7 @@ def cmd_summarize(args) -> int:
 def cmd_cate(args) -> int:
     cohort, _ = _load(args)
     seed = _resolve_seed(args)
-    model = tlearner.fit_t_learner(cohort, _tree_params(args), seed, args.trees)
+    model = tlearner.fit_t_learner(cohort, args.depth, seed, args.trees)
     report = tlearner.effect_report(model, cohort)
     out = _out_dir(args)
     report.to_csv(out / "effect_report.csv")
@@ -130,7 +127,7 @@ def cmd_phi(args) -> int:
     x2_values = _parse_x2(args.x2) if args.x2 else None  # before any loading or fitting
     cohort, _ = _load(args)
     seed = _resolve_seed(args)
-    model = treatcount.fit_t_learner2(cohort, _tree_params(args), seed, args.trees)
+    model = treatcount.fit_t_learner2(cohort, args.depth, seed, args.trees)
     independence = treatcount.check_base_independence(model, cohort)
     if not independence.ok:
         first = independence.violations[0]
@@ -158,7 +155,7 @@ def cmd_phi(args) -> int:
                 "probes": [int(v) for v in independence.probes],
                 "n_violations": len(independence.violations),
             },
-            "params": dict(dataclasses.asdict(model.params), n_trees=model.n_trees),
+            "params": tlearner.summary_params(model),
         },
     )
     _say(
@@ -172,10 +169,14 @@ def cmd_phi(args) -> int:
 def cmd_tree(args) -> int:
     cohort, load_report = _load(args)
     names = [load_report.columns[c] for c in TREE_FEATURES]
+    # the tree fits floats, and a count float64 does not hold merges with a neighbour
+    for name, column in zip(names[1:], [cohort.x2, *cohort.aux.T]):
+        for count in column[column > 2**53].tolist():
+            if float(count) != count:
+                raise DomainError(f"column {name!r}: count {count} is above 2^53"
+                                  " and has no exact float")
     X = np.column_stack([cohort.x1, cohort.x2, cohort.aux])  # TREE_FEATURES order
-    # rows as numpy views: far lighter than nested lists, and the same arrays
-    # once fit_tree stacks them
-    tree = fit_tree(list(zip(X, cohort.y)), _tree_params(args))
+    tree = fit_tree(X, cohort.y, args.depth)
     report = export_tree(tree, names)
     out = _out_dir(args)
     _write_text(out / "tree.txt", report.text)
@@ -193,7 +194,7 @@ def cmd_dose_reg(args) -> int:
     if (cohort.x2 == cohort.x2[0]).all():
         raise RankDeficient("session count is constant across the cohort")
     seed = _resolve_seed(args)
-    model = tlearner.fit_t_learner(cohort, _tree_params(args), seed, args.trees)
+    model = tlearner.fit_t_learner(cohort, args.depth, seed, args.trees)
     fit, scatter = linreg.tau_dose_regression(cohort, model)
     out = _out_dir(args)
     fit.to_json(out / "ols.json")

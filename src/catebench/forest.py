@@ -1,14 +1,14 @@
 """Depth-limited CART regression trees, deterministically seeded bagging, and
 one forest predictor: a node table that a forest compiles once from its trees.
 
-Depth is the one setting.  Split search is exhaustive: candidate thresholds
-are the midpoints of consecutive distinct sorted values of each feature (the
-upper value where a midpoint rounds onto the lower), scored by the gain
-``L²/n_L + R²/n_R`` of the children's sums of y less the node mean: the
-between-child sum of squares, highest where the children's squared error is
-least, and moved by no offset in y.  Ties break to the lowest feature index,
-then the lowest threshold.  A sample routes left iff its feature value is
-strictly below the threshold, so a value exactly at a threshold goes right.
+Depth is the one setting, a plain int.  Split search is exhaustive: candidate
+thresholds are the midpoints of consecutive distinct sorted values of each
+feature (the upper value where a midpoint rounds onto the lower), scored by
+the gain ``L²/n_L + R²/n_R`` of the children's sums of y less the node mean:
+the between-child sum of squares, highest where the children's squared error
+is least, and moved by no offset in y.  Ties break to the lowest feature
+index, then the lowest threshold.  A sample routes left iff its feature value
+is strictly below the threshold, so a value exactly at a threshold goes right.
 
 A constant feature yields no candidates and can never be selected, which is
 what makes the two-variable control response ignore its session-count input.
@@ -44,17 +44,6 @@ def _tree_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng([seed % _SEED_SPACE, index])
 
 
-@dataclass(frozen=True)
-class TreeParams:
-    """A tree's one setting: the depth it grows to, unless a node is pure."""
-
-    max_depth: int = 2
-
-    def __post_init__(self):
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
-
-
 @dataclass
 class TreeNode:
     """A fitted node as plain data.  ``split`` is (feature index, threshold);
@@ -72,20 +61,25 @@ class TreeNode:
         return self.split is None
 
 
-def _coerce_rows(rows):
-    rows = list(rows)
-    if not rows:
-        raise EmptyInput("no training rows")
+def _training_set(X, y, max_depth, n_trees=1):
+    """Check the settings, then ``X`` as an (n, d) float matrix and ``y`` as n
+    floats inside the cohort's value rule; returns ``_distinct_rows(X)`` and y."""
+    if max_depth < 1:
+        raise ValueError("max_depth must be >= 1")
+    if n_trees < 1:
+        raise ValueError("n_trees must be >= 1")
     try:
-        X = np.array([r[0] for r in rows], dtype=float)
+        X = np.asarray(X, dtype=float)
     except ValueError as exc:
         raise DimensionMismatch("feature vectors differ in length") from exc
-    if X.ndim != 2:
-        raise DimensionMismatch("feature vectors must be one-dimensional sequences")
-    y = np.array([r[1] for r in rows], dtype=float)
+    y = np.asarray(y, dtype=float)
+    if not y.size:
+        raise EmptyInput("no training rows")
+    if X.ndim != 2 or y.shape != X.shape[:1]:
+        raise DimensionMismatch(f"expected (n, d) features, n outcomes; got {X.shape}, {y.shape}")
     if not (in_decimal_range(X) and in_decimal_range(y)):
         raise DomainError(f"features and outcomes must be decimals in {DECIMAL_RANGE}")
-    return X, y
+    return (*_distinct_rows(X), y)
 
 
 def _cells(n, codes):
@@ -155,26 +149,26 @@ def _child_order(order, keep):
     return np.compress(keep.take(order).ravel(), order).reshape(order.shape[0], -1)
 
 
-def _grow(values, stats, order, depth, params) -> TreeNode:
+def _grow(values, stats, order, depth, max_depth) -> TreeNode:
     """Grow a subtree.  ``stats`` holds each distinct row's drawn count, y
     sum, y min and y max; ``order[j]`` is the node's drawn distinct rows in
     stable order of ``values[j]``, so ``order[0]`` is key order."""
     count, total, lo, hi = stats.take(order[0], axis=1)
     n = int(count.sum())
     node = TreeNode(n=n, mean=float(total.sum() / n))
-    if depth >= params.max_depth or lo.min() == hi.max():
+    if depth >= max_depth or lo.min() == hi.max():
         return node
     found = _best_split(values, stats, order, node.mean)
     if found is None:
         return node
     node.split = found
     left = values[found[0]] < found[1]
-    node.left = _grow(values, stats, _child_order(order, left), depth + 1, params)
-    node.right = _grow(values, stats, _child_order(order, ~left), depth + 1, params)
+    node.left = _grow(values, stats, _child_order(order, left), depth + 1, max_depth)
+    node.right = _grow(values, stats, _child_order(order, ~left), depth + 1, max_depth)
     return node
 
 
-def _fit(values, key, order, y, draw, params) -> TreeNode:
+def _fit(values, key, order, y, draw, max_depth) -> TreeNode:
     """One tree on the training rows ``draw`` lists, repeats included, as
     weights on the distinct rows of ``_distinct_rows``."""
     k = key.take(draw)
@@ -184,13 +178,13 @@ def _fit(values, key, order, y, draw, params) -> TreeNode:
                       np.full(size, np.inf), np.full(size, -np.inf)])
     np.minimum.at(stats[2], k, yk)
     np.maximum.at(stats[3], k, yk)
-    return _grow(values, stats, _child_order(order, stats[0] > 0), 0, params)
+    return _grow(values, stats, _child_order(order, stats[0] > 0), 0, max_depth)
 
 
-def fit_tree(rows, params: TreeParams = TreeParams()) -> TreeNode:
-    """Fit one CART regression tree on (feature vector, outcome) pairs."""
-    X, y = _coerce_rows(rows)
-    return _fit(*_distinct_rows(X), y, np.arange(y.size), params)
+def fit_tree(X, y, max_depth: int = 2) -> TreeNode:
+    """Fit one CART regression tree on an (n, d) feature matrix and n outcomes."""
+    *data, y = _training_set(X, y, max_depth)
+    return _fit(*data, y, np.arange(y.size), max_depth)
 
 
 @dataclass(frozen=True)
@@ -264,22 +258,23 @@ class RegressionForest:
 
 def fit_forest(
     rows,
-    params: TreeParams = TreeParams(),
+    max_depth: int = 2,
     n_trees: int = 100,
     seed: int = 0,
 ) -> RegressionForest:
-    """Bag ``n_trees`` trees; tree i fits n rows drawn with replacement from
-    the (seed, i) stream.  ``fit_tree`` fits one tree on every row in order.
+    """Bag ``n_trees`` trees of depth ``max_depth``; tree i fits n rows drawn
+    with replacement from the (seed, i) stream.
 
-    Trees are fitted one after another in the calling thread.
+    ``rows`` are (feature vector, outcome) pairs, unzipped into ``fit_tree``'s
+    (X, y) checks, because ``perfbench/spans.py`` counts a forest's training
+    rows by iterating them.  Trees are fitted one after another in the
+    calling thread.
     """
-    X, y = _coerce_rows(rows)
-    if n_trees < 1:
-        raise ValueError("n_trees must be >= 1")
-    distinct = _distinct_rows(X)
-    trees = [_fit(*distinct, y, _tree_rng(seed, i).integers(0, y.size, size=y.size), params)
+    rows = list(rows)
+    *data, y = _training_set([r[0] for r in rows], [r[1] for r in rows], max_depth, n_trees)
+    trees = [_fit(*data, y, _tree_rng(seed, i).integers(0, y.size, size=y.size), max_depth)
              for i in range(n_trees)]
-    return RegressionForest(tuple(trees), X.shape[1])
+    return RegressionForest(tuple(trees), len(data[0]))
 
 
 @dataclass(frozen=True)

@@ -11,25 +11,25 @@ arm's prediction.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import Cohort, write_csv, write_json
 from .errors import EmptyArm
-from .forest import RegressionForest, TreeParams, fit_forest
+from .forest import RegressionForest, fit_forest
 
 
 @dataclass(frozen=True)
 class TLearnerModel:
     """A response forest per arm over [x1] or, for the session-count
-    estimator, [x1, x2], with the settings both were fitted with.
-    ``dose_min``/``dose_max`` are the treated arm's observed session-count
-    range."""
+    estimator, [x1, x2], with the depth, forest size and seed both were
+    fitted with.  ``dose_min``/``dose_max`` are the treated arm's observed
+    session-count range."""
 
     mu1: RegressionForest
     mu0: RegressionForest
-    params: TreeParams
+    max_depth: int
     n_trees: int
     seed: int
     n_treated: int
@@ -38,7 +38,7 @@ class TLearnerModel:
     dose_max: int
 
 
-def _fit_arms(cohort: Cohort, n_features, params: TreeParams, seed, n_trees):
+def _fit_arms(cohort: Cohort, n_features, max_depth: int, seed, n_trees):
     """Fit mu1 on the treated rows and mu0 on the control rows, each in row
     order, over the first ``n_features`` of (x1, x2).
 
@@ -56,25 +56,25 @@ def _fit_arms(cohort: Cohort, n_features, params: TreeParams, seed, n_trees):
     def fit(arm):
         # rows go first and as (features, y) pairs: perfbench/spans.py counts them there
         rows = list(zip(X[arm].tolist(), cohort.y[arm].tolist()))
-        return fit_forest(rows, params, n_trees, seed)
+        return fit_forest(rows, max_depth, n_trees, seed)
 
     mu1, mu0 = fit(treated), fit(~treated)
     n_treated = int(treated.sum())
     doses = cohort.x2[treated]
     return TLearnerModel(
-        mu1, mu0, params, n_trees, seed, n_treated, cohort.n - n_treated,
+        mu1, mu0, max_depth, n_trees, seed, n_treated, cohort.n - n_treated,
         int(doses.min()), int(doses.max()),
     )
 
 
 def fit_t_learner(
     cohort: Cohort,
-    params: TreeParams = TreeParams(),
+    max_depth: int = 2,
     seed: int = 0,
     n_trees: int = 100,
 ) -> TLearnerModel:
     """Fit mu1 on treated (x1, y) pairs and mu0 on control pairs."""
-    return _fit_arms(cohort, 1, params, seed, n_trees)
+    return _fit_arms(cohort, 1, max_depth, seed, n_trees)
 
 
 def cate_tau(model: TLearnerModel, x1) -> float:
@@ -111,6 +111,10 @@ def atu(model: TLearnerModel, cohort: Cohort) -> float:
     return float(np.mean(mu1 - cohort.y[control]))
 
 
+def summary_params(fitted) -> dict:  # summary.json's "params", from a model or a report
+    return {"max_depth": fitted.max_depth, "n_trees": fitted.n_trees}
+
+
 @dataclass(frozen=True)
 class EffectRow:
     x1: float
@@ -131,7 +135,7 @@ class EffectReport:
     n_treated: int
     n_control: int
     seed: int
-    params: TreeParams
+    max_depth: int
     n_trees: int
 
     def summary_dict(self) -> dict:
@@ -143,7 +147,7 @@ class EffectReport:
             "n_treated": self.n_treated,
             "n_control": self.n_control,
             "seed": self.seed,
-            "params": dict(asdict(self.params), n_trees=self.n_trees),
+            "params": summary_params(self),
         }
 
     def to_csv(self, path) -> None:
@@ -174,6 +178,6 @@ def effect_report(model: TLearnerModel, cohort: Cohort) -> EffectReport:
         n_treated,
         cohort.n - n_treated,
         model.seed,
-        model.params,
+        model.max_depth,
         model.n_trees,
     )

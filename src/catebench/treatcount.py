@@ -19,7 +19,7 @@ import numpy as np
 from .dataset import Cohort, write_csv, write_json
 from .errors import DomainError, EmptyBin
 # unused here, but perfbench/spans.py wraps fit_forest in this module by name
-from .forest import TreeParams, fit_forest  # noqa: F401
+from .forest import fit_forest  # noqa: F401
 from .synth import MAX_DOSE
 from .tlearner import TLearnerModel, _fit_arms, att as att2  # noqa: F401  (att2 is att)
 
@@ -29,12 +29,12 @@ REFERENCE_DOSES = (1, 2, 3, 5, 10, 14)
 
 def fit_t_learner2(
     cohort: Cohort,
-    params: TreeParams = TreeParams(),
+    max_depth: int = 2,
     seed: int = 0,
     n_trees: int = 100,
 ) -> TLearnerModel:
     """Fit mu1 on treated (x1, x2, y) and mu0 on control (x1, 0, y)."""
-    return _fit_arms(cohort, 2, params, seed, n_trees)
+    return _fit_arms(cohort, 2, max_depth, seed, n_trees)
 
 
 def default_dose_probes(model: TLearnerModel, include_zero: bool = True) -> tuple:

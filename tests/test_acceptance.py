@@ -12,7 +12,7 @@ import numpy as np
 
 from catebench.cli import main
 from catebench.dataset import summarize, to_deviation
-from catebench.forest import TreeParams, fit_tree
+from catebench.forest import fit_tree
 from catebench.linreg import ols_fit, tau_dose_regression
 from catebench.synth import (
     biased_dose_scenario,
@@ -39,7 +39,7 @@ def test_criterion_01_bias_inversion():
     cohort, _ = generate(standard_biased_scenario(10_000), seed=20260810)
     summary = summarize(cohort)
     naive_gap = summary.mean_y_control - summary.mean_y_treated
-    model = fit_t_learner(cohort, TreeParams(max_depth=4), seed=7, n_trees=100)
+    model = fit_t_learner(cohort, max_depth=4, seed=7, n_trees=100)
     estimated = ate(model, cohort)
     elapsed = time.perf_counter() - started
     ok = naive_gap >= 1.0 and 2.0 <= estimated <= 4.0 and elapsed < 10.0
@@ -103,7 +103,7 @@ def test_criterion_05_split_optimality():
         else:
             X = rng.uniform(0, 10, size=(n, d))
         y = rng.normal(50, 10, size=n)
-        tree = fit_tree([(X[i], y[i]) for i in range(n)], TreeParams(max_depth=depth))
+        tree = fit_tree(X, y, depth)
         reference = oracles.brute_force_tree(X, y, max_depth=depth)
         try:
             oracles.assert_same_tree(tree, reference)
@@ -122,7 +122,7 @@ def test_criterion_05_split_optimality():
 def test_criterion_06_dose_recovery():
     started = time.perf_counter()
     cohort, _ = generate(dose_recovery_scenario(20_000), seed=11)
-    model = fit_t_learner2(cohort, TreeParams(max_depth=3), seed=3, n_trees=200)
+    model = fit_t_learner2(cohort, max_depth=3, seed=3, n_trees=200)
     bins = [b for b in sorted(cohort.bin_members) if 35 <= b <= 65]
     surface = phi_surface(model, cohort, x1_bins=bins, x2_values=range(1, 11))
     target = 1.0 + 0.5 * np.arange(1, 11)
@@ -166,7 +166,7 @@ def test_criterion_07_ols_exactness_and_dose_sign():
     positive_signs = 0
     for seed in range(25):
         cohort, _ = generate(biased_dose_scenario(6_000), seed=seed)
-        model = fit_t_learner(cohort, TreeParams(max_depth=4), seed=seed, n_trees=60)
+        model = fit_t_learner(cohort, max_depth=4, seed=seed, n_trees=60)
         fit, _ = tau_dose_regression(cohort, model)
         if fit.coefficients[1] > 0:
             positive_signs += 1

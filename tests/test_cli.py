@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from catebench import cli, errors, treatcount
 from catebench.cli import main
-from catebench.forest import TreeParams, export_tree, fit_tree
+from catebench.forest import export_tree, fit_tree
 from catebench.synth import MAX_DOSE, MAX_N
 from catebench.treatcount import REFERENCE_DOSES
 
@@ -612,11 +612,9 @@ def test_tree_report_matches_library_export(tmp_path):
     out = tmp_path / "tree"
     assert main(["tree", "--input", str(path), "--out", str(out), "--depth", "1", "--quiet"]) == 0
 
-    feature_rows = [
-        ((x1, float(f2f), 0.0, 0.0, 0.0, 0.0, 0.0), y) for (x1, f2f, y) in rows
-    ]
+    X = [(x1, float(f2f), 0.0, 0.0, 0.0, 0.0, 0.0) for (x1, f2f, _) in rows]
     expected = export_tree(
-        fit_tree(feature_rows, TreeParams(max_depth=1)),
+        fit_tree(X, [y for (_, _, y) in rows], 1),
         ["proficiency", "f2f", "remote", "basic_class", "exercises", "videos", "references"],
     )
     assert (out / "tree.txt").read_text() == expected.text
@@ -655,6 +653,26 @@ def test_tree_adjacent_float_counts_split_into_two_halves(tmp_path):
     assert (payload["left"]["n"], payload["right"]["n"]) == (10, 10)
     assert (payload["left"]["mean"], payload["right"]["mean"]) == (0.0, 1.0)
     assert "nan" not in (out / "tree.txt").read_text()
+
+
+@pytest.mark.parametrize("column", ["f2f", "references"])
+def test_tree_count_float64_cannot_hold_exit_2(tmp_path, capsys, column):
+    # 2**53 + 1 reads back exact, but as a float it is 2**53: the tree would
+    # see one value and fit one leaf
+    names = HEADER.split(",")
+    body = HEADER + "\n"
+    for i in range(20):
+        cells = ["s%d" % i, "50.0", "1", "0", "0", "0", "0", "0", str(float(i % 2))]
+        cells[names.index(column)] = str(2**53 + i % 2)
+        body += ",".join(cells) + "\n"
+    path = tmp_path / "huge.csv"
+    path.write_text(body, encoding="utf-8")
+    out = tmp_path / "tree"
+    assert main(["tree", "--input", str(path), "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: column '{column}': count {2**53 + 1} is above 2^53")
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 # --- dose-reg --------------------------------------------------------------

@@ -5,34 +5,36 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from catebench.dataset import Cohort
 from catebench.errors import DimensionMismatch, DomainError, EmptyInput
 from catebench.forest import (
     RegressionForest,
     TreeNode,
-    TreeParams,
     export_tree,
     fit_forest,
     fit_tree,
 )
+from catebench.tlearner import fit_t_learner
+from catebench.treatcount import fit_t_learner2
 
 import oracles
 
 STUMP_ROWS = [((0.0,), 0.0), ((0.0,), 0.0), ((10.0,), 10.0), ((10.0,), 10.0)]
+STUMP_X, STUMP_Y = [[0.0], [0.0], [10.0], [10.0]], [0.0, 0.0, 10.0, 10.0]
 
 
 # --- fit_tree ---------------------------------------------------------------
 
 
 def test_constant_outcome_is_single_leaf():
-    rows = [((float(i),), 7.0) for i in range(6)]
-    tree = fit_tree(rows)
+    tree = fit_tree([[float(i)] for i in range(6)], [7.0] * 6)
     assert tree.is_leaf
     assert tree.mean == 7.0
     assert tree.n == 6
 
 
 def test_stump_splits_at_midpoint():
-    tree = fit_tree(STUMP_ROWS, TreeParams(max_depth=1))
+    tree = fit_tree(STUMP_X, STUMP_Y, 1)
     assert tree.split == (0, 5.0)
     assert tree.left.mean == 0.0 and tree.left.n == 2
     assert tree.right.mean == 10.0 and tree.right.n == 2
@@ -46,8 +48,7 @@ def test_random_instances_match_brute_force():
         d = int(rng.integers(1, 3))
         X = rng.uniform(0, 10, size=(n, d))
         y = rng.normal(50, 10, size=n)
-        params = TreeParams(max_depth=2)
-        tree = fit_tree([(X[i], y[i]) for i in range(n)], params)
+        tree = fit_tree(X, y, 2)
         ref = oracles.brute_force_tree(X, y, max_depth=2)
         oracles.assert_same_tree(tree, ref)
 
@@ -56,12 +57,12 @@ def test_tie_breaks_to_lowest_feature_then_threshold():
     # duplicated feature columns: identical SSE, feature 0 must win
     X = np.array([[0.0, 0.0], [0.0, 0.0], [10.0, 10.0], [10.0, 10.0]])
     y = np.array([0.0, 0.0, 10.0, 10.0])
-    tree = fit_tree([(X[i], y[i]) for i in range(4)], TreeParams(max_depth=1))
+    tree = fit_tree(X, y, 1)
     assert tree.split == (0, 5.0)
     # two thresholds with identical SSE within one feature: lower threshold wins
     X2 = np.array([[0.0], [1.0], [2.0], [3.0]])
     y2 = np.array([0.0, 1.0, 1.0, 0.0])
-    tree2 = fit_tree([(X2[i], y2[i]) for i in range(4)], TreeParams(max_depth=1))
+    tree2 = fit_tree(X2, y2, 1)
     ref2 = oracles.brute_force_tree(X2, y2, max_depth=1)
     oracles.assert_same_tree(tree2, ref2)
 
@@ -70,7 +71,7 @@ def test_zero_variance_feature_never_selected():
     rng = np.random.default_rng(1)
     X = np.column_stack([rng.uniform(0, 10, 40), np.zeros(40)])
     y = rng.normal(0, 1, 40)
-    tree = fit_tree([(X[i], y[i]) for i in range(40)], TreeParams(max_depth=3))
+    tree = fit_tree(X, y, 3)
 
     def walk(node):
         if node.split is None:
@@ -108,13 +109,12 @@ def tied_training_sets(draw):
 )
 def test_split_search_equals_distinct_row_oracle_bitwise(data, depth, seed):
     X, y = data
-    params = TreeParams(max_depth=depth)
-    rows = [(X[i], y[i]) for i in range(y.size)]
     if seed is None:
-        fitted = [fit_tree(rows, params)]
+        fitted = [fit_tree(X, y, depth)]
         refs = [oracles.distinct_row_tree(X, y, range(y.size), depth)]
     else:
-        fitted = fit_forest(rows, params, n_trees=3, seed=seed).trees
+        rows = [(X[i], y[i]) for i in range(y.size)]
+        fitted = fit_forest(rows, depth, n_trees=3, seed=seed).trees
         refs = oracles.distinct_row_forest(X, y, 3, seed, depth)
     for tree, ref in zip(fitted, refs, strict=True):
         oracles.assert_same_tree(tree, ref, mean_tol=0.0)
@@ -137,13 +137,12 @@ def test_forest_splits_equal_per_node_sort_over_a_seed_sweep():
             X[:, -1] = 0.0  # a constant column, as mu0's session count
         y = rng.normal(50, 10, size=n)
         depth = int(rng.integers(1, 5))
-        params = TreeParams(max_depth=depth)
         rows = [(X[i], y[i]) for i in range(n)]
         _assert_same_structure(
-            fit_forest(rows, params, n_trees=4, seed=seed).trees,
+            fit_forest(rows, depth, n_trees=4, seed=seed).trees,
             oracles.per_node_sort_forest(X, y, 4, seed, depth),
         )
-        _assert_same_structure([fit_tree(rows, params)], [oracles.per_node_sort_tree(X, y, depth)])
+        _assert_same_structure([fit_tree(X, y, depth)], [oracles.per_node_sort_tree(X, y, depth)])
 
 
 def test_forest_on_70000_distinct_values_splits_as_per_node_sort():
@@ -151,8 +150,7 @@ def test_forest_on_70000_distinct_values_splits_as_per_node_sort():
     n = 70_000
     X = np.column_stack([rng.permutation(n) / 7.0, rng.integers(0, 4, n)])
     y = np.round(rng.normal(0, 1, n), 2)
-    params = TreeParams(max_depth=2)
-    fitted = fit_forest([(X[i], y[i]) for i in range(n)], params, n_trees=2, seed=5).trees
+    fitted = fit_forest([(X[i], y[i]) for i in range(n)], 2, n_trees=2, seed=5).trees
     _assert_same_structure(fitted, oracles.per_node_sort_forest(X, y, 2, 5, 2))
 
 
@@ -161,15 +159,15 @@ def test_an_offset_in_y_moves_no_split(offset):
     # a step of 1 at x0 = 3.3 under noise sd 0.5, plus a rounded second
     # feature: far from 0, a one-pass score Σy² - (Σy)²/n cancels to noise,
     # so splits must come from sums that do not grow with the offset
-    params, n = TreeParams(max_depth=2), 60
+    n = 60
     for seed in range(25):
         rng = np.random.default_rng(seed)
         X = np.column_stack([rng.uniform(0, 6, n), np.round(rng.uniform(0, 6, n))])
         y = (X[:, 0] >= 3.3) + rng.normal(0, 0.5, n) + offset
         rows = [(X[i], y[i]) for i in range(n)]
-        oracles.assert_same_tree(fit_tree(rows, params), oracles.brute_force_tree(X, y, 2),
+        oracles.assert_same_tree(fit_tree(X, y, 2), oracles.brute_force_tree(X, y, 2),
                                  rel_tol=1e-12)
-        for i, tree in enumerate(fit_forest(rows, params, n_trees=3, seed=seed).trees):
+        for i, tree in enumerate(fit_forest(rows, 2, n_trees=3, seed=seed).trees):
             draw = np.random.default_rng([seed, i]).integers(0, n, size=n)
             oracles.assert_same_tree(tree, oracles.brute_force_tree(X[draw], y[draw], 2),
                                      rel_tol=1e-12)
@@ -177,7 +175,7 @@ def test_an_offset_in_y_moves_no_split(offset):
 
 def test_rows_without_features_fit_one_leaf():
     rows = [((), 1.0), ((), 2.0), ((), 6.0)]
-    tree = fit_tree(rows, TreeParams(max_depth=3))
+    tree = fit_tree(np.empty((3, 0)), [1.0, 2.0, 6.0], 3)
     assert tree.is_leaf and tree.n == 3 and tree.mean == 3.0
     forest = fit_forest(rows, n_trees=4, seed=1)
     assert forest.predict(()) == sum(t.mean for t in forest.trees) / 4
@@ -187,24 +185,30 @@ def test_rows_without_features_fit_one_leaf():
 def test_values_outside_the_decimal_range_raise_domain_error(bad):
     # sums, squares and midpoints of values in [-1e100, 1e100] stay finite
     with pytest.raises(DomainError):
-        fit_tree([((bad,), 0.0), ((1.0,), 1.0)])
+        fit_tree([[bad], [1.0]], [0.0, 1.0])
     with pytest.raises(DomainError):
         fit_forest([((0.0,), bad), ((1.0,), 1.0)], n_trees=1)
-    assert fit_tree([((-1e100,), -1e100), ((1e100,), 1e100)]).split == (0, 0.0)
+    assert fit_tree([[-1e100], [1e100]], [-1e100, 1e100]).split == (0, 0.0)
 
 
 def test_empty_and_ragged_inputs():
     with pytest.raises(EmptyInput):
-        fit_tree([])
+        fit_forest([])
     with pytest.raises(DimensionMismatch):
-        fit_tree([((1.0,), 2.0), ((1.0, 2.0), 3.0)])
+        fit_forest([((1.0,), 2.0), ((1.0, 2.0), 3.0)])
+    with pytest.raises(EmptyInput):
+        fit_tree(np.empty((0, 2)), np.empty(0))
+    with pytest.raises(DimensionMismatch):
+        fit_tree([1.0, 2.0], [2.0, 3.0])  # a 1-D X
+    with pytest.raises(DimensionMismatch):
+        fit_tree([[1.0], [2.0]], [2.0, 3.0, 4.0])
 
 
 def test_conservation_and_refit_invariants():
     rng = np.random.default_rng(7)
     X = rng.uniform(0, 10, size=(60, 2))
     y = rng.normal(50, 8, size=60)
-    tree = fit_tree([(X[i], y[i]) for i in range(60)], TreeParams(max_depth=3))
+    tree = fit_tree(X, y, 3)
 
     def check(node):
         if node.split is None:
@@ -231,7 +235,7 @@ def test_single_leaf_predicts_mean_everywhere():
 
 
 def test_boundary_value_routes_right():
-    tree = RegressionForest((fit_tree(STUMP_ROWS, TreeParams(max_depth=1)),), 1)
+    tree = RegressionForest((fit_tree(STUMP_X, STUMP_Y, 1),), 1)
     assert tree.predict([5.0]) == 10.0
     assert tree.predict([4.999]) == 0.0
     assert tree.predict([5.1]) == 10.0
@@ -249,7 +253,7 @@ def test_predict_many_agrees_with_scalar_predict():
     rng = np.random.default_rng(3)
     X = rng.uniform(0, 10, size=(50, 2))
     y = rng.normal(0, 1, size=50)
-    forest = fit_forest([(X[i], y[i]) for i in range(50)], TreeParams(3), n_trees=10, seed=5)
+    forest = fit_forest([(X[i], y[i]) for i in range(50)], 3, n_trees=10, seed=5)
     probe = rng.uniform(-1, 11, size=(20, 2))
     batch = forest.predict_many(probe)
     for i in range(20):
@@ -303,7 +307,7 @@ def test_predict_many_bitwise_equals_per_row_mean(data):
     y = rng.normal(0, 1, size=n)
     forest = fit_forest(
         [(X[i], y[i]) for i in range(n)],
-        TreeParams(max_depth=data.draw(st.integers(min_value=1, max_value=4))),
+        data.draw(st.integers(min_value=1, max_value=4)),
         n_trees=data.draw(st.integers(min_value=1, max_value=8)),
         seed=seed,
     )
@@ -342,7 +346,7 @@ def test_thresholds_equal_a_node_walk():
         y = rng.normal(0, 1, size=80)
         rows = [(X[i], y[i]) for i in range(80)]
         for depth in (1, 3):
-            forest = fit_forest(rows, TreeParams(max_depth=depth), n_trees=6, seed=d)
+            forest = fit_forest(rows, depth, n_trees=6, seed=d)
             _assert_thresholds_match_node_walk(forest)
             assert sum(thr.size for thr in forest.thresholds()) > 0
 
@@ -386,8 +390,7 @@ def test_forest_prediction_within_outcome_hull(seed, n):
 
 def test_report_threshold_reads_back_as_the_split():
     # 1e8 + 0.55 reads "1e+08" in six digits; the report writes it whole
-    rows = [((1e8 + 0.1 * i,), float(i > 5)) for i in range(12)]
-    tree = fit_tree(rows, TreeParams(max_depth=1))
+    tree = fit_tree([[1e8 + 0.1 * i] for i in range(12)], [float(i > 5) for i in range(12)], 1)
     report = export_tree(tree, ["x"])
     assert report.text.splitlines()[0] == "x < 100000000.55"
     assert float(report.text.splitlines()[0][4:]) == tree.split[1]
@@ -402,7 +405,7 @@ def test_single_leaf_report_has_no_criterion():
 
 
 def test_stump_report_layout():
-    tree = fit_tree(STUMP_ROWS, TreeParams(max_depth=1))
+    tree = fit_tree(STUMP_X, STUMP_Y, 1)
     report = export_tree(tree, ["x"])
     assert report.text.splitlines() == [
         "x < 5",
@@ -420,9 +423,7 @@ def test_report_counts_conserved():
     rng = np.random.default_rng(5)
     X = rng.uniform(0, 10, size=(50, 2))
     y = rng.normal(0, 1, size=50)
-    report = export_tree(
-        fit_tree([(X[i], y[i]) for i in range(50)], TreeParams(max_depth=3)), ["a", "b"]
-    )
+    report = export_tree(fit_tree(X, y, 3), ["a", "b"])
 
     def walk(node):
         if node["split"] is None:
@@ -435,11 +436,14 @@ def test_report_counts_conserved():
 
 
 def test_short_name_list_rejected():
-    tree = fit_tree(STUMP_ROWS, TreeParams(max_depth=1))
+    tree = fit_tree(STUMP_X, STUMP_Y, 1)
     with pytest.raises(DimensionMismatch):
         export_tree(tree, [])
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        TreeParams(max_depth=0)
+    cohort = Cohort(("a", "b"), [50.0, 40.0], [1, 0], [55.0, 45.0], np.zeros((2, 5), int))
+    for fit in (lambda: fit_tree(STUMP_X, STUMP_Y, 0), lambda: fit_forest(STUMP_ROWS, 0),
+                lambda: fit_t_learner(cohort, 0), lambda: fit_t_learner2(cohort, 0)):
+        with pytest.raises(ValueError, match="max_depth must be >= 1"):
+            fit()

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catebench.errors import RankDeficient, Underdetermined
-from catebench.forest import TreeParams
 from catebench.linreg import ols_fit, tau_dose_regression
 from catebench.synth import biased_dose_scenario, generate
 from catebench.tlearner import fit_t_learner
@@ -142,7 +141,7 @@ def test_no_sessions_anywhere_is_rank_deficient():
 
 def test_positive_dose_scenario_positive_coefficient():
     cohort, _ = generate(biased_dose_scenario(4000), seed=3)
-    model = fit_t_learner(cohort, TreeParams(max_depth=4), seed=3, n_trees=50)
+    model = fit_t_learner(cohort, max_depth=4, seed=3, n_trees=50)
     fit, scatter = tau_dose_regression(cohort, model)
     assert fit.coefficients[1] > 0
 

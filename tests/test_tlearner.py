@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from catebench.errors import EmptyArm
-from catebench.forest import TreeParams
 from catebench.synth import (
     LogisticSelection,
     ResponseFn,
@@ -31,7 +30,7 @@ import oracles
 def test_identical_arms_give_zero_tau_everywhere():
     points = [(35.0, 40.0), (45.0, 50.0), (55.0, 60.0), (65.0, 55.0)]
     cohort = helpers.mirrored_cohort(points)
-    model = fit_t_learner(cohort, TreeParams(max_depth=3), n_trees=1)
+    model = fit_t_learner(cohort, max_depth=3, n_trees=1)
     for b in cohort.bin_members:
         assert cate_tau(model, b) == 0.0
     assert ate(model, cohort) == 0.0
@@ -64,7 +63,7 @@ def test_att_single_treated_record():
     x2 = [0, 0, 0, 1]
     y = [50.0, 50.0, 50.0, 55.0]
     cohort = helpers.cohort_from_arrays(x1, x2, y)
-    model = fit_t_learner(cohort, TreeParams(max_depth=4), n_trees=1)
+    model = fit_t_learner(cohort, max_depth=4, n_trees=1)
     assert att(model, cohort) == 5.0
 
 
@@ -73,7 +72,7 @@ def test_atu_single_control_record():
     x2 = [1, 2, 0]
     y = [52.0, 52.0, 50.0]
     cohort = helpers.cohort_from_arrays(x1, x2, y)
-    model = fit_t_learner(cohort, TreeParams(max_depth=4), n_trees=1)
+    model = fit_t_learner(cohort, max_depth=4, n_trees=1)
     assert atu(model, cohort) == 2.0
 
 
@@ -88,7 +87,7 @@ def test_att_zero_when_outcomes_match_predictions():
 
 def test_effect_scalars_match_fsum_oracle():
     cohort, _ = helpers.random_cohort(21)
-    model = fit_t_learner(cohort, TreeParams(max_depth=2), seed=4, n_trees=15)
+    model = fit_t_learner(cohort, max_depth=2, seed=4, n_trees=15)
     x1, y = cohort.x1.tolist(), cohort.y.tolist()
     terms_ate = [model.mu1.predict((a,)) - model.mu0.predict((a,)) for a in x1]
     assert abs(ate(model, cohort) - oracles.fsum_mean(terms_ate)) <= 1e-12
@@ -154,7 +153,7 @@ def test_linear_shift_recovered_at_interior_bins():
         noise_sd=0.0,
     )
     cohort, _ = generate(scenario, seed=12)
-    model = fit_t_learner(cohort, TreeParams(max_depth=8), seed=1, n_trees=30)
+    model = fit_t_learner(cohort, max_depth=8, seed=1, n_trees=30)
     for b in sorted(cohort.bin_members):
         if 38 <= b <= 62:
             assert abs(cate_tau(model, b) - 5.0) <= 0.5
@@ -166,7 +165,7 @@ def test_biased_scenario_sign_reversal():
     naive = np.mean([y[i] for i in np.flatnonzero(cohort.treated)]) - np.mean(
         [y[j] for j in np.flatnonzero(~cohort.treated)]
     )
-    model = fit_t_learner(cohort, TreeParams(max_depth=4), seed=0, n_trees=60)
+    model = fit_t_learner(cohort, max_depth=4, seed=0, n_trees=60)
     assert naive < 0
     assert ate(model, cohort) > 0
     assert truth.true_ate > 0

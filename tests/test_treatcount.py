@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catebench.errors import DomainError, EmptyArm, EmptyBin
-from catebench.forest import RegressionForest, TreeNode, TreeParams
+from catebench.forest import RegressionForest, TreeNode
 from catebench.synth import MAX_DOSE, dose_recovery_scenario, generate
 from catebench.tlearner import att, fit_t_learner
 from catebench.treatcount import (
@@ -180,7 +180,7 @@ def test_summand_identity_everywhere():
 
 def test_phi_increases_with_dose_on_dose_scenario():
     cohort, _ = generate(dose_recovery_scenario(4000), seed=1)
-    model = fit_t_learner2(cohort, TreeParams(max_depth=3), seed=2, n_trees=60)
+    model = fit_t_learner2(cohort, max_depth=3, seed=2, n_trees=60)
     bins = [b for b in sorted(cohort.bin_members) if 40 <= b <= 60]
     for b in bins[:5]:
         values = [phi(model, cohort, b, dose) for dose in range(1, 11)]
