@@ -20,10 +20,17 @@ row by its bootstrap draw (``fit_tree`` draws every row once): a count and
 a y sum added in draw order, and a y min and max for the pure-node stop.
 ``TreeNode.n`` counts drawn rows.  A node holds only drawn distinct rows and
 a threshold separates two values, so a split leaves drawn rows on each side.
-Nodes split by cumulative sums over their distinct rows, and a child
-filters its parent's orders, so no node sorts.  Summing per distinct row
-only reassociates a per-row fit's sums: node means move by a few ulps, and
-a split only between partitions that tie in exact arithmetic.
+Summing per distinct row only reassociates a per-row fit's sums: node means
+move by a few ulps, and a split only between partitions that tie in exact
+arithmetic.
+
+Trees grow a depth level at a time, a chunk of trees together: each level
+is a few numpy passes over the (tree, node, distinct row) segments of the
+whole chunk, and a child is a stable partition of its parent's segment, so
+no node sorts.  Each sum that decides a node is taken over that node's rows
+in the order one tree grown alone would use (a node's y sum pairwise, its
+running sums in sequence on a padded row), so a tree is bitwise the same
+whichever chunk grows it.
 """
 
 from __future__ import annotations
@@ -37,6 +44,11 @@ from .dataset import DECIMAL_RANGE, in_decimal_range
 from .errors import DimensionMismatch, DomainError, EmptyInput
 
 _SEED_SPACE = 2**64
+# (tree, distinct row) elements one level pass holds: a forest grows in
+# chunks of as many trees as this many allow, and at least one.  Larger
+# chunks make fewer calls per tree but hold larger level arrays, about 150
+# bytes an element at the peak.
+_CHUNK_ELEMENTS = 10_000
 
 
 def _tree_rng(seed: int, index: int) -> np.random.Generator:
@@ -61,6 +73,19 @@ class TreeNode:
         return self.split is None
 
 
+def _floats(values, name):
+    """``values`` as a float array; ragged rows are a ``DimensionMismatch``,
+    anything else that is not a number a ``DomainError``."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        try:
+            np.shape(values)
+        except ValueError:
+            raise DimensionMismatch(f"{name} differ in length") from exc
+        raise DomainError(f"{name} must be numbers: {exc}") from exc
+
+
 def _training_set(X, y, max_depth, n_trees=1):
     """Check the settings, then ``X`` as an (n, d) float matrix and ``y`` as n
     floats inside the cohort's value rule; returns ``_distinct_rows(X)`` and y."""
@@ -68,11 +93,7 @@ def _training_set(X, y, max_depth, n_trees=1):
         raise ValueError("max_depth must be >= 1")
     if n_trees < 1:
         raise ValueError("n_trees must be >= 1")
-    try:
-        X = np.asarray(X, dtype=float)
-    except ValueError as exc:
-        raise DimensionMismatch("feature vectors differ in length") from exc
-    y = np.asarray(y, dtype=float)
+    X, y = _floats(X, "features"), _floats(y, "outcomes")
     if not y.size:
         raise EmptyInput("no training rows")
     if X.ndim != 2 or y.shape != X.shape[:1]:
@@ -113,78 +134,167 @@ def _gain(n_left, left, n_right, right):  # between-child sum of squares
     return left * left / n_left + right * right / n_right
 
 
-def _best_split(values, stats, order, mean):
-    """Highest-gain (feature, threshold) among all candidates, or None;
-    ``order[j]`` is the node's drawn distinct rows in stable order of
-    ``values[j]`` and ``mean`` the node mean that centres their y sums."""
-    found = []
-    for j, (x, oj) in enumerate(zip(values, order)):
-        sx = x.take(oj)
-        cut = np.nonzero(sx[:-1] < sx[1:])[0]  # last index of each value block
-        if cut.size == 0:
-            continue
-        run = stats[:2].take(oj, axis=1)
-        run[1] -= run[0] * mean
-        run = run.cumsum(axis=1)  # count, centred y sum
-        left = run[:, cut]
-        right = run[:, -1:] - left
-        k = int(np.argmax(_gain(*left, *right)))  # first maximum: lowest threshold wins ties
-        lo, hi = float(sx[cut[k]]), float(sx[cut[k] + 1])
-        mid = (lo + hi) / 2.0
-        found.append((j, mid if lo < mid else hi))  # adjacent floats: mid rounds onto lo
-    if len(found) < 2:
-        # a lone candidate is never compared, so its partition gain is not needed
-        return found[0] if found else None
-    # each gain from the partition alone, summed in key order, so candidates
-    # that split the rows alike score bitwise equal
-    count, centred = stats[:2].take(order[0], axis=1)
-    centred -= count * mean
-    scores = [_gain(count[s].sum(), centred[s].sum(), count[~s].sum(), centred[~s].sum())
-              for s in (values[j].take(order[0]) < t for j, t in found)]
-    return found[scores.index(max(scores))]  # the first of equal scores: lowest feature
+def _tally(key, y, draws, trees, size):
+    """Each tree's drawn count, y sum (added in draw order), y min and y max
+    per distinct row, for the training rows its draw lists, repeats included;
+    tree t's distinct row r is column t * size + r.  ``draws`` may be a
+    generator: one draw is held at a time."""
+    stats = np.empty((4, trees, size))
+    stats[2], stats[3] = np.inf, -np.inf
+    for t, draw in enumerate(draws):
+        k = key.take(draw)
+        yk = y.take(draw)
+        stats[0, t] = np.bincount(k, minlength=size)
+        stats[1, t] = np.bincount(k, yk, size)
+        np.minimum.at(stats[2, t], k, yk)
+        np.maximum.at(stats[3, t], k, yk)
+    return stats.reshape(4, -1)
 
 
-def _child_order(order, keep):
-    # filtering a stable order keeps it stable, so no node sorts again
-    return np.compress(keep.take(order).ravel(), order).reshape(order.shape[0], -1)
+def _padded(start):
+    """Lay each segment that ``start`` bounds out as one row of a padded
+    block, so ``cumsum`` along the rows is every segment's own.  A block
+    holds the segments whose lengths share a power of four, so padding stays
+    below four times the elements.  Returns every slot's element
+    (``start[-1]``, a zero, for padding), every element's slot, and each
+    block's (first slot, rows, width)."""
+    lengths = start[1:] - start[:-1]
+    band = np.frexp(lengths)[1] // 2
+    shift, blocks, offset = np.empty_like(lengths), [], 0
+    for b in np.unique(band).tolist():
+        segs = np.flatnonzero(band == b)
+        width = int(lengths.take(segs).max())
+        shift[segs] = offset + np.arange(segs.size) * width - start.take(segs)
+        blocks.append((offset, segs.size, width))
+        offset += segs.size * width
+    slot = shift.repeat(lengths) + np.arange(start[-1])
+    source = np.full(offset, start[-1])
+    source[slot] = np.arange(start[-1])
+    return source, slot, blocks
 
 
-def _grow(values, stats, order, depth, max_depth) -> TreeNode:
-    """Grow a subtree.  ``stats`` holds each distinct row's drawn count, y
-    sum, y min and y max; ``order[j]`` is the node's drawn distinct rows in
-    stable order of ``values[j]``, so ``order[0]`` is key order."""
-    count, total, lo, hi = stats.take(order[0], axis=1)
-    n = int(count.sum())
-    node = TreeNode(n=n, mean=float(total.sum() / n))
-    if depth >= max_depth or lo.min() == hi.max():
-        return node
-    found = _best_split(values, stats, order, node.mean)
-    if found is None:
-        return node
-    node.split = found
-    left = values[found[0]] < found[1]
-    node.left = _grow(values, stats, _child_order(order, left), depth + 1, max_depth)
-    node.right = _grow(values, stats, _child_order(order, ~left), depth + 1, max_depth)
-    return node
+def _best_cuts(sx, count, centred, n, cuttable, layout):
+    """Each segment's first highest-gain cut, as (segments, thresholds).
+    ``sx`` holds the segments' values in order, ``count`` and ``centred``
+    their drawn counts and centred y sums, and ``n`` each segment's count;
+    ``cuttable`` marks where a split may fall.  ``layout`` is each element's
+    segment, the segment bounds and their ``_padded`` layout."""
+    cut = np.flatnonzero(cuttable[:-1] & (sx[:-1] < sx[1:]))  # the last row of a value block
+    if not cut.size:
+        return cut, sx[:0]
+    seg, start, source, slot, blocks = layout
+    run = np.append(centred, 0.0).take(source)
+    for offset, rows, width in blocks:
+        block = run[offset:offset + rows * width].reshape(rows, width)
+        np.cumsum(block, axis=1, out=block)
+    cs = seg.take(cut)
+    left = run.take(slot.take(cut))
+    right = run.take(slot.take(start[1:] - 1).take(cs)) - left
+    # counts are whole, so a flat running sum is exact
+    n_left = np.cumsum(count)
+    n_left = n_left.take(cut) - (n_left - count).take(start[:-1]).take(cs)
+    gain = _gain(n_left, left, n.take(cs) - n_left, right)
+    head = np.ones(cut.size, dtype=bool)
+    np.not_equal(cs[1:], cs[:-1], out=head[1:])
+    first = np.flatnonzero(head)
+    top = np.maximum.reduceat(gain, first).take(np.cumsum(head) - 1)
+    at_top = np.where(gain == top, np.arange(cut.size), cut.size)
+    best = cut.take(np.minimum.reduceat(at_top, first))  # first maximum: lowest threshold
+    lo, hi = sx.take(best), sx.take(best + 1)
+    mid = (lo + hi) / 2.0
+    return cs.take(first), np.where(lo < mid, mid, hi)  # adjacent floats: mid rounds onto lo
 
 
-def _fit(values, key, order, y, draw, max_depth) -> TreeNode:
-    """One tree on the training rows ``draw`` lists, repeats included, as
-    weights on the distinct rows of ``_distinct_rows``."""
-    k = key.take(draw)
-    yk = y.take(draw)
+def _grow(values, order, stats, max_depth) -> list:
+    """Grow one tree per ``order.shape[1]`` columns of the ``_tally``
+    ``stats``, a depth level at a time across all of them.  A level's nodes are segments
+    of one layout: ``rows[j]`` lists each node's drawn rows, as columns of
+    ``stats``, node after node, in stable order of ``values[j]`` (``rows[0]``
+    is key order), and ``start`` bounds the nodes.  Every sum that decides a
+    node runs over its rows in the order one tree fitted alone would use, so
+    each tree is bitwise that tree."""
+    count, total, lo, hi = stats
     size = order.shape[1]
-    stats = np.array([np.bincount(k, minlength=size), np.bincount(k, yk, size),
-                      np.full(size, np.inf), np.full(size, -np.inf)])
-    np.minimum.at(stats[2], k, yk)
-    np.maximum.at(stats[3], k, yk)
-    return _grow(values, stats, _child_order(order, stats[0] > 0), 0, max_depth)
+    drawn = count.reshape(-1, size) > 0
+    trees = drawn.shape[0]
+    # tree t's drawn rows in each feature's order, as columns t * size + r
+    rows = np.broadcast_to(order[:, np.newaxis], (order.shape[0], *drawn.shape))
+    rows = rows[drawn[:, order].swapaxes(0, 1)].reshape(order.shape[0], -1)
+    per_tree = np.count_nonzero(drawn, axis=1)
+    rows += np.repeat(np.arange(trees) * size, per_tree)
+    start = np.concatenate([[0], np.cumsum(per_tree)])
+    values = np.broadcast_to(values[:, np.newaxis], (len(values), *drawn.shape))
+    values = values.reshape(len(values), count.size)  # a view for one tree
+    roots, parents = None, []
+    for depth in range(max_depth + 1):
+        lengths = start[1:] - start[:-1]
+        seg = np.repeat(np.arange(lengths.size), lengths)
+        key_count, key_total = count.take(rows[0]), total.take(rows[0])
+        n = np.add.reduceat(key_count, start[:-1])
+        # a node mean is the pairwise .sum() of its key-ordered y sums, as
+        # one tree's node takes it; counts are whole, so any order is exact
+        spans = list(zip(start[:-1].tolist(), start[1:].tolist()))
+        mean = np.array([key_total[a:b].sum() for a, b in spans]) / n
+        nodes = [TreeNode(int(k), m) for k, m in zip(n.tolist(), mean.tolist())]
+        for i, parent in enumerate(parents):  # left children first, then right
+            parent.left, parent.right = nodes[i], nodes[len(parents) + i]
+        roots = roots or nodes
+        if depth == max_depth or not len(values):
+            break
+        # a split falls inside an impure node, never after its last row
+        cuttable = (np.minimum.reduceat(lo.take(rows[0]), start[:-1])
+                    < np.maximum.reduceat(hi.take(rows[0]), start[:-1])).take(seg)
+        cuttable[start[1:] - 1] = False
+        layout = (seg, start, *_padded(start))
+        mean_at = mean.take(seg)
+        threshold = np.full((len(values), lengths.size), np.nan)
+        for j, x in enumerate(values):
+            c = count.take(rows[j])
+            segs, threshold[j, segs] = _best_cuts(
+                x.take(rows[j]), c, total.take(rows[j]) - c * mean_at, n, cuttable, layout)
+        offered = ~np.isnan(threshold)
+        feature = offered.argmax(axis=0)
+        for s in np.flatnonzero(offered.sum(axis=0) > 1).tolist():
+            # each gain from the partition alone, summed in key order, so
+            # candidates that split the rows alike score bitwise equal
+            a, b = spans[s]
+            count_s, centred = key_count[a:b], key_total[a:b] - key_count[a:b] * mean[s]
+            scores = []
+            for j in np.flatnonzero(offered[:, s]).tolist():
+                side = values[j].take(rows[0][a:b]) < threshold[j, s]
+                scores.append(_gain(count_s[side].sum(), centred[side].sum(),
+                                    count_s[~side].sum(), centred[~side].sum()))
+            # the first of equal scores: lowest feature
+            feature[s] = np.flatnonzero(offered[:, s])[scores.index(max(scores))]
+        threshold = threshold[feature, np.arange(feature.size)]
+        splits = offered.any(axis=0)
+        split = np.flatnonzero(splits)
+        if not split.size:
+            break
+        parents = [nodes[s] for s in split.tolist()]
+        for node, j, t in zip(parents, feature.take(split).tolist(),
+                              threshold.take(split).tolist()):
+            node.split = (j, t)
+        # every split node's rows go, in order, to its left child among the
+        # left children, then to its right child among the right children
+        keep = splits.take(seg)
+        goes_left = np.zeros(count.size, dtype=bool)
+        goes_left[rows[0]] = keep & (values.take(feature.take(seg) * count.size + rows[0])
+                                     < threshold.take(seg))
+        left = goes_left.take(rows)
+        right = keep > left
+        n_left = np.add.reduceat(left[0], start[:-1], dtype=np.intp).take(split)
+        d = len(rows)
+        rows = np.concatenate([rows[left].reshape(d, -1), rows[right].reshape(d, -1)], axis=1)
+        start = np.concatenate([[0], np.cumsum(np.r_[n_left, lengths.take(split) - n_left])])
+    return roots
 
 
 def fit_tree(X, y, max_depth: int = 2) -> TreeNode:
     """Fit one CART regression tree on an (n, d) feature matrix and n outcomes."""
-    *data, y = _training_set(X, y, max_depth)
-    return _fit(*data, y, np.arange(y.size), max_depth)
+    values, key, order, y = _training_set(X, y, max_depth)
+    stats = _tally(key, y, [np.arange(y.size)], 1, order.shape[1])
+    return _grow(values, order, stats, max_depth)[0]
 
 
 @dataclass(frozen=True)
@@ -267,14 +377,21 @@ def fit_forest(
 
     ``rows`` are (feature vector, outcome) pairs, unzipped into ``fit_tree``'s
     (X, y) checks, because ``perfbench/spans.py`` counts a forest's training
-    rows by iterating them.  Trees are fitted one after another in the
-    calling thread.
+    rows by iterating them.  Trees grow level by level in chunks of as many
+    as ``_CHUNK_ELEMENTS`` (tree, distinct row) elements hold, in the calling
+    thread; tree i is the same in any chunk.
     """
     rows = list(rows)
-    *data, y = _training_set([r[0] for r in rows], [r[1] for r in rows], max_depth, n_trees)
-    trees = [_fit(*data, y, _tree_rng(seed, i).integers(0, y.size, size=y.size), max_depth)
-             for i in range(n_trees)]
-    return RegressionForest(tuple(trees), len(data[0]))
+    values, key, order, y = _training_set([r[0] for r in rows], [r[1] for r in rows],
+                                          max_depth, n_trees)
+    size = order.shape[1]
+    per_chunk = max(1, _CHUNK_ELEMENTS // size)
+    trees = []
+    for first in range(0, n_trees, per_chunk):
+        chunk = range(first, min(first + per_chunk, n_trees))
+        draws = (_tree_rng(seed, i).integers(0, y.size, size=y.size) for i in chunk)
+        trees += _grow(values, order, _tally(key, y, draws, len(chunk), size), max_depth)
+    return RegressionForest(tuple(trees), len(values))
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from catebench.dataset import Cohort
 from catebench.errors import DimensionMismatch, DomainError, EmptyInput
 from catebench.forest import (
+    _CHUNK_ELEMENTS,
     RegressionForest,
     TreeNode,
     export_tree,
@@ -118,6 +119,45 @@ def test_split_search_equals_distinct_row_oracle_bitwise(data, depth, seed):
         refs = oracles.distinct_row_forest(X, y, 3, seed, depth)
     for tree, ref in zip(fitted, refs, strict=True):
         oracles.assert_same_tree(tree, ref, mean_tol=0.0)
+
+
+def test_forests_across_chunk_boundaries_grow_each_tree_alone():
+    # as many distinct rows as put three trees in a chunk, and trees for three
+    # chunks; outcomes are constant below x0 = 40, so a child of the root
+    # stops pure while its sibling and the other trees of its chunk go on
+    size = _CHUNK_ELEMENTS // 3
+    per_chunk = _CHUNK_ELEMENTS // size
+    n_trees = 2 * per_chunk + 2
+    i = np.arange(size)
+    X = np.column_stack([i // 7, i % 7]).astype(float)
+    rng = np.random.default_rng(3)
+    y = np.round(rng.normal(50, 10, size), 1)
+    X, y = np.concatenate([X, X[::3]]), np.concatenate([y, y[::3] + 1.0])
+    y[X[:, 0] < 40] = 5.0
+    rows = [(X[k], y[k]) for k in range(y.size)]
+    full = fit_forest(rows, 3, n_trees, seed=4).trees
+    refs = oracles.distinct_row_forest(X, y, n_trees, 4, 3)
+    pure_stops = 0
+    for t, ref in enumerate(refs):
+        oracles.assert_same_tree(full[t], ref, mean_tol=0.0)
+        oracles.assert_same_tree(fit_forest(rows, 3, t + 1, seed=4).trees[t], ref, mean_tol=0.0)
+        pure_stops += ref["split"] == (0, 39.5) and ref["left"]["split"] is None
+    assert pure_stops == n_trees
+
+
+@pytest.mark.parametrize("fit", [
+    lambda X, y: fit_tree(X, y),
+    lambda X, y: fit_forest(list(zip(X, y)), n_trees=2),
+], ids=["fit_tree", "fit_forest"])
+@pytest.mark.parametrize("X, y, error, named", [
+    ([["a"], ["b"]], [1.0, 2.0], DomainError, "features"),
+    ([[{}], [2.0]], [1.0, 2.0], DomainError, "features"),
+    ([[1.0], [2.0]], ["x", "y"], DomainError, "outcomes"),
+    ([[1.0], [1.0, 2.0]], [1.0, 2.0], DimensionMismatch, "features"),
+], ids=["text_feature", "dict_feature", "text_outcome", "ragged_features"])
+def test_inputs_that_are_not_numbers_name_features_or_outcomes(fit, X, y, error, named):
+    with pytest.raises(error, match=named):
+        fit(X, y)
 
 
 def _assert_same_structure(fitted, refs):
