@@ -10,7 +10,7 @@ per-bin effect table and summary files into the output directory.
 import argparse
 from pathlib import Path
 
-from catebench.dataset import save_cohort, summarize
+from catebench.dataset import save_cohort, summarize, write_json
 from catebench.synth import generate, standard_biased_scenario
 from catebench.tlearner import effect_report, fit_t_learner
 
@@ -48,7 +48,9 @@ def main() -> None:
     out.mkdir(parents=True, exist_ok=True)
     save_cohort(cohort, out / "cohort.csv")
     report.to_csv(out / "effect_report.csv")
-    report.to_json(out / "effect_report.json")
+    columns = {"x1": report.x1, "mu0": report.mu0, "mu1": report.mu1, "tau": report.tau}
+    table = [dict(zip(columns, row)) for row in zip(*(c.tolist() for c in columns.values()))]
+    write_json(out / "effect_report.json", {**report.summary_dict(), "table": table})
     print(f"wrote {out}/cohort.csv, effect_report.csv, effect_report.json")
 
 

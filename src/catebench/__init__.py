@@ -60,7 +60,6 @@ from .synth import (
 )
 from .tlearner import (
     EffectReport,
-    EffectRow,
     TLearnerModel,
     ate,
     att,

@@ -48,7 +48,7 @@ COUNT_COLUMNS = ("f2f",) + AUX_FIELDS
 _COUNT_MAX = 2**63 - 1  # counts are stored as int64
 _DECIMAL_MAX = 1e100  # keeps squared sums over any feasible row count finite
 DECIMAL_RANGE = f"[-{_DECIMAL_MAX:g}, {_DECIMAL_MAX:g}]"
-_CHUNK_ROWS = 1024  # records converted per bulk step: bounds the reader's transient memory
+_CHUNK_ROWS = 1024  # records converted per bulk step: bounds the reader's and writer's memory
 
 
 def to_deviation(raw_scores) -> list[float]:
@@ -455,16 +455,36 @@ def write_json(path, payload) -> None:
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 
-def write_csv(path, header, rows) -> None:
-    """The CSV format of every output file: a header row, "\\n" line ends, UTF-8."""
+def _cells(column) -> list:
+    """One column's CSV cells, by the rule in ``write_csv``."""
+    if not isinstance(column, np.ndarray):  # text, quoted as by the csv module
+        return ['"' + cell.replace('"', '""') + '"' if "," in cell or '"' in cell or "\n" in cell
+                else cell for cell in column]
+    floats = column.dtype.kind == "f"  # keyed by bit pattern: np.unique holds -0.0 == 0.0
+    bits = column.astype(np.float64, copy=False).view(np.int64) if floats else column
+    keys, inverse = np.unique(bits, return_inverse=True)
+    values = (keys.view(np.float64) if floats else keys).tolist()
+    text = np.array(["" if math.isnan(v) else repr(v) for v in values], dtype=object)
+    return text[inverse].tolist()  # an int's repr is its str
+
+
+def write_csv(path, header, columns) -> None:
+    """The CSV format of every output file, and the one formatter of its cells:
+    the header, then row i of every column; "\\n" line ends, UTF-8.
+
+    A float array is written with ``repr``, NaN as an empty cell, and an
+    integer array with ``str``, each distinct bit pattern or integer once.
+    Any other column (ids) and the header are text, quoted as the csv module
+    quotes (QUOTE_MINIMAL): a cell holding ",", '"' or "\\n" goes in double
+    quotes, each '"' doubled.  For a table of two or more columns, as every
+    output is, these are the bytes of ``csv.writer``.
+    """
+    lines = map(",".join, chain([_cells(header)], zip(*map(_cells, columns))))
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        while block := list(islice(lines, _CHUNK_ROWS)):  # a block at a time bounds the text
+            fh.write("\n".join(block) + "\n")
 
 
 def save_cohort(cohort: Cohort, path) -> None:
-    """Write a cohort in the canonical CSV schema (floats keep full precision)."""
-    x1, y = (list(map(repr, column.tolist())) for column in (cohort.x1, cohort.y))
-    rows = zip(cohort.ids, x1, cohort.x2.tolist(), *cohort.aux.T.tolist(), y)
-    write_csv(path, CANONICAL_COLUMNS, rows)
+    """Write a cohort in the canonical CSV schema; it loads back equal."""
+    write_csv(path, CANONICAL_COLUMNS, (cohort.ids, cohort.x1, cohort.x2, *cohort.aux.T, cohort.y))

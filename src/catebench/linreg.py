@@ -76,15 +76,16 @@ def ols_fit(design, targets) -> OlsFit:
     return OlsFit(tuple(float(b) for b in beta), float(y_mean - x_mean @ beta), r2, n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScatterExport:
-    """Per-student (x2, effect estimate, covariate bin) rows."""
+    """Per-student columns in record order: session count, effect estimate, covariate bin."""
 
-    rows: tuple
+    x2: np.ndarray
+    tau: np.ndarray
+    x1_bin: np.ndarray
 
     def to_csv(self, path) -> None:
-        rows = ([x2, repr(float(tau)), repr(float(x1_bin))] for x2, tau, x1_bin in self.rows)
-        write_csv(path, ["x2", "tau", "x1_bin"], rows)
+        write_csv(path, ["x2", "tau", "x1_bin"], [self.x2, self.tau, self.x1_bin])
 
 
 def tau_dose_regression(cohort: Cohort, model: TLearnerModel):
@@ -99,4 +100,4 @@ def tau_dose_regression(cohort: Cohort, model: TLearnerModel):
     X1 = cohort.x1[:, np.newaxis]
     tau = model.mu1.predict_many(X1) - model.mu0.predict_many(X1)
     fit = ols_fit(np.column_stack([cohort.x1, cohort.x2]), tau)
-    return fit, ScatterExport(tuple(zip(cohort.x2.tolist(), tau.tolist(), cohort.bins.tolist())))
+    return fit, ScatterExport(cohort.x2, tau, cohort.bins)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Cohort, write_csv, write_json
+from .dataset import Cohort, write_csv
 from .errors import EmptyArm
 from .forest import RegressionForest, fit_forest
 
@@ -115,22 +115,19 @@ def summary_params(fitted) -> dict:  # summary.json's "params", from a model or 
     return {"max_depth": fitted.max_depth, "n_trees": fitted.n_trees}
 
 
-@dataclass(frozen=True)
-class EffectRow:
-    x1: float
-    mu0: float
-    mu1: float
-    tau: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EffectReport:
-    """Per-bin response and effect estimates plus the scalar effect summaries."""
+    """The scalar effect summaries, plus one entry per covariate bin (ascending)
+    in the float64 columns ``x1`` (the bin key), ``mu0``, ``mu1`` and
+    ``tau = mu1 - mu0``."""
 
     ate: float
     att: float
     atu: float
-    rows: tuple
+    x1: np.ndarray
+    mu0: np.ndarray
+    mu1: np.ndarray
+    tau: np.ndarray
     n: int
     n_treated: int
     n_control: int
@@ -151,33 +148,16 @@ class EffectReport:
         }
 
     def to_csv(self, path) -> None:
-        rows = ([repr(r.x1), repr(r.mu0), repr(r.mu1), repr(r.tau)] for r in self.rows)
-        write_csv(path, ["x1", "mu0", "mu1", "tau"], rows)
-
-    def to_json(self, path) -> None:
-        payload = self.summary_dict()
-        payload["table"] = [
-            {"x1": r.x1, "mu0": r.mu0, "mu1": r.mu1, "tau": r.tau} for r in self.rows
-        ]
-        write_json(path, payload)
+        write_csv(path, ["x1", "mu0", "mu1", "tau"], [self.x1, self.mu0, self.mu1, self.tau])
 
 
 def effect_report(model: TLearnerModel, cohort: Cohort) -> EffectReport:
-    """One row per covariate bin (ascending) with mu0, mu1, and their difference."""
+    """mu0, mu1 and their difference at each covariate bin, with ATE/ATT/ATU."""
     bins = np.fromiter(cohort.bin_members, dtype=float)
-    m0 = model.mu0.predict_many(bins[:, np.newaxis]).tolist()
-    m1 = model.mu1.predict_many(bins[:, np.newaxis]).tolist()
-    rows = tuple(EffectRow(b, a0, a1, a1 - a0) for b, a0, a1 in zip(bins.tolist(), m0, m1))
+    mu0 = model.mu0.predict_many(bins[:, np.newaxis])
+    mu1 = model.mu1.predict_many(bins[:, np.newaxis])
     n_treated = int(cohort.treated.sum())
     return EffectReport(
-        ate(model, cohort),
-        att(model, cohort),
-        atu(model, cohort),
-        rows,
-        cohort.n,
-        n_treated,
-        cohort.n - n_treated,
-        model.seed,
-        model.max_depth,
-        model.n_trees,
+        ate(model, cohort), att(model, cohort), atu(model, cohort), bins, mu0, mu1, mu1 - mu0,
+        cohort.n, n_treated, cohort.n - n_treated, model.seed, model.max_depth, model.n_trees,
     )

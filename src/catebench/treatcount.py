@@ -122,11 +122,12 @@ def phi_summand(model: TLearnerModel, x1, x2) -> float:
 
 @dataclass(frozen=True)
 class CateSurface:
-    """phi tabulated over a (covariate bin, session count) grid.
+    """phi tabulated over a (covariate bin, session count) grid: ``phi[r, c]``
+    is the cell at ``x1_values[r]`` and ``x2_values[c]``.
 
     Cells for empty bins are NaN and counted in ``n_missing``.  A session
     count outside the observed treated range is an extrapolation and is
-    flagged per column.
+    flagged per column.  ``to_csv`` writes one row per cell, bin by bin.
     """
 
     x1_values: tuple
@@ -138,12 +139,9 @@ class CateSurface:
     n_missing: int
 
     def to_csv(self, path) -> None:
-        rows = (
-            [repr(float(b)), dose, "" if math.isnan(value) else repr(float(value))]
-            for b, values in zip(self.x1_values, self.phi)
-            for dose, value in zip(self.x2_values, values)
-        )
-        write_csv(path, ["x1", "x2", "phi"], rows)
+        x1, x2 = np.array(self.x1_values, np.float64), np.array(self.x2_values, np.int64)
+        columns = [np.repeat(x1, x2.size), np.tile(x2, x1.size), self.phi.ravel()]
+        write_csv(path, ["x1", "x2", "phi"], columns)
 
     def to_json(self, path) -> None:
         write_json(path, {

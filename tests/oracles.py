@@ -6,6 +6,7 @@ the library.
 """
 
 import csv
+import io
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -395,3 +396,22 @@ def load_cohort_rows(path, config=None, precision=1.0):
     counts = np.array(counts, dtype=np.int64).reshape(-1, 6)
     cohort = Cohort(tuple(ids), x1, counts[:, 0], y, counts[:, 1:], precision)
     return cohort, LoadReport(n_rows, n_dropped, dict(cfg.columns))
+
+
+def csv_bytes(header, columns):
+    """A table's CSV bytes the csv.writer way, one cell at a time: ``repr`` of
+    each float (NaN an empty cell), each int and text cell left to the csv
+    module (which writes ``str`` of an int and quotes text as it must), "\\n"
+    line ends, UTF-8."""
+    def cell(value):
+        if isinstance(value, float):
+            return "" if math.isnan(value) else repr(value)
+        return value
+
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    values = [column.tolist() if isinstance(column, np.ndarray) else column for column in columns]
+    for row in zip(*values):
+        writer.writerow([cell(value) for value in row])
+    return buffer.getvalue().encode("utf-8")

@@ -448,6 +448,48 @@ def test_every_cohort_that_constructs_loads_back_equal(rows):
     assert loaded.aux.tolist() == cohort.aux.tolist()
 
 
+# --- the CSV writer ----------------------------------------------------------
+
+_CSV_CELLS = {
+    np.float64: st.floats() | st.sampled_from(
+        [-0.0, 0.0, math.nan, -math.nan, 5e-324, -5e-324, 2.2250738585072e-308, 1e100, -1e100]
+    ),
+    np.int64: st.integers(-(2**63), 2**63 - 1) | st.sampled_from([0, 2**63 - 1, -(2**63)]),
+    str: st.text(st.characters(exclude_categories=["Cs"], exclude_characters="\r"))
+    | st.sampled_from([",", '"', "\n", 'a,"b"\nc', "Jos\u00e9", "\u5b66\u751f", "", '""']),
+}
+
+
+@st.composite
+def _csv_tables(draw):
+    """A header and its columns: float64 and int64 arrays and tuples of text."""
+    n = draw(st.integers(0, 6))
+    kinds = draw(st.lists(st.sampled_from(list(_CSV_CELLS)), min_size=2, max_size=4))
+    header = draw(st.lists(_CSV_CELLS[str], min_size=len(kinds), max_size=len(kinds)))
+    columns = []
+    for kind in kinds:
+        values = draw(st.lists(_CSV_CELLS[kind], min_size=n, max_size=n))
+        columns.append(tuple(values) if kind is str else np.array(values, dtype=kind))
+    return header, columns
+
+
+@settings(max_examples=300, deadline=None)
+@given(_csv_tables())
+@example((["x1", "n", "id"], [
+    np.array([-0.0, 0.0, math.nan, 5e-324, 1e100, -1e100, -0.0]),
+    np.array([2**63 - 1, 0, 7, 7, -(2**63), 1, 0], dtype=np.int64),
+    ("a,b", 'say "hi"', "two\nlines", "\u00e9l\u00e8ve", "", '""', "plain"),
+]))
+@example((["x1", "x2", "phi"], [np.array([50.0, 5.0]), np.array([1, 2]), np.array([math.nan, 1.5])]))
+@example((["x2", "tau", "x1_bin"], [np.array([], dtype=np.int64), np.array([]), np.array([])]))
+def test_write_csv_gives_the_bytes_of_the_csv_module(table):
+    header, columns = table
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        dataset.write_csv(path, header, columns)
+        assert path.read_bytes() == oracles.csv_bytes(header, columns)
+
+
 # --- columnar bin keys and count limits -------------------------------------
 
 _WIDTHS = st.one_of(

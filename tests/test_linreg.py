@@ -150,7 +150,7 @@ def test_scatter_export_contract(tmp_path):
     cohort, _ = helpers.random_cohort(33)
     model = fit_t_learner(cohort, seed=2, n_trees=6)
     fit, scatter = tau_dose_regression(cohort, model)
-    assert len(scatter.rows) == cohort.n
+    assert len(scatter.tau) == cohort.n
     path = tmp_path / "tau_scatter.csv"
     scatter.to_csv(path)
     with path.open() as fh:
