@@ -29,8 +29,8 @@ is a few numpy passes over the (tree, node, distinct row) segments of the
 whole chunk, and a child is a stable partition of its parent's segment, so
 no node sorts.  Each sum that decides a node is taken over that node's rows
 in the order one tree grown alone would use (a node's y sum pairwise, its
-running sums in sequence on a padded row), so a tree is bitwise the same
-whichever chunk grows it.
+running sums one ``cumsum`` over its own slice of the level), so a tree is
+bitwise the same whichever chunk grows it.
 """
 
 from __future__ import annotations
@@ -151,45 +151,18 @@ def _tally(key, y, draws, trees, size):
     return stats.reshape(4, -1)
 
 
-def _padded(start):
-    """Lay each segment that ``start`` bounds out as one row of a padded
-    block, so ``cumsum`` along the rows is every segment's own.  A block
-    holds the segments whose lengths share a power of four, so padding stays
-    below four times the elements.  Returns every slot's element
-    (``start[-1]``, a zero, for padding), every element's slot, and each
-    block's (first slot, rows, width)."""
-    lengths = start[1:] - start[:-1]
-    band = np.frexp(lengths)[1] // 2
-    shift, blocks, offset = np.empty_like(lengths), [], 0
-    for b in np.unique(band).tolist():
-        segs = np.flatnonzero(band == b)
-        width = int(lengths.take(segs).max())
-        shift[segs] = offset + np.arange(segs.size) * width - start.take(segs)
-        blocks.append((offset, segs.size, width))
-        offset += segs.size * width
-    slot = shift.repeat(lengths) + np.arange(start[-1])
-    source = np.full(offset, start[-1])
-    source[slot] = np.arange(start[-1])
-    return source, slot, blocks
-
-
-def _best_cuts(sx, count, centred, n, cuttable, layout):
+def _best_cuts(sx, count, run, n, cuttable, seg, start):
     """Each segment's first highest-gain cut, as (segments, thresholds).
-    ``sx`` holds the segments' values in order, ``count`` and ``centred``
-    their drawn counts and centred y sums, and ``n`` each segment's count;
-    ``cuttable`` marks where a split may fall.  ``layout`` is each element's
-    segment, the segment bounds and their ``_padded`` layout."""
+    ``sx`` holds the segments' values in order, ``count`` their drawn counts
+    and ``run`` each segment's own running sum of its centred y sums, ``n``
+    each segment's count; ``cuttable`` marks where a split may fall, ``seg``
+    is each element's segment and ``start`` bounds the segments."""
     cut = np.flatnonzero(cuttable[:-1] & (sx[:-1] < sx[1:]))  # the last row of a value block
     if not cut.size:
         return cut, sx[:0]
-    seg, start, source, slot, blocks = layout
-    run = np.append(centred, 0.0).take(source)
-    for offset, rows, width in blocks:
-        block = run[offset:offset + rows * width].reshape(rows, width)
-        np.cumsum(block, axis=1, out=block)
     cs = seg.take(cut)
-    left = run.take(slot.take(cut))
-    right = run.take(slot.take(start[1:] - 1).take(cs)) - left
+    left = run.take(cut)
+    right = run.take(start.take(cs + 1) - 1) - left
     # counts are whole, so a flat running sum is exact
     n_left = np.cumsum(count)
     n_left = n_left.take(cut) - (n_left - count).take(start[:-1]).take(cs)
@@ -207,12 +180,12 @@ def _best_cuts(sx, count, centred, n, cuttable, layout):
 
 def _grow(values, order, stats, max_depth) -> list:
     """Grow one tree per ``order.shape[1]`` columns of the ``_tally``
-    ``stats``, a depth level at a time across all of them.  A level's nodes are segments
-    of one layout: ``rows[j]`` lists each node's drawn rows, as columns of
-    ``stats``, node after node, in stable order of ``values[j]`` (``rows[0]``
-    is key order), and ``start`` bounds the nodes.  Every sum that decides a
-    node runs over its rows in the order one tree fitted alone would use, so
-    each tree is bitwise that tree."""
+    ``stats``, a depth level at a time across all of them.  A level's nodes
+    are contiguous segments: ``rows[j]`` lists each node's drawn rows, as
+    columns of ``stats``, node after node, in stable order of ``values[j]``
+    (``rows[0]`` is key order), and ``start`` bounds the nodes.  Every sum
+    that decides a node runs over its own segment in the order one tree
+    fitted alone would use, so each tree is bitwise that tree."""
     count, total, lo, hi = stats
     size = order.shape[1]
     drawn = count.reshape(-1, size) > 0
@@ -229,7 +202,8 @@ def _grow(values, order, stats, max_depth) -> list:
     for depth in range(max_depth + 1):
         lengths = start[1:] - start[:-1]
         seg = np.repeat(np.arange(lengths.size), lengths)
-        key_count, key_total = count.take(rows[0]), total.take(rows[0])
+        c, y_sum = count.take(rows), total.take(rows)
+        key_count, key_total = c[0], y_sum[0]
         n = np.add.reduceat(key_count, start[:-1])
         # a node mean is the pairwise .sum() of its key-ordered y sums, as
         # one tree's node takes it; counts are whole, so any order is exact
@@ -241,17 +215,22 @@ def _grow(values, order, stats, max_depth) -> list:
         roots = roots or nodes
         if depth == max_depth or not len(values):
             break
-        # a split falls inside an impure node, never after its last row
-        cuttable = (np.minimum.reduceat(lo.take(rows[0]), start[:-1])
-                    < np.maximum.reduceat(hi.take(rows[0]), start[:-1])).take(seg)
+        # a split falls inside an impure node of two or more rows, never after its last row
+        can_split = (np.minimum.reduceat(lo.take(rows[0]), start[:-1])
+                     < np.maximum.reduceat(hi.take(rows[0]), start[:-1])) & (lengths > 1)
+        cuttable = can_split.take(seg)
         cuttable[start[1:] - 1] = False
-        layout = (seg, start, *_padded(start))
-        mean_at = mean.take(seg)
+        # every feature's centred y sums, then each such node's running sums as one
+        # tree's node takes them: a cumsum (np.add.accumulate) in place on its rows
+        run = y_sum - c * mean.take(seg)
+        for s in np.flatnonzero(can_split).tolist():
+            a, b = spans[s]
+            sums = run[:, a:b]
+            np.add.accumulate(sums, axis=1, out=sums)
         threshold = np.full((len(values), lengths.size), np.nan)
         for j, x in enumerate(values):
-            c = count.take(rows[j])
             segs, threshold[j, segs] = _best_cuts(
-                x.take(rows[j]), c, total.take(rows[j]) - c * mean_at, n, cuttable, layout)
+                x.take(rows[j]), c[j], run[j], n, cuttable, seg, start)
         offered = ~np.isnan(threshold)
         feature = offered.argmax(axis=0)
         for s in np.flatnonzero(offered.sum(axis=0) > 1).tolist():

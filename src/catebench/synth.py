@@ -153,7 +153,7 @@ class Scenario:
         return asdict(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroundTruth:
     """Per-record truths kept beside a generated cohort.
 

@@ -120,7 +120,7 @@ def phi_summand(model: TLearnerModel, x1, x2) -> float:
     return model.mu1.predict((float(x1), x2)) - model.mu0.predict((float(x1), 0.0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CateSurface:
     """phi tabulated over a (covariate bin, session count) grid: ``phi[r, c]``
     is the cell at ``x1_values[r]`` and ``x2_values[c]``.

@@ -121,10 +121,12 @@ def test_split_search_equals_distinct_row_oracle_bitwise(data, depth, seed):
         oracles.assert_same_tree(tree, ref, mean_tol=0.0)
 
 
-def test_forests_across_chunk_boundaries_grow_each_tree_alone():
+@pytest.mark.parametrize("depth", [3, 6])
+def test_forests_across_chunk_boundaries_grow_each_tree_alone(depth):
     # as many distinct rows as put three trees in a chunk, and trees for three
     # chunks; outcomes are constant below x0 = 40, so a child of the root
-    # stops pure while its sibling and the other trees of its chunk go on
+    # stops pure while its sibling and the other trees of its chunk go on; at
+    # depth 6 a level also holds one-row nodes beside nodes thousands of rows long
     size = _CHUNK_ELEMENTS // 3
     per_chunk = _CHUNK_ELEMENTS // size
     n_trees = 2 * per_chunk + 2
@@ -135,12 +137,13 @@ def test_forests_across_chunk_boundaries_grow_each_tree_alone():
     X, y = np.concatenate([X, X[::3]]), np.concatenate([y, y[::3] + 1.0])
     y[X[:, 0] < 40] = 5.0
     rows = [(X[k], y[k]) for k in range(y.size)]
-    full = fit_forest(rows, 3, n_trees, seed=4).trees
-    refs = oracles.distinct_row_forest(X, y, n_trees, 4, 3)
+    full = fit_forest(rows, depth, n_trees, seed=4).trees
+    refs = oracles.distinct_row_forest(X, y, n_trees, 4, depth)
     pure_stops = 0
     for t, ref in enumerate(refs):
         oracles.assert_same_tree(full[t], ref, mean_tol=0.0)
-        oracles.assert_same_tree(fit_forest(rows, 3, t + 1, seed=4).trees[t], ref, mean_tol=0.0)
+        oracles.assert_same_tree(fit_forest(rows, depth, t + 1, seed=4).trees[t], ref,
+                                 mean_tol=0.0)
         pure_stops += ref["split"] == (0, 39.5) and ref["left"]["split"] is None
     assert pure_stops == n_trees
 

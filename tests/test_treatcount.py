@@ -16,6 +16,7 @@ from catebench.synth import MAX_DOSE, dose_recovery_scenario, generate
 from catebench.tlearner import att, fit_t_learner
 from catebench.treatcount import (
     REFERENCE_DOSES,
+    CateSurface,
     att2,
     check_base_independence,
     default_dose_probes,
@@ -322,3 +323,14 @@ def test_surface_ordering_flags_and_missing(tmp_path):
     assert payload["phi"][2] == [None, None]
     assert payload["observed_dose_min"] == 2
     assert payload["n_missing"] == 2
+
+
+@pytest.mark.parametrize("make", [
+    lambda: CateSurface((1.0, 2.0), (1,), np.array([[0.5], [1.0]]), 1, 1, (False,), 0),
+    lambda: generate(dose_recovery_scenario(50), seed=1)[1],
+], ids=["CateSurface", "GroundTruth"])
+def test_records_with_array_fields_compare_by_identity(make):
+    # as Cohort's: field-wise == over arrays of more than one element would raise
+    first, second = make(), make()
+    assert first == first
+    assert first != second
