@@ -24,7 +24,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain, compress, islice
 from pathlib import Path
 
@@ -268,28 +268,10 @@ class LoadReport:
     columns: dict
 
 
-def _cell_error(cell, k) -> str | None:
-    """Why a stripped cell breaks the rule of canonical column ``k`` (the id
-    rule for the id, a decimal for the covariate and outcome, else a count;
-    "" reads as 0), or None."""
-    if k == 0:  # a stripped cell of UTF-8 text can only break it with "\r" or NUL
-        return None if _ids_ok((cell,)) else f"an id may not hold '\\r' or NUL: {cell!r}"
-    decimal = k in (1, 8)
-    try:
-        value = float(cell) if decimal else int(cell or "0")
-    except ValueError:
-        return f"not a number: {cell!r}" if decimal else f"not an integer count: {cell!r}"
-    if decimal:
-        return None if in_decimal_range(value) else f"{cell!r} is not in {DECIMAL_RANGE}"
-    if value < 0:
-        return "negative count"
-    return None if value <= _COUNT_MAX else f"count above {_COUNT_MAX}"
-
-
 def _chunks(reader):
     """The reader's records in lists of up to ``_CHUNK_ROWS``.  A read error
     (a malformed or undecodable line) is raised after the records before it
-    have been yielded, so errors in those rows are reported first."""
+    have been yielded and checked, so errors in those rows are reported first."""
     while True:
         rows = []
         try:
@@ -302,49 +284,46 @@ def _chunks(reader):
         yield rows
 
 
-def _bulk_columns(rows, width, positions):
-    """One chunk's mapped columns, stripped and converted column by column:
-    (ids, x1, y, counts, rows read, rows dropped), or None when any row breaks
-    a rule; ``_raise_first_error`` then names the first such row."""
+def _bulk_columns(rows, width, positions, names):
+    """The one copy of each cell rule.  One chunk's mapped columns, stripped
+    and converted column by column: (ids, x1, y, counts, rows read, rows
+    dropped); or, when a row breaks a rule, the message tail (", column 'f2f':
+    not an integer count: 'x'") of the first rule broken, in the order row
+    width, id, covariate, outcome, counts.  Blank and dropped rows break none.
+    A tail quotes the column's first cell, so it is exact only for one row,
+    the only call whose tail is shown (see ``load_cohort``)."""
     rows = [row for row in rows if "".join(row).strip()]
-    if any(len(row) != width for row in rows):
-        return None
+    for row in rows:
+        if len(row) != width:
+            return f": expected {width} fields, got {len(row)}"
     columns = list(zip(*rows)) or [()] * width
     cells = [tuple(map(str.strip, columns[pos])) for pos in positions]
     if "" in cells[1] or "" in cells[8]:
         keep = [a != "" and b != "" for a, b in zip(cells[1], cells[8])]
         cells = [tuple(compress(column, keep)) for column in cells]
+    if not _ids_ok(cells[0]):  # a stripped cell of UTF-8 text can only break it with "\r" or NUL
+        return f", column {names[0]!r}: an id may not hold '\\r' or NUL: {cells[0][0]!r}"
     n = len(cells[0])
-    try:
-        x1, y = (np.fromiter(map(float, cells[k]), np.float64, n) for k in (1, 8))
-        counts = np.empty((len(COUNT_COLUMNS), n), dtype=np.int64)
-        for out, column in zip(counts, cells[2:8]):
-            # counts repeat, so each distinct cell is parsed once; "" reads as 0
-            parsed = {cell: int(cell or "0") for cell in set(column)}
-            out[:] = np.fromiter(map(parsed.__getitem__, column), np.int64, n)
-    except (ValueError, OverflowError):
-        return None
-    valid = in_decimal_range(x1) and in_decimal_range(y) and _ids_ok(cells[0])
-    if not valid or (counts < 0).any():
-        return None
-    return cells[0], x1, y, counts.T, len(rows), len(rows) - n
-
-
-def _raise_first_error(path, rows, first_rownum, width, positions, names):
-    """Walk a chunk row by row and raise the first error in row order."""
-    for rownum, row in enumerate(rows, start=first_rownum):
-        if not "".join(row).strip():
-            continue
-        if len(row) != width:
-            raise ParseError(f"{path}: row {rownum}: expected {width} fields, got {len(row)}")
-        cells = [row[pos].strip() for pos in positions]
-        if cells[1] == "" or cells[8] == "":
-            continue
-        for k in (0, 1, 8, *range(2, 8)):  # the id, covariate and outcome, then the counts
-            error = _cell_error(cells[k], k)
-            if error:
-                raise ParseError(f"{path}: row {rownum}, column {names[k]!r}: {error}")
-    raise RuntimeError(f"{path}: rows {first_rownum}.. failed the column checks but no row did")
+    decimals = []  # x1, y
+    for k in (1, 8):
+        try:
+            decimals.append(np.fromiter(map(float, cells[k]), np.float64, n))
+        except ValueError:
+            return f", column {names[k]!r}: not a number: {cells[k][0]!r}"
+        if not in_decimal_range(decimals[-1]):
+            return f", column {names[k]!r}: {cells[k][0]!r} is not in {DECIMAL_RANGE}"
+    counts = np.empty((len(COUNT_COLUMNS), n), dtype=np.int64)
+    for k, out in enumerate(counts, start=2):
+        try:  # counts repeat, so each distinct cell is parsed once; "" reads as 0
+            parsed = {cell: int(cell or "0") for cell in set(cells[k])}
+        except ValueError:
+            return f", column {names[k]!r}: not an integer count: {cells[k][0]!r}"
+        if min(parsed.values(), default=0) < 0:
+            return f", column {names[k]!r}: negative count"
+        if max(parsed.values(), default=0) > _COUNT_MAX:
+            return f", column {names[k]!r}: count above {_COUNT_MAX}"
+        out[:] = np.fromiter(map(parsed.__getitem__, cells[k]), np.int64, n)
+    return cells[0], *decimals, counts.T, len(rows), len(rows) - n
 
 
 def config_lines(text):
@@ -380,11 +359,12 @@ def load_cohort(path, config: SchemaConfig | None = None, precision=1.0):
 
     Rows missing the covariate or outcome are dropped and counted in the
     report; empty count cells default to 0 (no sessions recorded).  The file
-    is read in chunks of records, each converted column by column; an error
-    names the first bad row (rows count CSV records, blank ones included) and
-    column, only the row for a record the csv module cannot read, or (from
-    ``read_text``, so only a file that fails to decode is read whole) the
-    physical line of the first byte that is not UTF-8.
+    is read in chunks of records, each checked and converted column by column
+    by ``_bulk_columns``; a chunk that fails is checked again a row at a time.
+    So an error names the first bad row (rows count CSV records, blank ones
+    included) and column, only the row for a record the csv module cannot
+    read, or (from ``read_text``, so only a file that fails to decode is read
+    whole) the physical line of the first byte that is not UTF-8.
     """
     cfg = config or SchemaConfig.default()
     path = Path(path)
@@ -410,12 +390,15 @@ def load_cohort(path, config: SchemaConfig | None = None, precision=1.0):
                 raise SchemaError(f"{path}: column {repeated[0]!r} appears twice in the header")
             positions = [header.index(name) for name in names]  # CANONICAL_COLUMNS order
 
-            parts = [_bulk_columns([], len(header), positions)]  # empty columns to start from
+            bulk = partial(_bulk_columns, width=len(header), positions=positions, names=names)
+            parts = [bulk([])]  # empty columns to start from
             rownum = 2
             for rows in _chunks(reader):
-                part = _bulk_columns(rows, len(header), positions)
-                if part is None:
-                    _raise_first_error(path, rows, rownum, len(header), positions, names)
+                part = bulk(rows)
+                if isinstance(part, str):  # the same check, a row at a time, finds the bad row
+                    for k, row in enumerate(rows, start=rownum):
+                        if isinstance(why := bulk([row]), str):
+                            raise ParseError(f"{path}: row {k}{why}")
                 parts.append(part)
                 rownum += len(rows)
         except csv.Error as exc:

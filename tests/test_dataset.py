@@ -657,6 +657,14 @@ _CLEAN = dict(edits=[], inserts=[], chunk=2, line_end="\n")
 @example(n_rows=6, **{**_CLEAN, "edits": [(2, 1, "1_000"), (3, 4, "+5"), (4, 6, "٣")]})
 @example(n_rows=6, **{**_CLEAN, "inserts": [(2, [" "] * 9), (4, ["r", "5\n0"])]})
 @example(n_rows=6, **{**_CLEAN, "edits": [(3, 0, "x\ry")], "line_end": "\r\n"})  # a quoted id
+# a bad cell past a chunk's valid first row: only the one-row check's message shows
+@example(n_rows=6, **{**_CLEAN, "chunk": 5, "edits": [(3, 8, "1e101")]})
+@example(n_rows=6, **{**_CLEAN, "chunk": 5, "edits": [(3, 1, "abc")]})
+@example(n_rows=6, **{**_CLEAN, "chunk": 5, "edits": [(3, 2, "x")]})
+@example(n_rows=6, **{**_CLEAN, "chunk": 5, "edits": [(3, 7, str(2**63))]})
+# the earlier row wins, though its bad column comes later in check order
+@example(n_rows=6, **{**_CLEAN, "chunk": 5, "edits": [(2, 5, "-1"), (3, 0, "x\ry")],
+                      "line_end": "\r\n"})
 @given(
     n_rows=st.integers(0, len(_DIFF_ROWS)),
     edits=st.lists(
