@@ -281,13 +281,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except CatebenchError as exc:
+    except (CatebenchError, OSError, UnicodeError) as exc:
+        # exit 2 for an input that is missing or a directory, or text stdout cannot encode
         print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except (OSError, UnicodeError) as exc:
-        # an input that is missing, a directory, or not UTF-8 text
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return getattr(exc, "exit_code", 2)
 
 
 def entry() -> None:

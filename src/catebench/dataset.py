@@ -269,14 +269,14 @@ class LoadReport:
 
 
 def _chunks(reader):
-    """The reader's records in lists of up to ``_CHUNK_ROWS``.  A read error
-    (a malformed or undecodable line) is raised after the records before it
-    have been yielded and checked, so errors in those rows are reported first."""
+    """The reader's records in lists of up to ``_CHUNK_ROWS``.  A csv.Error (a
+    record the csv module refuses) is raised after the records before it have
+    been yielded and checked, so errors in those rows are reported first."""
     while True:
         rows = []
         try:
             rows.extend(islice(reader, _CHUNK_ROWS))
-        except (csv.Error, OSError, ValueError):
+        except csv.Error:
             yield rows
             raise
         if not rows:
@@ -338,9 +338,9 @@ def config_lines(text):
 
 def read_text(path) -> str:
     """A UTF-8 text file's contents, a byte order mark skipped, lines ended by
-    "\\n".  The one locator of a bad byte: a byte that is not UTF-8 raises
-    ParseError naming the path and the byte's physical line (1-based; a line
-    ends at "\\n", "\\r\\n" or a lone "\\r", as in the csv module)."""
+    "\\n".  The one byte check of every input file, whole, before it is parsed:
+    a byte that is not UTF-8 raises ParseError naming the path and the byte's
+    physical line (1-based; a line ends at "\\n", "\\r\\n" or a lone "\\r", as in csv)."""
     path = Path(path)
     try:
         # decoded whole: the incremental utf-8-sig decoder of a text stream
@@ -361,10 +361,10 @@ def load_cohort(path, config: SchemaConfig | None = None, precision=1.0):
     report; empty count cells default to 0 (no sessions recorded).  The file
     is read in chunks of records, each checked and converted column by column
     by ``_bulk_columns``; a chunk that fails is checked again a row at a time.
-    So an error names the first bad row (rows count CSV records, blank ones
-    included) and column, only the row for a record the csv module cannot
-    read, or (from ``read_text``, so only a file that fails to decode is read
-    whole) the physical line of the first byte that is not UTF-8.
+    The bytes are checked whole first (``read_text``), so a byte that is not
+    UTF-8 is named by its physical line before any header or row is checked.
+    Otherwise an error names the first bad row (rows count CSV records, blank
+    ones included) and column, or only the row for a record csv cannot read.
     """
     cfg = config or SchemaConfig.default()
     path = Path(path)
@@ -373,13 +373,13 @@ def load_cohort(path, config: SchemaConfig | None = None, precision=1.0):
         if name in names[:k]:
             keys = CANONICAL_COLUMNS[names.index(name)], CANONICAL_COLUMNS[k]
             raise SchemaError(f"{path}: {keys[0]!r} and {keys[1]!r} both map to {name!r}")
+    read_text(path)  # the byte check, first: a bad byte is named before any header or row
     with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         rownum = 1  # the header, then the first record of the chunk being read
         try:
             header = next(reader, None)
             if header is None:
-                read_text(path)  # raises ParseError if the file is a truncated BOM
                 raise SchemaError(f"{path}: empty file, header row required")
             header = [h.strip() for h in header]
             missing = [name for name in names if name not in header]
@@ -404,9 +404,6 @@ def load_cohort(path, config: SchemaConfig | None = None, precision=1.0):
         except csv.Error as exc:
             # a record the csv module refuses, such as a field above its size limit
             raise ParseError(f"{path}: row {rownum}: {exc}") from None
-        except UnicodeDecodeError:
-            read_text(path)  # raises the ParseError that names the bad byte's line
-            raise
     ids, x1, y, counts, n_rows, n_dropped = zip(*parts)
     x1, y, counts = (np.concatenate(column) for column in (x1, y, counts))
     cohort = Cohort(tuple(chain.from_iterable(ids)), x1, counts[:, 0], y, counts[:, 1:], precision)

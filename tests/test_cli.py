@@ -71,6 +71,11 @@ def test_synth_invalid_scenario_exit_2(tmp_path, capsys):
     assert "'n'" in capsys.readouterr().err
 
 
+def test_synth_without_config_exit_2(tmp_path, capsys):
+    assert main(["synth", "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    assert capsys.readouterr().err == "error: synth requires --config with a scenario file\n"
+
+
 @pytest.mark.parametrize(
     "text, field",
     [
@@ -401,6 +406,14 @@ def test_invalid_flag_exit_2_without_traceback(tmp_path, synth_csv, capsys, flag
     assert "Traceback" not in err
 
 
+def test_bin_flag_that_is_not_a_number_exit_2(tmp_path, synth_csv, capsys):
+    args = ["summarize", "--input", str(synth_csv), "--out", str(tmp_path / "o"), "--bin", "abc"]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert "argument --bin: expected a number, got 'abc'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["summarize", "cate"])
 def test_bin_width_too_small_for_covariate_exit_2(tmp_path, capsys, command):
     # 50 / 1e-308 overflows to inf, which has no bin
@@ -534,6 +547,12 @@ def test_phi_bad_x2_exit_2(tmp_path, synth_csv):
         ["phi", "--input", str(synth_csv), "--out", str(tmp_path / "o"), "--x2", "0,3", "--quiet"]
     )
     assert code == 2
+
+
+def test_phi_empty_x2_list_exit_2_before_loading(tmp_path, capsys):
+    missing = tmp_path / "missing.csv"
+    assert main(["phi", "--input", str(missing), "--out", str(tmp_path / "o"), "--x2", ","]) == 2
+    assert capsys.readouterr().err == "error: --x2 list is empty\n"
 
 
 def test_phi_checks_x2_before_loading(tmp_path, capsys):

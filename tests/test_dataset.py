@@ -382,6 +382,20 @@ def test_config_lines_end_only_at_newlines(tmp_path):
     assert str(err.value) == f"{cfg}: line 2: expected 'canonical = actual'"
 
 
+def test_empty_column_name_in_config_rejected(tmp_path):
+    cfg = _write(tmp_path, "proficiency =\n", "schema.cfg")
+    with pytest.raises(SchemaError) as err:
+        SchemaConfig.from_file(cfg)
+    assert str(err.value) == f"{cfg}: line 1: empty column name for 'proficiency'"
+
+
+def test_empty_cohort_file_needs_a_header(tmp_path):
+    path = _write(tmp_path, "")
+    with pytest.raises(SchemaError) as err:
+        load_cohort(path)
+    assert str(err.value) == f"{path}: empty file, header row required"
+
+
 def test_unknown_config_key_rejected(tmp_path):
     cfg = _write(tmp_path, "profi = p\n", "schema.cfg")
     with pytest.raises(SchemaError, match="profi"):
@@ -815,6 +829,21 @@ def test_non_utf8_byte_deep_in_a_cohort_names_its_line(tmp_path, end):
     with pytest.raises(ParseError) as err:
         load_cohort(path)
     assert str(err.value) == f"{path}: line 3212: byte 0xe9 is not UTF-8 (invalid continuation byte)"
+
+
+@pytest.mark.parametrize("bad_row", [5, 2000], ids=["near", "far"])
+def test_non_utf8_byte_wins_over_an_earlier_bad_cell(tmp_path, bad_row):
+    # the bytes are checked whole before any row, so the text layer's 8 KB
+    # read-ahead cannot decide which error shows
+    rows = _cohort_rows(3000)
+    rows[2] = "c,52,x,0,0,0,0,0,51"
+    rows[bad_row - 1] = "Jos\xe9,52,1,0,0,0,0,0,51"
+    path = tmp_path / "latin1.csv"
+    path.write_bytes((HEADER + "\n" + "\n".join(rows) + "\n").encode("latin-1"))
+    with pytest.raises(ParseError) as err:
+        load_cohort(path)
+    line = bad_row + 1
+    assert str(err.value) == f"{path}: line {line}: byte 0xe9 is not UTF-8 (invalid continuation byte)"
 
 
 @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])

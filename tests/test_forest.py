@@ -247,6 +247,11 @@ def test_empty_and_ragged_inputs():
         fit_tree([[1.0], [2.0]], [2.0, 3.0, 4.0])
 
 
+def test_a_forest_of_no_trees_is_refused():
+    with pytest.raises(ValueError, match="n_trees must be >= 1"):
+        fit_forest(STUMP_ROWS, 2, n_trees=0)
+
+
 def test_conservation_and_refit_invariants():
     rng = np.random.default_rng(7)
     X = rng.uniform(0, 10, size=(60, 2))

@@ -90,6 +90,14 @@ def test_rank_deficient_inputs():
         ols_fit(np.column_stack([x, np.full(30, 4.0)]), rng.normal(0, 1, 30))
 
 
+def test_a_1d_design_is_one_column():
+    rng = np.random.default_rng(5)
+    x, y = rng.normal(0, 1, 20), rng.normal(0, 1, 20)
+    assert ols_fit(x, y) == ols_fit(x[:, np.newaxis], y)
+    with pytest.raises(ValueError, match="one value per design row"):
+        ols_fit(x, y[:-1])
+
+
 def test_underdetermined():
     with pytest.raises(Underdetermined):
         ols_fit(np.ones((3, 2)) * np.arange(3)[:, None], np.arange(3.0))

@@ -112,6 +112,30 @@ def test_true_effect_queries():
         assert true_effects(truth_c, "tau_x1", x1=x1) == 2.0
 
 
+def test_true_effect_queries_of_each_arm():
+    _, truth = generate(Scenario(n=200, selection=LogisticSelection(intercept=0.0)), seed=1)
+    assert None not in (truth.true_att, truth.true_atu)
+    assert true_effects(truth, "att") == truth.true_att
+    assert true_effects(truth, "atu") == truth.true_atu
+    with pytest.raises(ValueError, match="need x1 and x2"):
+        true_effects(truth, "tau", x1=45.0)
+    with pytest.raises(ValueError, match="need x1"):
+        true_effects(truth, "tau_x1")
+    for intercept, empty in ((-60.0, "att"), (60.0, "atu")):  # one arm has no records
+        _, one_arm = generate(Scenario(n=50, selection=LogisticSelection(intercept=intercept)), 1)
+        with pytest.raises(OutOfSupport):
+            true_effects(one_arm, empty)
+
+
+def test_unknown_response_kind_is_an_invalid_scenario():
+    with pytest.raises(InvalidScenario) as err:
+        Scenario(n=10, effect_true=ResponseFn("bogus")).validate()
+    assert err.value.field == "effect_true"
+    with pytest.raises(InvalidScenario) as err:
+        ResponseFn("bogus")(50.0)
+    assert err.value.field == "kind"
+
+
 def test_true_ate_matches_per_record_fsum():
     cohort, truth = generate(standard_biased_scenario(2000), seed=5)
     effects = truth.y1 - truth.y0

@@ -75,6 +75,16 @@ def test_atu_single_control_record():
     assert atu(model, cohort) == 2.0
 
 
+def test_effect_scalars_over_a_missing_arm_are_named():
+    model = fit_t_learner(helpers.mirrored_cohort([(40.0, 45.0), (50.0, 50.0)]), n_trees=1)
+    with pytest.raises(EmptyArm) as err:
+        att(model, helpers.cohort_from_arrays([40, 50], [0, 0], [45, 50]))
+    assert err.value.arm == "R1"
+    with pytest.raises(EmptyArm) as err:
+        atu(model, helpers.cohort_from_arrays([40, 50], [1, 2], [45, 50]))
+    assert err.value.arm == "R0"
+
+
 def test_att_zero_when_outcomes_match_predictions():
     x1 = [30.0, 40.0, 60.0, 45.0, 55.0]
     x2 = [0, 0, 0, 1, 2]

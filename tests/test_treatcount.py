@@ -17,6 +17,7 @@ from catebench.tlearner import att, fit_t_learner
 from catebench.treatcount import (
     REFERENCE_DOSES,
     CateSurface,
+    _require_dose,
     att2,
     check_base_independence,
     default_dose_probes,
@@ -158,6 +159,11 @@ def test_fractional_session_count_raises_everywhere():
     assert phi(model, cohort, some_bin, 2.0) == phi(model, cohort, some_bin, 2)
     assert phi_surface(model, cohort, x2_values=[2.0, np.int64(3)]).x2_values == (2, 3)
     assert check_base_independence(model, cohort, probe_x2=[0.0, 2.0]).probes == (0, 2)
+
+
+def test_a_session_count_that_is_not_a_number_raises_domain_error():
+    with pytest.raises(DomainError, match="whole number, got 2"):
+        _require_dose("2")  # a str: the comparison raises TypeError
 
 
 def test_phi_finds_a_tenth_width_bin_by_its_decimal():
