@@ -50,7 +50,8 @@ def main() -> None:
     report.to_csv(out / "effect_report.csv")
     columns = {"x1": report.x1, "mu0": report.mu0, "mu1": report.mu1, "tau": report.tau}
     table = [dict(zip(columns, row)) for row in zip(*(c.tolist() for c in columns.values()))]
-    write_json(out / "effect_report.json", {**report.summary_dict(), "table": table})
+    estimands = {"ate": report.ate, "att": report.att, "atu": report.atu}
+    write_json(out / "effect_report.json", {**model.summary(estimands), "table": table})
     print(f"wrote {out}/cohort.csv, effect_report.csv, effect_report.json")
 
 

@@ -114,11 +114,12 @@ def cmd_cate(args) -> int:
     report = tlearner.effect_report(model, cohort)
     out = _out_dir(args)
     report.to_csv(out / "effect_report.csv")
-    _write_json(out / "summary.json", report.summary_dict())
+    _write_json(out / "summary.json",
+                model.summary({"ate": report.ate, "att": report.att, "atu": report.atu}))
     _say(
         args,
         f"ate={report.ate:.6g} att={report.att:.6g} atu={report.atu:.6g}"
-        f" (n={report.n}, treated={report.n_treated}, seed={seed})",
+        f" (n={cohort.n}, treated={model.n_treated}, seed={seed})",
     )
     return 0
 
@@ -140,24 +141,14 @@ def cmd_phi(args) -> int:
     out = _out_dir(args)
     surface.to_csv(out / "phi_surface.csv")
     surface.to_json(out / "phi_matrix.json")
-    _write_json(
-        out / "summary.json",
-        {
-            "att2": a2,
-            "n": cohort.n,
-            "n_treated": model.n_treated,
-            "n_control": model.n_control,
-            "seed": seed,
-            "x2_values": [int(v) for v in surface.x2_values],
-            "observed_dose_min": model.dose_min,
-            "observed_dose_max": model.dose_max,
-            "independence": {
-                "probes": [int(v) for v in independence.probes],
-                "n_violations": len(independence.violations),
-            },
-            "params": tlearner.summary_params(model),
-        },
-    )
+    _write_json(out / "summary.json", model.summary(
+        {"att2": a2},
+        x2_values=list(surface.x2_values),
+        observed_dose_min=model.dose_min,
+        observed_dose_max=model.dose_max,
+        independence={"probes": list(independence.probes),
+                      "n_violations": len(independence.violations)},
+    ))
     _say(
         args,
         f"att2={a2:.6g} grid={len(surface.x1_values)}x{len(surface.x2_values)}"

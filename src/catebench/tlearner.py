@@ -25,7 +25,7 @@ class TLearnerModel:
     """A response forest per arm over [x1] or, for the session-count
     estimator, [x1, x2], with the depth, forest size and seed both were
     fitted with.  ``dose_min``/``dose_max`` are the treated arm's observed
-    session-count range."""
+    session-count range.  ``summary`` builds both estimators' summary.json."""
 
     mu1: RegressionForest
     mu0: RegressionForest
@@ -36,6 +36,19 @@ class TLearnerModel:
     n_control: int
     dose_min: int
     dose_max: int
+
+    def summary(self, estimands: dict, **details) -> dict:
+        """A summary.json: the estimands, the fit's counts and seed (every cohort row
+        is fitted, so n = n_treated + n_control), the details, then ``params``."""
+        return {
+            **estimands,
+            "n": self.n_treated + self.n_control,
+            "n_treated": self.n_treated,
+            "n_control": self.n_control,
+            "seed": self.seed,
+            **details,
+            "params": {"max_depth": self.max_depth, "n_trees": self.n_trees},
+        }
 
 
 def _fit_arms(cohort: Cohort, n_features, max_depth: int, seed, n_trees):
@@ -111,15 +124,12 @@ def atu(model: TLearnerModel, cohort: Cohort) -> float:
     return float(np.mean(mu1 - cohort.y[control]))
 
 
-def summary_params(fitted) -> dict:  # summary.json's "params", from a model or a report
-    return {"max_depth": fitted.max_depth, "n_trees": fitted.n_trees}
-
-
 @dataclass(frozen=True, eq=False)
 class EffectReport:
-    """The scalar effect summaries, plus one entry per covariate bin (ascending)
-    in the float64 columns ``x1`` (the bin key), ``mu0``, ``mu1`` and
-    ``tau = mu1 - mu0``."""
+    """ATE/ATT/ATU, plus one entry per covariate bin (ascending) in the
+    float64 columns ``x1`` (the bin key), ``mu0``, ``mu1`` and
+    ``tau = mu1 - mu0``.  The fit's counts, seed and params stay on the
+    model: ``model.summary`` writes them."""
 
     ate: float
     att: float
@@ -128,36 +138,17 @@ class EffectReport:
     mu0: np.ndarray
     mu1: np.ndarray
     tau: np.ndarray
-    n: int
-    n_treated: int
-    n_control: int
-    seed: int
-    max_depth: int
-    n_trees: int
-
-    def summary_dict(self) -> dict:
-        return {
-            "ate": self.ate,
-            "att": self.att,
-            "atu": self.atu,
-            "n": self.n,
-            "n_treated": self.n_treated,
-            "n_control": self.n_control,
-            "seed": self.seed,
-            "params": summary_params(self),
-        }
 
     def to_csv(self, path) -> None:
         write_csv(path, ["x1", "mu0", "mu1", "tau"], [self.x1, self.mu0, self.mu1, self.tau])
 
 
 def effect_report(model: TLearnerModel, cohort: Cohort) -> EffectReport:
-    """mu0, mu1 and their difference at each covariate bin, with ATE/ATT/ATU."""
+    """mu0, mu1 and their difference at each covariate bin, with ATE/ATT/ATU;
+    ``model.summary`` adds the fit facts."""
     bins = np.fromiter(cohort.bin_members, dtype=float)
     mu0 = model.mu0.predict_many(bins[:, np.newaxis])
     mu1 = model.mu1.predict_many(bins[:, np.newaxis])
-    n_treated = int(cohort.treated.sum())
     return EffectReport(
-        ate(model, cohort), att(model, cohort), atu(model, cohort), bins, mu0, mu1, mu1 - mu0,
-        cohort.n, n_treated, cohort.n - n_treated, model.seed, model.max_depth, model.n_trees,
+        ate(model, cohort), att(model, cohort), atu(model, cohort), bins, mu0, mu1, mu1 - mu0
     )

@@ -525,6 +525,24 @@ def test_phi_outputs_default_grid_and_att2(tmp_path, synth_csv):
     assert abs(payload["att2"] - att) <= 1e-9
 
 
+def test_cate_and_phi_summaries_share_the_fit_block(tmp_path, synth_csv):
+    summaries = {}
+    for command in ("cate", "phi"):
+        out = tmp_path / command
+        assert main([command, "--input", str(synth_csv), "--out", str(out), "--seed", "4",
+                     "--depth", "3", "--trees", "7", "--quiet"]) == 0
+        summaries[command] = json.loads((out / "summary.json").read_text())
+    shared = ["n", "n_treated", "n_control", "seed"]
+    cate, phi = summaries["cate"], summaries["phi"]
+    assert [cate[key] for key in shared + ["params"]] == [phi[key] for key in shared + ["params"]]
+    assert (cate["n"], cate["seed"]) == (400, 4)
+    assert cate["n_treated"] + cate["n_control"] == 400
+    assert cate["params"] == {"max_depth": 3, "n_trees": 7}
+    assert list(cate) == ["ate", "att", "atu", *shared, "params"]
+    assert list(phi) == ["att2", *shared, "x2_values", "observed_dose_min",
+                         "observed_dose_max", "independence", "params"]
+
+
 def test_phi_single_cell_grid(tmp_path):
     body = HEADER + "\n"
     for i in range(5):

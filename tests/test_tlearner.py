@@ -191,7 +191,7 @@ def test_effect_report_contract(tmp_path):
     for x1, mu0, mu1, tau in zip(*(column.tolist() for column in columns)):
         assert tau == mu1 - mu0
         assert tau == cate_tau(model, x1)
-    assert report.summary_dict()["n"] == cohort.n
+    assert model.summary({})["n"] == cohort.n
 
     csv_path = tmp_path / "effect_report.csv"
     report.to_csv(csv_path)
