@@ -10,12 +10,12 @@ is least, and moved by no offset in y.  Ties break to the lowest feature
 index, then the lowest threshold.  A sample routes left iff its feature value
 is strictly below the threshold, so a value exactly at a threshold goes right.
 
-A constant feature yields no candidates and can never be selected, which is
-what makes the two-variable control response ignore its session-count input.
+A fit codes only features of two or more values: one of a single value is never
+searched, so the two-variable control response ignores its session count.
 
 A fit works on the distinct feature rows.  Once per fit, every training row
-is keyed by its per-feature ``np.unique`` codes (-0.0 merges with 0.0), and
-each feature stable-orders the distinct rows.  A tree weights each distinct
+is keyed by its coded features' ``np.unique`` codes (-0.0 merges with 0.0),
+and each stable-orders the distinct rows.  A tree weights each distinct
 row by its bootstrap draw (``fit_tree`` draws every row once): a count and
 a y sum added in draw order, and a y min and max for the pure-node stop.
 ``TreeNode.n`` counts drawn rows.  A node holds only drawn distinct rows and
@@ -104,30 +104,30 @@ def _training_set(X, y, max_depth, n_trees=1):
 
 
 def _cells(n, codes):
-    """Number ``n`` rows by their per-feature integer codes, given as (codes,
-    code count) pairs: returns each cell's first row and every row's cell,
-    cells numbered in ascending lexicographic order of their codes."""
+    """Number ``n`` rows by their codes in features of two or more codes, as
+    (codes, code count) pairs: each cell's first row and every row's cell,
+    cells in ascending lexicographic order of their codes, renumbered after
+    each feature so that keys stay below n times one feature's code count."""
     first = np.arange(min(n, 1))
     cell = np.zeros(n, dtype=np.intp)
     for code, count in codes:
-        if count > 1:
-            # renumbering the cells after each feature keeps the keys below
-            # n times one feature's code count
-            _, first, cell = np.unique(cell * count + code, return_index=True, return_inverse=True)
+        _, first, cell = np.unique(cell * count + code, return_index=True, return_inverse=True)
     return first, cell
 
 
 def _distinct_rows(X):
-    """The values of each feature over the distinct rows of ``X``, in
-    ascending key order; every row's distinct-row index; and each feature's
-    stable order of the distinct rows.  A row's key is its per-feature
-    ``np.unique`` codes, feature 0 first, so order 0 is key order, and with
-    no feature it still orders the one distinct row."""
-    coded = (np.unique(x, return_inverse=True) for x in X.T)
+    """A mask of the features of ``X`` that take two or more values; their
+    values over the distinct rows, in ascending key order; every row's
+    distinct-row index; and each kept feature's stable order of the distinct
+    rows.  A row's key is its kept features' ``np.unique`` codes, so order 0
+    is key order, and with no kept feature it still orders the one row."""
+    kept = X.min(axis=0) < X.max(axis=0)  # -0.0 and 0.0 are one value
+    columns = X.T[kept]
+    coded = (np.unique(x, return_inverse=True) for x in columns)
     first, key = _cells(X.shape[0], ((code, values.size) for values, code in coded))
-    values = X.T.take(first, axis=1)
+    values = columns.take(first, axis=1)
     order = [np.argsort(x, kind="stable") for x in values] or [np.arange(first.size)]
-    return values, key, np.array(order)
+    return kept, values, key, np.array(order)
 
 
 def _gain(n_left, left, n_right, right):  # between-child sum of squares
@@ -178,14 +178,14 @@ def _best_cuts(sx, count, run, n, cuttable, seg, start):
     return cs.take(first), np.where(lo < mid, mid, hi)  # adjacent floats: mid rounds onto lo
 
 
-def _grow(values, order, stats, max_depth) -> list:
-    """Grow one tree per ``order.shape[1]`` columns of the ``_tally``
-    ``stats``, a depth level at a time across all of them.  A level's nodes
-    are contiguous segments: ``rows[j]`` lists each node's drawn rows, as
-    columns of ``stats``, node after node, in stable order of ``values[j]``
-    (``rows[0]`` is key order), and ``start`` bounds the nodes.  Every sum
-    that decides a node runs over its own segment in the order one tree
-    fitted alone would use, so each tree is bitwise that tree."""
+def _grow(kept, values, order, stats, max_depth) -> list:
+    """Grow one tree per ``order.shape[1]`` columns of the ``_tally`` ``stats``
+    on the ``kept`` features, a depth level at a time across all of them.  A
+    level's nodes are contiguous segments: ``rows[j]`` lists each node's drawn
+    rows, as columns of ``stats``, node after node, in stable order of
+    ``values[j]`` (``rows[0]`` is key order), and ``start`` bounds the nodes.
+    Every sum that decides a node runs over its own segment in the order one
+    tree fitted alone would use, so each tree is bitwise that tree."""
     count, total, lo, hi = stats
     size = order.shape[1]
     drawn = count.reshape(-1, size) > 0
@@ -251,7 +251,7 @@ def _grow(values, order, stats, max_depth) -> list:
         if not split.size:
             break
         parents = [nodes[s] for s in split.tolist()]
-        for node, j, t in zip(parents, feature.take(split).tolist(),
+        for node, j, t in zip(parents, np.flatnonzero(kept).take(feature.take(split)).tolist(),
                               threshold.take(split).tolist()):
             node.split = (j, t)
         # every split node's rows go, in order, to its left child among the
@@ -271,9 +271,9 @@ def _grow(values, order, stats, max_depth) -> list:
 
 def fit_tree(X, y, max_depth: int = 2) -> TreeNode:
     """Fit one CART regression tree on an (n, d) feature matrix and n outcomes."""
-    values, key, order, y = _training_set(X, y, max_depth)
+    kept, values, key, order, y = _training_set(X, y, max_depth)
     stats = _tally(key, y, [np.arange(y.size)], 1, order.shape[1])
-    return _grow(values, order, stats, max_depth)[0]
+    return _grow(kept, values, order, stats, max_depth)[0]
 
 
 @dataclass(frozen=True)
@@ -309,40 +309,40 @@ class RegressionForest:
         # land in the last cell, whose rows all go right at every split.
         # Trees are summed in order and then divided, the arithmetic of a
         # per-row mean, so the result is bitwise equal to it.
+        feature, threshold, left, right, mean, depth, cuts = self._table
         first, inverse = _cells(X.shape[0], (
             (np.searchsorted(thr, X[:, j], side="right"), thr.size + 1)
-            for j, thr in enumerate(self.thresholds())
+            for j, thr in enumerate(cuts) if thr.size
         ))
-        feature, threshold, left, right, mean, depth = self._table
         cells = X.take(first, axis=0).ravel()
         base = np.arange(first.size) * self.feature_count
         acc = None
-        for root, levels in enumerate(depth):
+        for root in range(len(self.trees)):  # a leaf is its own child: every tree routes to depth
             node = np.full(first.size, root)
-            for _ in range(levels):
+            for _ in range(depth):
                 goes_left = cells.take(base + feature.take(node)) < threshold.take(node)
                 node = np.where(goes_left, left.take(node), right.take(node))
             acc = mean.take(node) if acc is None else acc + mean.take(node)
         return (acc / len(self.trees))[inverse]
 
     @cached_property
-    def _table(self):  # columns feature, threshold, left, right and mean; each tree's depth
-        queue = [(node, root, 0) for root, node in enumerate(self.trees)]
-        rows, depth = [], [0] * len(self.trees)
-        for i, (node, root, level) in enumerate(queue):  # breadth first, as the queue grows
+    def _table(self):  # columns feature, threshold, left, right, mean; depth; thresholds
+        queue = [(node, 0) for node in self.trees]
+        rows, depth = [], 0
+        for i, (node, level) in enumerate(queue):  # breadth first, as the queue grows
             kids = (i, i)
-            if node.split is not None:
-                kids, depth[root] = (len(queue), len(queue) + 1), level + 1
-                queue += [(node.left, root, level + 1), (node.right, root, level + 1)]
+            if node.split is not None:  # levels never fall, so the last split sets the depth
+                kids, depth = (len(queue), len(queue) + 1), level + 1
+                queue += [(node.left, level + 1), (node.right, level + 1)]
             rows.append((*(node.split or (0, np.nan)), *kids, node.mean))
         feature, threshold, left, right, mean = map(np.array, zip(*rows))
-        return feature, threshold, left, right, mean.astype(float), depth
+        split = left != np.arange(left.size)
+        cuts = [np.unique(threshold[split & (feature == j)]) for j in range(self.feature_count)]
+        return feature, threshold, left, right, mean.astype(float), depth, cuts
 
     def thresholds(self) -> list:
-        """Sorted distinct thresholds of the node table's split rows, one array per feature."""
-        feature, threshold, left = self._table[:3]
-        split = left != np.arange(left.size)
-        return [np.unique(threshold[split & (feature == j)]) for j in range(self.feature_count)]
+        """Copies of the sorted distinct thresholds of the split rows, one array per feature."""
+        return [cuts.copy() for cuts in self._table[6]]
 
 
 def fit_forest(
@@ -361,16 +361,16 @@ def fit_forest(
     thread; tree i is the same in any chunk.
     """
     rows = list(rows)
-    values, key, order, y = _training_set([r[0] for r in rows], [r[1] for r in rows],
-                                          max_depth, n_trees)
+    kept, values, key, order, y = _training_set([r[0] for r in rows], [r[1] for r in rows],
+                                                max_depth, n_trees)
     size = order.shape[1]
     per_chunk = max(1, _CHUNK_ELEMENTS // size)
     trees = []
     for first in range(0, n_trees, per_chunk):
         chunk = range(first, min(first + per_chunk, n_trees))
         draws = (_tree_rng(seed, i).integers(0, y.size, size=y.size) for i in chunk)
-        trees += _grow(values, order, _tally(key, y, draws, len(chunk), size), max_depth)
-    return RegressionForest(tuple(trees), len(values))
+        trees += _grow(kept, values, order, _tally(key, y, draws, len(chunk), size), max_depth)
+    return RegressionForest(tuple(trees), kept.size)
 
 
 @dataclass(frozen=True)

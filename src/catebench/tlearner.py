@@ -56,8 +56,8 @@ def _fit_arms(cohort: Cohort, n_features, max_depth: int, seed, n_trees):
     order, over the first ``n_features`` of (x1, x2).
 
     Both arms use the run seed, so identical arms give identical forests.  A
-    control's session count is 0 by the partition's definition, so mu0's
-    session column is constant and can never be split on.
+    control's session count is 0 by the partition's definition, one value,
+    which a fit never codes (see ``forest``): mu0 is the one-variable mu0.
     """
     treated = cohort.treated
     if not treated.any():

@@ -3,10 +3,10 @@ session-count-dependent effect estimator.
 
 mu1 is fit on treated (x1, x2, y) triples, so it is only defined for session
 counts of 1 and up; mu0 is fit on control triples, whose session count is 0
-by the partition's definition, so its session-count input is constant and
-the split search can never use it.  The estimator phi(x1, x2) substitutes a
-hypothetical session count into mu1 for every student in a covariate bin and
-subtracts each student's control prediction at their observed count.
+by the partition's definition: one value, which a fit never codes (see
+``forest``).  The estimator phi(x1, x2) substitutes a hypothetical session
+count into mu1 for every student in a covariate bin and subtracts each
+student's control prediction at their observed count.
 """
 
 from __future__ import annotations
@@ -70,8 +70,8 @@ def check_base_independence(
 ) -> IndependenceReport:
     """Assert mu0(x1_k, v) == mu0(x1_k, 0) bitwise for every record and probe.
 
-    Passing is guaranteed because a constant training feature never yields
-    split candidates.  When no tree of mu0 splits on the session count, that
+    Passing is guaranteed: a control's session count is one value, which a
+    fit never codes (see ``forest``).  When no tree of mu0 splits on it, that
     is proved from the forest's structure and no probe is predicted:
     ``predict_many`` reads a feature only to compare it with a threshold.
     Otherwise every record is predicted at every probe, each 0 or passing

@@ -32,7 +32,7 @@ def sse_two_pass(values):
     return sum((v - mean) ** 2 for v in values)
 
 
-def brute_force_best_split(X, y, min_leaf=1):
+def brute_force_best_split(X, y):
     """Enumerate every (feature, threshold) candidate; first strict minimum wins.
 
     A threshold is the midpoint of two consecutive distinct values, or the
@@ -50,8 +50,6 @@ def brute_force_best_split(X, y, min_leaf=1):
                 threshold = hi
             left = [i for i in range(n) if X[i, j] < threshold]
             right = [i for i in range(n) if not (X[i, j] < threshold)]
-            if len(left) < min_leaf or len(right) < min_leaf:
-                continue
             sse = sse_two_pass([float(y[i]) for i in left]) + sse_two_pass(
                 [float(y[i]) for i in right]
             )
@@ -62,23 +60,23 @@ def brute_force_best_split(X, y, min_leaf=1):
     return best[1], best[2]
 
 
-def brute_force_tree(X, y, max_depth, min_split=2, min_leaf=1, depth=0):
+def brute_force_tree(X, y, max_depth, depth=0):
     """Reference CART as nested dicts {'n', 'mean', 'split', 'left', 'right'}."""
     node = {"n": len(y), "mean": sum(float(v) for v in y) / len(y), "split": None}
-    if depth >= max_depth or len(y) < min_split or min(y) == max(y):
+    if depth >= max_depth or min(y) == max(y):
         return node
-    found = brute_force_best_split(X, y, min_leaf)
+    found = brute_force_best_split(X, y)
     if found is None:
         return node
     j, threshold = found
     mask = X[:, j] < threshold
     node["split"] = (j, threshold)
-    node["left"] = brute_force_tree(X[mask], y[mask], max_depth, min_split, min_leaf, depth + 1)
-    node["right"] = brute_force_tree(X[~mask], y[~mask], max_depth, min_split, min_leaf, depth + 1)
+    node["left"] = brute_force_tree(X[mask], y[mask], max_depth, depth + 1)
+    node["right"] = brute_force_tree(X[~mask], y[~mask], max_depth, depth + 1)
     return node
 
 
-def per_node_sort_tree(X, y, max_depth, min_split=2, min_leaf=1, depth=0):
+def per_node_sort_tree(X, y, max_depth, depth=0):
     """Reference CART that stable-argsorts every feature again at every node.
 
     Same nested dicts as brute_force_tree, with the library's arithmetic: the
@@ -90,24 +88,20 @@ def per_node_sort_tree(X, y, max_depth, min_split=2, min_leaf=1, depth=0):
     order.
     """
     node = {"n": int(y.size), "mean": float(y.mean()), "split": None}
-    if depth >= max_depth or y.size < min_split or y.min() == y.max():
+    if depth >= max_depth or y.min() == y.max():
         return node
     best = None
     for j in range(X.shape[1]):
         order = np.argsort(X[:, j], kind="stable")
         sx, sy = X[order, j], y[order]
         cut = np.nonzero(sx[:-1] < sx[1:])[0]
+        if not cut.size:
+            continue
         n_left = cut + 1
         n_right = y.size - n_left
-        ok = (n_left >= min_leaf) & (n_right >= min_leaf)
-        if not ok.any():
-            continue
         csum = np.cumsum(sy - node["mean"])
         gain = csum[cut] ** 2 / n_left + (csum[-1] - csum[cut]) ** 2 / n_right
-        gain[~ok] = -np.inf
         k = int(np.argmax(gain))
-        if not np.isfinite(gain[k]):
-            continue
         lo, hi = float(sx[cut[k]]), float(sx[cut[k] + 1])
         threshold = (lo + hi) / 2.0
         if not lo < threshold:  # adjacent floats: the midpoint rounds onto lo
@@ -123,23 +117,23 @@ def per_node_sort_tree(X, y, max_depth, min_split=2, min_leaf=1, depth=0):
     _, j, threshold = best
     mask = X[:, j] < threshold
     node["split"] = (j, threshold)
-    node["left"] = per_node_sort_tree(X[mask], y[mask], max_depth, min_split, min_leaf, depth + 1)
-    node["right"] = per_node_sort_tree(X[~mask], y[~mask], max_depth, min_split, min_leaf, depth + 1)
+    node["left"] = per_node_sort_tree(X[mask], y[mask], max_depth, depth + 1)
+    node["right"] = per_node_sort_tree(X[~mask], y[~mask], max_depth, depth + 1)
     return node
 
 
-def per_node_sort_forest(X, y, n_trees, seed, max_depth, min_split=2, min_leaf=1):
+def per_node_sort_forest(X, y, n_trees, seed, max_depth):
     """Bagged per_node_sort_tree: tree i fits the rows drawn by
     ``default_rng([seed mod 2**64, i]).integers(0, n, size=n)``."""
     n = y.size
     trees = []
     for i in range(n_trees):
         idx = np.random.default_rng([seed % 2**64, i]).integers(0, n, size=n)
-        trees.append(per_node_sort_tree(X[idx], y[idx], max_depth, min_split, min_leaf))
+        trees.append(per_node_sort_tree(X[idx], y[idx], max_depth))
     return trees
 
 
-def distinct_row_tree(X, y, draw, max_depth, min_split=2, min_leaf=1):
+def distinct_row_tree(X, y, draw, max_depth):
     """Reference CART over distinct feature rows, in plain per-node loops.
 
     A distinct row is a tuple of feature values, so -0.0 and 0.0 merge; it
@@ -181,7 +175,7 @@ def distinct_row_tree(X, y, draw, max_depth, min_split=2, min_leaf=1):
         n = sum(tally[d][0] for d in rows)
         mean = float(np.sum(np.array([tally[d][1] for d in rows])) / n)
         node = {"n": n, "mean": mean, "split": None}
-        if depth >= max_depth or n < min_split:
+        if depth >= max_depth:
             return node
         if min(tally[d][2] for d in rows) == max(tally[d][3] for d in rows):
             return node
@@ -196,10 +190,9 @@ def distinct_row_tree(X, y, draw, max_depth, min_split=2, min_leaf=1):
             for i in range(len(ordered) - 1):
                 lo, hi = keys[ordered[i]][j], keys[ordered[i + 1]][j]
                 n_left, s_left = running[i]
-                n_right = cw - n_left
-                if not lo < hi or n_left < min_leaf or n_right < min_leaf:
+                if not lo < hi:
                     continue
-                g = gain(n_left, s_left, n_right, cs - s_left)
+                g = gain(n_left, s_left, cw - n_left, cs - s_left)
                 if best is None or g > best[0]:
                     threshold = (lo + hi) / 2.0
                     if not lo < threshold:  # adjacent floats: the midpoint rounds onto lo
@@ -225,14 +218,14 @@ def distinct_row_tree(X, y, draw, max_depth, min_split=2, min_leaf=1):
     return grow(sorted(tally), 0)
 
 
-def distinct_row_forest(X, y, n_trees, seed, max_depth, min_split=2, min_leaf=1):
+def distinct_row_forest(X, y, n_trees, seed, max_depth):
     """Bagged distinct_row_tree: tree i tallies the rows drawn by
     ``default_rng([seed mod 2**64, i]).integers(0, n, size=n)``."""
     n = y.size
     return [
         distinct_row_tree(
             X, y, np.random.default_rng([seed % 2**64, i]).integers(0, n, size=n),
-            max_depth, min_split, min_leaf,
+            max_depth,
         )
         for i in range(n_trees)
     ]

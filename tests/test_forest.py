@@ -18,6 +18,7 @@ from catebench.forest import (
 from catebench.tlearner import fit_t_learner
 from catebench.treatcount import fit_t_learner2
 
+import helpers
 import oracles
 
 STUMP_ROWS = [((0.0,), 0.0), ((0.0,), 0.0), ((10.0,), 10.0), ((10.0,), 10.0)]
@@ -119,6 +120,65 @@ def test_split_search_equals_distinct_row_oracle_bitwise(data, depth, seed):
         refs = oracles.distinct_row_forest(X, y, 3, seed, depth)
     for tree, ref in zip(fitted, refs, strict=True):
         oracles.assert_same_tree(tree, ref, mean_tol=0.0)
+
+
+def _assert_same_nodes(got, want, feature_of):
+    """Node for node: ``want``'s split feature j is ``feature_of[j]`` in
+    ``got``, and thresholds, counts and means are bitwise equal."""
+    assert (got.n, got.mean.hex()) == (want.n, want.mean.hex())
+    if want.split is None:
+        assert got.split is None
+        return
+    assert got.split[0] == feature_of[want.split[0]]
+    assert got.split[1].hex() == want.split[1].hex()
+    _assert_same_nodes(got.left, want.left, feature_of)
+    _assert_same_nodes(got.right, want.right, feature_of)
+
+
+@settings(max_examples=80, deadline=None)
+@given(tied_training_sets(), st.data())
+def test_all_equal_columns_change_no_tree_and_no_prediction(training, data):
+    # a column of one value is never split on: columns of one value each,
+    # inserted anywhere (column 0 too) or as every column, leave each tree
+    # the same node for node, with its split features shifted past them
+    X, y = training
+    if data.draw(st.booleans()):
+        X = X[:, :0]
+    value = st.sampled_from([-0.0, 0.0, 3.0, 1e100, -1e100]) | st.floats(-1e100, 1e100)
+    columns = [(j, X[:, j]) for j in range(X.shape[1])]
+    for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+        at = data.draw(st.integers(min_value=0, max_value=len(columns)))
+        columns.insert(at, (None, np.full(y.size, data.draw(value))))
+    wide = np.column_stack([column for _, column in columns])
+    feature_of = {j: k for k, (j, _) in enumerate(columns) if j is not None}
+    depth = data.draw(st.integers(min_value=1, max_value=4))
+    seed = data.draw(st.integers(min_value=0, max_value=2**32))
+    narrow = fit_forest(list(zip(X, y)), depth, n_trees=3, seed=seed)
+    broad = fit_forest(list(zip(wide, y)), depth, n_trees=3, seed=seed)
+    assert broad.feature_count == wide.shape[1]
+    pairs = [*zip(broad.trees, narrow.trees), (fit_tree(wide, y, depth), fit_tree(X, y, depth))]
+    for tree, ref in pairs:
+        _assert_same_nodes(tree, ref, feature_of)
+    # the forest never reads an inserted column, so any value there predicts alike
+    rng = np.random.default_rng(seed)
+    probe = np.concatenate([X, rng.uniform(-5, 60, (8, X.shape[1]))])
+    probe_wide = np.column_stack([
+        probe[:, j] if j is not None else rng.uniform(-1e3, 1e3, len(probe)) for j, _ in columns
+    ])
+    assert broad.predict_many(probe_wide).tobytes() == narrow.predict_many(probe).tobytes()
+
+
+def test_mu0_ignores_the_session_column_tree_for_tree():
+    # a control's session count is 0, one value, so the two-variable mu0 is
+    # the one-variable mu0 node for node
+    for seed in range(3):
+        cohort, _ = helpers.random_cohort(seed)
+        for depth in (2, 4):
+            one = fit_t_learner(cohort, depth, seed, n_trees=10).mu0
+            two = fit_t_learner2(cohort, depth, seed, n_trees=10).mu0
+            assert (one.feature_count, two.feature_count) == (1, 2)
+            for tree, ref in zip(two.trees, one.trees, strict=True):
+                _assert_same_nodes(tree, ref, [0])
 
 
 @pytest.mark.parametrize("depth", [3, 6])
@@ -362,15 +422,17 @@ def test_predict_many_bitwise_equals_per_row_mean(data):
     _assert_matches_per_row_mean(forest, data)
 
 
+def leaf(v):
+    return TreeNode(n=1, mean=v)
+
+
+def node(feature, threshold, left, right):
+    return TreeNode(n=2, mean=0.0, split=(feature, threshold), left=left, right=right)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_hand_built_forest_splitting_on_second_feature(data):
-    def leaf(v):
-        return TreeNode(n=1, mean=v)
-
-    def node(feature, threshold, left, right):
-        return TreeNode(n=2, mean=0.0, split=(feature, threshold), left=left, right=right)
-
     trees = (
         node(1, 2.5, leaf(0.1), node(0, -1.0, leaf(0.2), leaf(0.7))),
         node(1, 7.5, node(1, 2.5, leaf(-0.0), leaf(1e16)), leaf(0.3)),
@@ -385,6 +447,31 @@ def test_hand_built_forest_splitting_on_second_feature(data):
     forest = RegressionForest(trees, 2)
     _assert_thresholds_match_node_walk(forest)
     _assert_matches_per_row_mean(forest, data)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data(), st.booleans())
+def test_a_leaf_beside_a_depth_3_tree_predicts_as_the_per_row_mean(data, leaf_first):
+    # every tree routes to the forest's depth: the leaf stays on itself
+    deep = node(0, 1.0, leaf(-1.0), node(1, 0.5, node(0, 3.0, leaf(0.25), leaf(4.0)), leaf(1e16)))
+    trees = (leaf(2.5), deep) if leaf_first else (deep, leaf(2.5))
+    _assert_matches_per_row_mean(RegressionForest(trees, 2), data)
+
+
+def test_mutating_returned_thresholds_changes_no_prediction():
+    rng = np.random.default_rng(9)
+    X = np.round(rng.uniform(0, 10, size=(60, 2)), 1)
+    y = rng.normal(0, 1, size=60)
+    forest = fit_forest(list(zip(X, y)), 3, n_trees=5, seed=2)
+    probe = np.concatenate([X, rng.uniform(-1, 11, size=(20, 2))])
+    want = oracles.per_row_forest_mean(forest.trees, probe).tobytes()
+    kept = [thr.tolist() for thr in forest.thresholds()]
+    for _ in range(2):  # before the first prediction, and after one
+        for thr in forest.thresholds():
+            thr[:] = 0.0
+        assert forest.predict_many(probe).tobytes() == want
+    assert [thr.tolist() for thr in forest.thresholds()] == kept
+    assert sum(map(len, kept)) > 0
 
 
 def test_thresholds_equal_a_node_walk():
