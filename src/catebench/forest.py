@@ -30,7 +30,8 @@ whole chunk, and a child is a stable partition of its parent's segment, so
 no node sorts.  Each sum that decides a node is taken over that node's rows
 in the order one tree grown alone would use (a node's y sum pairwise, its
 running sums one ``cumsum`` over its own slice of the level), so a tree is
-bitwise the same whichever chunk grows it.
+bitwise the same whichever chunk grows it.  Prediction takes chunks by the
+same rule and routes each as one (tree, cell) node array, a level at a time.
 """
 
 from __future__ import annotations
@@ -44,10 +45,10 @@ from .dataset import DECIMAL_RANGE, in_decimal_range
 from .errors import DimensionMismatch, DomainError, EmptyInput
 
 _SEED_SPACE = 2**64
-# (tree, distinct row) elements one level pass holds: a forest grows in
-# chunks of as many trees as this many allow, and at least one.  Larger
-# chunks make fewer calls per tree but hold larger level arrays, about 150
-# bytes an element at the peak.
+# (tree, distinct row) elements a level pass holds, and (tree, cell) elements
+# a routing pass holds: a forest grows and predicts in chunks of as many trees
+# as this many allow, and at least one.  Larger chunks make fewer calls per tree
+# but hold larger arrays: at the peak, about 150 bytes an element growing, 34 routing.
 _CHUNK_ELEMENTS = 10_000
 
 
@@ -301,29 +302,28 @@ class RegressionForest:
             raise DimensionMismatch(
                 f"expected an (n, {self.feature_count}) matrix, got shape {X.shape}"
             )
-        # The forest is constant on each cell of the grid cut by the thresholds
-        # it splits on, so it is evaluated once per occupied cell, at the
-        # cell's first row.  A row's cell along feature j is the number of
-        # thresholds <= x_j; since a value at a threshold routes right, every
-        # row of a cell takes the same path through every tree.  NaN and +inf
-        # land in the last cell, whose rows all go right at every split.
-        # Trees are summed in order and then divided, the arithmetic of a
-        # per-row mean, so the result is bitwise equal to it.
+        # The forest is constant on each cell of the grid cut by the thresholds it
+        # splits on, so it is evaluated once per occupied cell, at the cell's first
+        # row.  A row's cell along feature j is the number of thresholds <= x_j; since
+        # a value at a threshold routes right, every row of a cell takes the same path
+        # through every tree.  NaN and +inf land in the last cell, whose rows all go
+        # right at every split.  A chunk of trees (fit_forest's rule) routes as one
+        # (tree, cell) node array, a level a step.  Leaf means are summed in tree order
+        # from -0.0 (-0.0 + m is m) and divided: a per-row mean's arithmetic, bitwise.
         feature, threshold, left, right, mean, depth, cuts = self._table
-        first, inverse = _cells(X.shape[0], (
-            (np.searchsorted(thr, X[:, j], side="right"), thr.size + 1)
-            for j, thr in enumerate(cuts) if thr.size
-        ))
+        codes = ((np.searchsorted(thr, X[:, j], side="right"), thr.size + 1)
+                 for j, thr in enumerate(cuts) if thr.size)
+        first, inverse = _cells(X.shape[0], codes)
         cells = X.take(first, axis=0).ravel()
         base = np.arange(first.size) * self.feature_count
-        acc = None
-        for root in range(len(self.trees)):  # a leaf is its own child: every tree routes to depth
-            node = np.full(first.size, root)
-            for _ in range(depth):
+        trees, step, acc = len(self.trees), max(1, _CHUNK_ELEMENTS // max(1, first.size)), -0.0
+        for roots in np.split(np.arange(trees), range(step, trees, step)):
+            node = roots.repeat(first.size).reshape(roots.size, first.size)
+            for _ in range(depth):  # a leaf is its own child: every tree routes to depth
                 goes_left = cells.take(base + feature.take(node)) < threshold.take(node)
                 node = np.where(goes_left, left.take(node), right.take(node))
-            acc = mean.take(node) if acc is None else acc + mean.take(node)
-        return (acc / len(self.trees))[inverse]
+            acc = sum(mean.take(node), acc)  # tree after tree, not np.sum's pairwise order
+        return (acc / trees)[inverse]
 
     @cached_property
     def _table(self):  # columns feature, threshold, left, right, mean; depth; thresholds

@@ -1,10 +1,14 @@
 """Forest module: split optimality against brute force, routing, bagging."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from catebench import forest as forest_module
 from catebench.dataset import Cohort
 from catebench.errors import DimensionMismatch, DomainError, EmptyInput
 from catebench.forest import (
@@ -387,16 +391,30 @@ def _assert_thresholds_match_node_walk(forest):
         assert thr.tolist() == _split_thresholds(forest, j)
 
 
+def _cell_count(forest, probe):
+    # distinct rows of the probe once coded by the thresholds each feature splits on
+    codes = [np.searchsorted(thr, probe[:, j], side="right")
+             for j, thr in enumerate(forest.thresholds())]
+    return len(np.unique(np.column_stack(codes), axis=0))
+
+
 def _assert_matches_per_row_mean(forest, data):
     """Probe rows drawn from the split thresholds, their neighbours below,
-    NaN, +-inf and free floats must predict bitwise as the per-row mean."""
+    NaN, +-inf and free floats must predict bitwise as the per-row mean,
+    routed one tree a pass, half the forest a pass, or all of it at once."""
     cuts = _split_thresholds(forest)
     edges = cuts + [float(np.nextafter(t, -np.inf)) for t in cuts]
     value = st.sampled_from(edges + [np.nan, np.inf, -np.inf]) | st.floats(-20, 20)
     d = forest.feature_count
     rows = data.draw(st.lists(st.lists(value, min_size=d, max_size=d), max_size=40))
+    trees = len(forest.trees)
+    routing = data.draw(st.sampled_from(["one tree", "mid-way", "whole forest"]))
     for probe in (np.array(rows, dtype=float).reshape(len(rows), d), np.empty((0, d))):
-        got = forest.predict_many(probe)
+        cells = _cell_count(forest, probe)
+        chunk = {"one tree": 1, "mid-way": cells * -(-trees // 2),
+                 "whole forest": 1000 * trees * max(cells, 1)}[routing]
+        with mock.patch.object(forest_module, "_CHUNK_ELEMENTS", chunk):
+            got = forest.predict_many(probe)
         want = oracles.per_row_forest_mean(forest.trees, probe)
         assert got.shape == want.shape == (len(probe),)
         assert got.tobytes() == want.tobytes()
@@ -416,7 +434,7 @@ def test_predict_many_bitwise_equals_per_row_mean(data):
     forest = fit_forest(
         [(X[i], y[i]) for i in range(n)],
         data.draw(st.integers(min_value=1, max_value=4)),
-        n_trees=data.draw(st.integers(min_value=1, max_value=8)),
+        n_trees=data.draw(st.integers(min_value=1, max_value=25)),
         seed=seed,
     )
     _assert_matches_per_row_mean(forest, data)
@@ -428,6 +446,12 @@ def leaf(v):
 
 def node(feature, threshold, left, right):
     return TreeNode(n=2, mean=0.0, split=(feature, threshold), left=left, right=right)
+
+
+def _with_leaf_means(tree, value):
+    if tree.is_leaf:
+        return leaf(value)
+    return node(*tree.split, _with_leaf_means(tree.left, value), _with_leaf_means(tree.right, value))
 
 
 @settings(max_examples=30, deadline=None)
@@ -447,6 +471,12 @@ def test_hand_built_forest_splitting_on_second_feature(data):
     forest = RegressionForest(trees, 2)
     _assert_thresholds_match_node_walk(forest)
     _assert_matches_per_row_mean(forest, data)
+    # every leaf -0.0: the per-row mean is -0.0, sign bit set, so the running
+    # sum over trees must not start at +0.0 (+0.0 + -0.0 is +0.0)
+    signed = RegressionForest(tuple(_with_leaf_means(t, -0.0) for t in trees), 2)
+    _assert_matches_per_row_mean(signed, data)
+    probe = np.array([[-5.0, -5.0], [2.5, 7.5], [6.0, 0.5], [np.nan, np.inf]])
+    assert np.signbit(signed.predict_many(probe)).all()
 
 
 @settings(max_examples=30, deadline=None)
@@ -456,6 +486,35 @@ def test_a_leaf_beside_a_depth_3_tree_predicts_as_the_per_row_mean(data, leaf_fi
     deep = node(0, 1.0, leaf(-1.0), node(1, 0.5, node(0, 3.0, leaf(0.25), leaf(4.0)), leaf(1e16)))
     trees = (leaf(2.5), deep) if leaf_first else (deep, leaf(2.5))
     _assert_matches_per_row_mean(RegressionForest(trees, 2), data)
+
+
+def _traced_peak(forest, probe, chunk):
+    with mock.patch.object(forest_module, "_CHUNK_ELEMENTS", chunk):
+        tracemalloc.start()
+        try:
+            got = forest.predict_many(probe)
+            return got, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+def test_routing_memory_is_bounded_by_the_chunk_rule():
+    # 100 trees cut x at t and t + 0.5, and the probe holds one row in each
+    # of 200 cells: 20,000 (tree, cell) elements, 50 times a chunk of 400, so
+    # a pass routes 2 trees.  At about 34 bytes an element that is some 14 KB
+    # against 680 KB for the whole forest in one pass.  Bound: the chunked
+    # peak stays below a tenth of the unchunked one.
+    trees = tuple(node(0, float(t), leaf(float(t)), node(0, t + 0.5, leaf(-float(t)), leaf(1.0)))
+                  for t in range(100))
+    forest = RegressionForest(trees, 1)
+    probe = np.arange(-0.25, 99.5, 0.5)[:, np.newaxis]
+    assert _cell_count(forest, probe) * len(trees) >= 50 * 400
+    forest.predict_many(probe[:1])  # compile the node table outside the trace
+    chunked, small = _traced_peak(forest, probe, 400)
+    whole, large = _traced_peak(forest, probe, 10**9)
+    assert chunked.tobytes() == whole.tobytes()
+    assert chunked.tobytes() == oracles.per_row_forest_mean(trees, probe).tobytes()
+    assert small * 10 < large, (small, large)
 
 
 def test_mutating_returned_thresholds_changes_no_prediction():
