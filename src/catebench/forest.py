@@ -6,9 +6,11 @@ thresholds are the midpoints of consecutive distinct sorted values of each
 feature (the upper value where a midpoint rounds onto the lower), scored by
 the gain ``L²/n_L + R²/n_R`` of the children's sums of y less the node mean:
 the between-child sum of squares, highest where the children's squared error
-is least, and moved by no offset in y.  Ties break to the lowest feature
-index, then the lowest threshold.  A sample routes left iff its feature value
-is strictly below the threshold, so a value exactly at a threshold goes right.
+is least, and moved by no offset in y.  The highest gain wins, ties breaking
+to the lowest feature index, then the lowest threshold; features whose top
+gains are within rounding (``_gain_error``) are rescored from the partition
+alone in key order, so partitions alike tie bitwise.  A sample routes left iff
+its feature value is strictly below the threshold, so a value at one goes right.
 
 A fit codes only features of two or more values: one of a single value is never
 searched, so the two-variable control response ignores its session count.
@@ -135,6 +137,15 @@ def _gain(n_left, left, n_right, right):  # between-child sum of squares
     return left * left / n_left + right * right / n_right
 
 
+def _gain_error(m, spread):
+    """Bounds how far a gain from float sums of m centred y sums (absolute sum
+    ``spread``), added in any order, lies from the exact gain of those terms: any
+    order errs by at most (m - 1)u / (1 - (m - 1)u) times the absolute sum (Higham,
+    "Accuracy and Stability of Numerical Algorithms", 4.2), so a gain by about
+    (6m + 3)u spread²; this is twice that or more (u = eps / 2), and covers underflow."""
+    return 8 * m * np.finfo(float).eps * spread * spread + np.finfo(float).tiny
+
+
 def _tally(key, y, draws, trees, size):
     """Each tree's drawn count, y sum (added in draw order), y min and y max
     per distinct row, for the training rows its draw lists, repeats included;
@@ -153,14 +164,14 @@ def _tally(key, y, draws, trees, size):
 
 
 def _best_cuts(sx, count, run, n, cuttable, seg, start):
-    """Each segment's first highest-gain cut, as (segments, thresholds).
+    """Each segment's first highest-gain cut, as (segments, thresholds, gains).
     ``sx`` holds the segments' values in order, ``count`` their drawn counts
     and ``run`` each segment's own running sum of its centred y sums, ``n``
     each segment's count; ``cuttable`` marks where a split may fall, ``seg``
     is each element's segment and ``start`` bounds the segments."""
     cut = np.flatnonzero(cuttable[:-1] & (sx[:-1] < sx[1:]))  # the last row of a value block
     if not cut.size:
-        return cut, sx[:0]
+        return cut, sx[:0], sx[:0]
     cs = seg.take(cut)
     left = run.take(cut)
     right = run.take(start.take(cs + 1) - 1) - left
@@ -171,12 +182,12 @@ def _best_cuts(sx, count, run, n, cuttable, seg, start):
     head = np.ones(cut.size, dtype=bool)
     np.not_equal(cs[1:], cs[:-1], out=head[1:])
     first = np.flatnonzero(head)
-    top = np.maximum.reduceat(gain, first).take(np.cumsum(head) - 1)
-    at_top = np.where(gain == top, np.arange(cut.size), cut.size)
-    best = cut.take(np.minimum.reduceat(at_top, first))  # first maximum: lowest threshold
-    lo, hi = sx.take(best), sx.take(best + 1)
+    best = np.maximum.reduceat(gain, first)
+    at_top = np.where(gain == best.take(np.cumsum(head) - 1), np.arange(cut.size), cut.size)
+    at = cut.take(np.minimum.reduceat(at_top, first))  # first maximum: lowest threshold
+    lo, hi = sx.take(at), sx.take(at + 1)
     mid = (lo + hi) / 2.0
-    return cs.take(first), np.where(lo < mid, mid, hi)  # adjacent floats: mid rounds onto lo
+    return cs.take(first), np.where(lo < mid, mid, hi), best  # adjacent floats: mid rounds onto lo
 
 
 def _grow(kept, values, order, stats, max_depth) -> list:
@@ -229,12 +240,20 @@ def _grow(kept, values, order, stats, max_depth) -> list:
             sums = run[:, a:b]
             np.add.accumulate(sums, axis=1, out=sums)
         threshold = np.full((len(values), lengths.size), np.nan)
+        gain = np.full_like(threshold, -np.inf)
         for j, x in enumerate(values):
-            segs, threshold[j, segs] = _best_cuts(
+            segs, threshold[j, segs], gain[j, segs] = _best_cuts(
                 x.take(rows[j]), c[j], run[j], n, cuttable, seg, start)
         offered = ~np.isnan(threshold)
-        feature = offered.argmax(axis=0)
-        for s in np.flatnonzero(offered.sum(axis=0) > 1).tolist():
+        feature = gain.argmax(axis=0)  # the highest gain; of equal ones, the lowest feature
+        many = np.flatnonzero(offered.sum(axis=0) > 1)
+        if many.size:
+            # each gain, by running sums or rescored, is within _gain_error of its partition's
+            # exact gain, so only top two gains closer than four such errors can swap
+            spread = np.add.reduceat(np.abs(key_total - key_count * mean.take(seg)), start[:-1])
+            top2 = np.sort(gain[:, many], axis=0)[-2:]
+            many = many[~(top2[-1] - top2[0] > 4 * _gain_error(lengths[many], spread[many]))]
+        for s in many.tolist():
             # each gain from the partition alone, summed in key order, so
             # candidates that split the rows alike score bitwise equal
             a, b = spans[s]

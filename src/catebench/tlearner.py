@@ -72,12 +72,9 @@ def _fit_arms(cohort: Cohort, n_features, max_depth: int, seed, n_trees):
         return fit_forest(rows, max_depth, n_trees, seed)
 
     mu1, mu0 = fit(treated), fit(~treated)
-    n_treated = int(treated.sum())
-    doses = cohort.x2[treated]
-    return TLearnerModel(
-        mu1, mu0, max_depth, n_trees, seed, n_treated, cohort.n - n_treated,
-        int(doses.min()), int(doses.max()),
-    )
+    n_treated, doses = int(treated.sum()), cohort.x2[treated]
+    return TLearnerModel(mu1, mu0, max_depth, n_trees, seed, n_treated, cohort.n - n_treated,
+                         int(doses.min()), int(doses.max()))
 
 
 def fit_t_learner(
@@ -91,37 +88,38 @@ def fit_t_learner(
 
 
 def cate_tau(model: TLearnerModel, x1) -> float:
-    """Effect estimate at covariate value x1: mu1(x1) - mu0(x1).
-
-    The fitted responses depend on x1 only, so this is the same number for
-    every student in the bin.
-    """
+    """Effect estimate at covariate value x1: mu1(x1) - mu0(x1), the same
+    number for every student in the bin, since both responses depend on x1 only."""
     return model.mu1.predict((float(x1),)) - model.mu0.predict((float(x1),))
+
+
+def _estimand(cohort: Cohort, name, mu1=None, mu0=None) -> float:
+    """ATE, ATT or ATU from the responses at every record's inputs: the mean of
+    a difference over every record, the treated or the controls."""
+    y = cohort.y
+    arm, high, low = {"ate": (None, mu1, mu0), "att": (True, y, mu0), "atu": (False, mu1, y)}[name]
+    rows = slice(None) if arm is None else cohort.treated == arm
+    if arm is not None and not rows.any():
+        raise EmptyArm("R1" if arm else "R0")
+    return float(np.mean(high[rows] - low[rows]))
 
 
 def ate(model: TLearnerModel, cohort: Cohort) -> float:
     """Mean fitted difference mu1(x1_k) - mu0(x1_k) over all records."""
     X = cohort.x1[:, np.newaxis]
-    return float(np.mean(model.mu1.predict_many(X) - model.mu0.predict_many(X)))
+    return _estimand(cohort, "ate", model.mu1.predict_many(X), model.mu0.predict_many(X))
 
 
 def att(model: TLearnerModel, cohort: Cohort) -> float:
     """Mean over the treated of observed outcome minus the control prediction
     at their own inputs: x1, or (x1, x2) for the session-count model."""
-    treated = cohort.treated
-    if not treated.any():
-        raise EmptyArm("R1")
-    X = np.column_stack([cohort.x1[treated], cohort.x2[treated]][: model.mu0.feature_count])
-    return float(np.mean(cohort.y[treated] - model.mu0.predict_many(X)))
+    X = np.column_stack([cohort.x1, cohort.x2][: model.mu0.feature_count])
+    return _estimand(cohort, "att", mu0=model.mu0.predict_many(X))
 
 
 def atu(model: TLearnerModel, cohort: Cohort) -> float:
     """Mean over controls of the treated prediction minus the observed outcome."""
-    control = ~cohort.treated
-    if not control.any():
-        raise EmptyArm("R0")
-    mu1 = model.mu1.predict_many(cohort.x1[control, np.newaxis])
-    return float(np.mean(mu1 - cohort.y[control]))
+    return _estimand(cohort, "atu", mu1=model.mu1.predict_many(cohort.x1[:, np.newaxis]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,11 +142,11 @@ class EffectReport:
 
 
 def effect_report(model: TLearnerModel, cohort: Cohort) -> EffectReport:
-    """mu0, mu1 and their difference at each covariate bin, with ATE/ATT/ATU;
-    ``model.summary`` adds the fit facts."""
+    """mu0, mu1 and their difference at each covariate bin, and ATE/ATT/ATU, from one
+    prediction per forest at every record and bin; ``model.summary`` adds the fit facts."""
     bins = np.fromiter(cohort.bin_members, dtype=float)
-    mu0 = model.mu0.predict_many(bins[:, np.newaxis])
-    mu1 = model.mu1.predict_many(bins[:, np.newaxis])
-    return EffectReport(
-        ate(model, cohort), att(model, cohort), atu(model, cohort), bins, mu0, mu1, mu1 - mu0
-    )
+    X = np.concatenate([cohort.x1, bins])[:, np.newaxis]
+    mu1, mu1_bins = np.split(model.mu1.predict_many(X), [cohort.n])
+    mu0, mu0_bins = np.split(model.mu0.predict_many(X), [cohort.n])
+    estimands = (_estimand(cohort, name, mu1, mu0) for name in ("ate", "att", "atu"))
+    return EffectReport(*estimands, bins, mu0_bins, mu1_bins, mu1_bins - mu0_bins)

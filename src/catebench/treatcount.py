@@ -25,14 +25,12 @@ from .tlearner import TLearnerModel, _fit_arms, att as att2  # noqa: F401  (att2
 
 # session counts always included in grid exports, alongside 1..max observed
 REFERENCE_DOSES = (1, 2, 3, 5, 10, 14)
+# (session count, member) cells one block of a phi surface holds
+_SURFACE_CELLS = 1 << 15
 
 
-def fit_t_learner2(
-    cohort: Cohort,
-    max_depth: int = 2,
-    seed: int = 0,
-    n_trees: int = 100,
-) -> TLearnerModel:
+def fit_t_learner2(cohort: Cohort, max_depth: int = 2, seed: int = 0,
+                   n_trees: int = 100) -> TLearnerModel:
     """Fit mu1 on treated (x1, x2, y) and mu0 on control (x1, 0, y)."""
     return _fit_arms(cohort, 2, max_depth, seed, n_trees)
 
@@ -78,8 +76,7 @@ def check_base_independence(
     ``_require_dose``.  Violations are report content, not exceptions.
     """
     probes = default_dose_probes(model) if probe_x2 is None else tuple(
-        0 if v == 0 else _require_dose(v) for v in probe_x2
-    )
+        0 if v == 0 else _require_dose(v) for v in probe_x2)
     thresholds = model.mu0.thresholds()
     if len(thresholds) == 2 and not thresholds[1].size:
         return IndependenceReport(cohort.n, probes, ())
@@ -147,9 +144,7 @@ class CateSurface:
         write_json(path, {
             "x1_values": [float(b) for b in self.x1_values],
             "x2_values": list(self.x2_values),
-            "phi": [
-                [None if math.isnan(v) else float(v) for v in row] for row in self.phi
-            ],
+            "phi": [[None if math.isnan(v) else float(v) for v in row] for row in self.phi],
             "extrapolation_flags": [bool(f) for f in self.extrapolation_flags],
             "observed_dose_min": self.observed_dose_min,
             "observed_dose_max": self.observed_dose_max,
@@ -165,8 +160,10 @@ def phi_surface(
     never saw a zero session count).  Defaults: all populated covariate bins,
     and session counts 1..max observed plus the reference series.
 
-    Only the requested bins' members are predicted, gathered bin after bin: each
-    cell is the mean of one slice, and a row's prediction ignores its batch.
+    Only the requested bins' members are predicted, gathered bin after bin.  mu1
+    predicts their distinct x1 values at a block of session counts at a time, and
+    each block's (counts, members) array of differences holds at most
+    ``_SURFACE_CELLS`` cells: each bin's cells are one mean over its slice.
     """
     if x2_values is None:
         x2_values = default_dose_probes(model, include_zero=False)
@@ -177,15 +174,18 @@ def phi_surface(
     present = [(r, members[b]) for r, b in enumerate(x1_bins) if b in members]
     rows = np.concatenate([np.empty(0, np.intp)] + [part for _, part in present])
     bounds = np.cumsum([0] + [part.size for _, part in present]).tolist()
-    X = np.column_stack([cohort.x1[rows], cohort.x2[rows]])
-    mu0_obs = model.mu0.predict_many(X)
+    mu0_obs = model.mu0.predict_many(np.column_stack([cohort.x1[rows], cohort.x2[rows]]))
+    x1, member = np.unique(cohort.x1[rows], return_inverse=True)
 
     grid = np.full((len(x1_bins), len(x2_values)), np.nan)
-    for c, dose in enumerate(x2_values):
-        X[:, 1] = dose
-        diff = model.mu1.predict_many(X) - mu0_obs
+    step = max(1, _SURFACE_CELLS // max(1, rows.size))
+    for c in range(0, len(x2_values), step):
+        doses = np.array(x2_values[c:c + step], dtype=float)
+        X = np.column_stack([np.tile(x1, doses.size), doses.repeat(x1.size)])
+        mu1 = model.mu1.predict_many(X).reshape(doses.size, x1.size)
+        diff = mu1.take(member, axis=1) - mu0_obs  # C-contiguous, as each bin's mean needs
         for (r, _), start, end in zip(present, bounds, bounds[1:]):
-            grid[r, c] = np.mean(diff[start:end])
+            grid[r, c:c + step] = diff[:, start:end].mean(axis=1)
     n_missing = (len(x1_bins) - len(present)) * len(x2_values)
     flags = tuple(bool(v < model.dose_min or v > model.dose_max) for v in x2_values)
     return CateSurface(x1_bins, x2_values, grid, model.dose_min, model.dose_max, flags, n_missing)

@@ -1,8 +1,9 @@
 """Independent brute-force oracles the tests check the library against.
 
 Everything here is written the slow, obvious way on purpose: plain loops,
-two-pass statistics, exhaustive enumeration.  None of it shares code with
-the library.
+two-pass statistics, exhaustive enumeration.  None of it shares arithmetic
+with the library.  The ``per_call_`` oracles pin the library's former
+arithmetic verbatim: they take from it only result types and input checks.
 """
 
 import csv
@@ -14,7 +15,9 @@ from pathlib import Path
 import numpy as np
 
 from catebench.dataset import CANONICAL_COLUMNS, Cohort, LoadReport, SchemaConfig
-from catebench.errors import ParseError, SchemaError
+from catebench.errors import EmptyArm, ParseError, SchemaError
+from catebench.tlearner import EffectReport
+from catebench.treatcount import CateSurface, _require_dose, default_dose_probes
 
 
 def two_pass_deviation(scores):
@@ -307,6 +310,64 @@ def phi_per_record(model, cohort, b, dose):
         for x1, x2 in zip(cohort.x1[rows], cohort.x2[rows])
     ]
     return float(np.mean(diffs))
+
+
+def per_call_phi_surface(model, cohort, x1_bins=None, x2_values=None):
+    """phi_surface the per-call way, as the library computed it before it
+    predicted once per block of session counts: mu0 once at the members'
+    observed counts, mu1 once per session count at every member, and one
+    ``np.mean`` per cell."""
+    if x2_values is None:
+        x2_values = default_dose_probes(model, include_zero=False)
+    x2_values = tuple(sorted(set(map(_require_dose, x2_values))))
+    members = cohort.bin_members
+    x1_bins = tuple(members) if x1_bins is None else tuple(sorted(set(x1_bins)))
+
+    present = [(r, members[b]) for r, b in enumerate(x1_bins) if b in members]
+    rows = np.concatenate([np.empty(0, np.intp)] + [part for _, part in present])
+    bounds = np.cumsum([0] + [part.size for _, part in present]).tolist()
+    X = np.column_stack([cohort.x1[rows], cohort.x2[rows]])
+    mu0_obs = model.mu0.predict_many(X)
+
+    grid = np.full((len(x1_bins), len(x2_values)), np.nan)
+    for c, dose in enumerate(x2_values):
+        X[:, 1] = dose
+        diff = model.mu1.predict_many(X) - mu0_obs
+        for (r, _), start, end in zip(present, bounds, bounds[1:]):
+            grid[r, c] = np.mean(diff[start:end])
+    n_missing = (len(x1_bins) - len(present)) * len(x2_values)
+    flags = tuple(bool(v < model.dose_min or v > model.dose_max) for v in x2_values)
+    return CateSurface(x1_bins, x2_values, grid, model.dose_min, model.dose_max, flags, n_missing)
+
+
+def per_call_effect_report(model, cohort):
+    """effect_report the per-call way, as the library computed it before each
+    forest predicted once: ATE over every record (two calls), ATT over the
+    treated, ATU over the controls, and both forests again at the bins."""
+    def ate(model, cohort):
+        X = cohort.x1[:, np.newaxis]
+        return float(np.mean(model.mu1.predict_many(X) - model.mu0.predict_many(X)))
+
+    def att(model, cohort):
+        treated = cohort.treated
+        if not treated.any():
+            raise EmptyArm("R1")
+        X = np.column_stack([cohort.x1[treated], cohort.x2[treated]][: model.mu0.feature_count])
+        return float(np.mean(cohort.y[treated] - model.mu0.predict_many(X)))
+
+    def atu(model, cohort):
+        control = ~cohort.treated
+        if not control.any():
+            raise EmptyArm("R0")
+        mu1 = model.mu1.predict_many(cohort.x1[control, np.newaxis])
+        return float(np.mean(mu1 - cohort.y[control]))
+
+    bins = np.fromiter(cohort.bin_members, dtype=float)
+    mu0 = model.mu0.predict_many(bins[:, np.newaxis])
+    mu1 = model.mu1.predict_many(bins[:, np.newaxis])
+    return EffectReport(
+        ate(model, cohort), att(model, cohort), atu(model, cohort), bins, mu0, mu1, mu1 - mu0
+    )
 
 
 def load_cohort_rows(path, config=None, precision=1.0):

@@ -1,11 +1,12 @@
 """Forest module: split optimality against brute force, routing, bagging."""
 
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from catebench import forest as forest_module
@@ -71,6 +72,82 @@ def test_tie_breaks_to_lowest_feature_then_threshold():
     tree2 = fit_tree(X2, y2, 1)
     ref2 = oracles.brute_force_tree(X2, y2, max_depth=1)
     oracles.assert_same_tree(tree2, ref2)
+
+
+def test_an_exact_cross_feature_tie_is_rescored_and_goes_to_feature_0():
+    # x2 = -x1 orders the rows the other way round, so every cut of one feature
+    # is a cut of the other with its sides swapped: the best partitions tie in
+    # exact arithmetic, but the running sums, taken in opposite orders, make
+    # feature 1's gain the higher float
+    x1 = np.arange(1.0, 9.0)
+    X, y = np.column_stack([x1, -x1]), np.array([2.0, -2.6, 0.4, -0.6, 2.8, 3.1, 1.3, 3.1])
+    best_cuts, gain = forest_module._best_cuts, forest_module._gain
+    offered, rescored = [], []
+
+    def recording_cuts(*args):
+        segs, thresholds, gains = best_cuts(*args)
+        offered.append(gains.tolist())
+        return segs, thresholds, gains
+
+    def recording_gain(*args):
+        if np.ndim(args[1]) == 0:  # a rescored candidate; _best_cuts passes arrays
+            rescored.append(gain(*args))
+        return gain(*args)
+
+    with mock.patch.object(forest_module, "_best_cuts", recording_cuts), \
+            mock.patch.object(forest_module, "_gain", recording_gain):
+        tree = fit_tree(X, y, 1)
+    assert offered[1][0] > offered[0][0]
+    assert len(rescored) == 2 and rescored[0] == rescored[1]
+    assert tree.split == (0, 4.5)
+
+
+@st.composite
+def centred_nodes(draw):
+    """A node's drawn counts and centred y sums (as ``_grow`` centres them),
+    some spread over magnitudes and offsets, some cancelling in pairs."""
+    m = draw(st.integers(min_value=2, max_value=40))
+    count = np.array(draw(st.lists(st.integers(1, 5), min_size=m, max_size=m)), dtype=float)
+    scale = draw(st.sampled_from([1e-300, 1e-8, 1.0, 1e6, 1e90]))
+    offset = draw(st.sampled_from([0.0, 1.0, 1e8, 1e12]))
+    noise = np.array(draw(st.lists(st.floats(-1, 1), min_size=m, max_size=m)))
+    if draw(st.booleans()):  # pairs of equal and opposite terms
+        noise[1::2] = -noise[: m // 2 * 2: 2]
+    y_sum = count * (offset + noise) * scale
+    mean = y_sum.sum() / count.sum()
+    return count, y_sum - count * mean
+
+
+def _exact_gain(count, centred, side):
+    left, right = (sum(map(Fraction, centred[rows].tolist()), Fraction(0)) for rows in (side, ~side))
+    return left * left / int(count[side].sum()) + right * right / int(count[~side].sum())
+
+
+@settings(max_examples=200, deadline=None)
+@given(centred_nodes(), st.data())
+def test_the_rounding_bound_covers_running_and_rescored_gains(node, data):
+    # a random order of the node's rows (a feature's order) for the running sums,
+    # and key order for the rescoring; both gains of the partition _best_cuts
+    # picks lie within _gain_error of its exact gain over the same float terms
+    count, centred = node
+    m = count.size
+    spread = np.add.reduceat(np.abs(centred), [0])[0]
+    bound = Fraction(forest_module._gain_error(m, spread))
+    order = np.array(data.draw(st.permutations(range(m))))
+    sx = np.sort(np.array(data.draw(st.lists(st.integers(0, 6), min_size=m, max_size=m)), float))
+    cuttable = np.ones(m, dtype=bool)
+    cuttable[-1] = False
+    segs, threshold, gain = forest_module._best_cuts(
+        sx, count[order], np.cumsum(centred[order]), np.array([count.sum()]), cuttable,
+        np.zeros(m, dtype=np.intp), np.array([0, m]))
+    assume(segs.size)  # two or more values to cut between
+    side = np.zeros(m, dtype=bool)
+    side[order] = sx < threshold[0]  # in key order
+    exact = _exact_gain(count, centred, side)
+    rescored = forest_module._gain(count[side].sum(), centred[side].sum(),
+                                   count[~side].sum(), centred[~side].sum())
+    for computed in (gain[0], rescored):
+        assert abs(Fraction(computed) - exact) <= bound
 
 
 def test_zero_variance_feature_never_selected():

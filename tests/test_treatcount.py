@@ -1,19 +1,23 @@
 """Two-variable learner: base independence, the summand identity, surfaces."""
 
 import csv
+import dataclasses
 import functools
 import json
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from catebench import treatcount
 from catebench.errors import DomainError, EmptyArm, EmptyBin
 from catebench.forest import RegressionForest, TreeNode
-from catebench.synth import MAX_DOSE, dose_recovery_scenario, generate
-from catebench.tlearner import att, fit_t_learner
+from catebench.synth import MAX_DOSE, dose_recovery_scenario, generate, standard_biased_scenario
+from catebench.tlearner import ate, att, atu, effect_report, fit_t_learner
 from catebench.treatcount import (
     REFERENCE_DOSES,
     CateSurface,
@@ -294,8 +298,65 @@ def test_one_cell_phi_predicts_only_its_bins_rows(monkeypatch):
     value = phi(model, cohort, some_bin, 4)
     assert len(calls) == 2  # mu0 at the observed counts, then mu1 at 4 sessions
     assert calls[0] == np.column_stack([cohort.x1[rows], cohort.x2[rows]]).tolist()
-    assert calls[1] == np.column_stack([cohort.x1[rows], np.full(rows.size, 4)]).tolist()
+    distinct = np.unique(cohort.x1[rows])  # mu1 at each distinct x1 of the bin once
+    assert calls[1] == np.column_stack([distinct, np.full(distinct.size, 4)]).tolist()
     assert value == oracles.phi_per_record(model, cohort, some_bin, 4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_one_pass_surfaces_and_estimands_equal_the_per_call_oracles_bitwise(data):
+    seed = data.draw(st.integers(0, 10_000), label="seed")
+    scenario = dataclasses.replace(helpers.random_scenario(seed, data.draw(st.integers(40, 200))),
+                                   round_x1=data.draw(st.booleans(), label="rounded"))
+    drawn, _ = generate(scenario, seed=seed)
+    assume(drawn.treated.any() and not drawn.treated.all())
+    width = data.draw(st.sampled_from([0.5, 1.0, 2.5]), label="width")
+    cohort = helpers.cohort_from_arrays(drawn.x1, drawn.x2, drawn.y, precision=width)
+    depth, trees = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 6))
+    one, two = (fit(cohort, max_depth=depth, seed=seed, n_trees=trees)
+                for fit in (fit_t_learner, fit_t_learner2))
+
+    report, want = effect_report(one, cohort), oracles.per_call_effect_report(one, cohort)
+    for got, expected in [(report.ate, want.ate), (ate(one, cohort), want.ate),
+                          (report.att, want.att), (att(one, cohort), want.att),
+                          (report.atu, want.atu), (atu(one, cohort), want.atu)]:
+        assert got.hex() == expected.hex()
+    for column in ("x1", "mu0", "mu1", "tau"):
+        assert getattr(report, column).tobytes() == getattr(want, column).tobytes()
+
+    keys = sorted(cohort.bin_members)
+    bins = data.draw(st.none() | st.lists(st.sampled_from(keys), unique=True).map(
+        lambda picked: picked + [keys[-1] + width, keys[0] - 2 * width]))  # two absent bins
+    doses = data.draw(st.none() | st.lists(st.integers(1, MAX_DOSE), max_size=60))
+    cells = data.draw(st.sampled_from([1, 7, cohort.n, 3 * cohort.n + 1, 1 << 15]))
+    with mock.patch.object(treatcount, "_SURFACE_CELLS", cells):
+        surface = phi_surface(two, cohort, bins, doses)
+    want = oracles.per_call_phi_surface(two, cohort, bins, doses)
+    assert (surface.x1_values, surface.x2_values) == (want.x1_values, want.x2_values)
+    assert (surface.extrapolation_flags, surface.n_missing) == (want.extrapolation_flags,
+                                                                 want.n_missing)
+    assert surface.phi.tobytes() == want.phi.tobytes()
+
+
+@pytest.mark.parametrize("width", [1.0, 1000.0], ids=["bin-1", "one-wide-bin"])
+def test_a_surface_to_1000_sessions_holds_one_block_at_a_time(width):
+    # continuous x1, one treated member at MAX_DOSE: 1,000 session counts by
+    # 2,000 members, whose float grid alone would be 16 MB; blocks of
+    # _SURFACE_CELLS cells peak at 3.7 MB under tracemalloc
+    drawn, _ = generate(dataclasses.replace(standard_biased_scenario(2000), round_x1=False), seed=1)
+    x2 = drawn.x2.copy()
+    x2[np.flatnonzero(x2)[0]] = MAX_DOSE
+    cohort = helpers.cohort_from_arrays(drawn.x1, x2, drawn.y, precision=width)
+    model = fit_t_learner2(cohort, seed=1, n_trees=20)
+    tracemalloc.start()
+    try:
+        surface = phi_surface(model, cohort)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert surface.phi.shape == (len(cohort.bin_members), MAX_DOSE)
+    assert peak < 6_000_000
 
 
 def test_surface_ordering_flags_and_missing(tmp_path):
