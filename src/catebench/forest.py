@@ -28,11 +28,15 @@ arithmetic.
 
 Trees grow a depth level at a time, a chunk of trees together: each level
 is a few numpy passes over the (tree, node, distinct row) segments of the
-whole chunk, and a child is a stable partition of its parent's segment, so
-no node sorts.  Each sum that decides a node is taken over that node's rows
-in the order one tree grown alone would use (a node's y sum pairwise, its
-running sums one ``cumsum`` over its own slice of the level), so a tree is
-bitwise the same whichever chunk grows it.  Prediction takes chunks by the
+whole chunk, and no node sorts.  With one coded feature, key order is value
+order: the chunk gathers its drawn rows' statistics once, a node is an
+interval [a, b) of its tree's drawn rows in that order, and a split is a cut
+position p, with children [a, p + 1) and [p + 1, b).  With more, a child is a
+stable partition of its parent's segment in each feature's order.  Each sum
+that decides a node is taken over that node's rows in the order one tree
+grown alone would use (a node's y sum pairwise, its running sums one
+``cumsum`` over its own slice of the level), so a tree is bitwise the same
+whichever chunk grows it.  Prediction takes chunks by the
 same rule and routes each as one (tree, cell) node array, a level at a time.
 """
 
@@ -50,7 +54,8 @@ _SEED_SPACE = 2**64
 # (tree, distinct row) elements a level pass holds, and (tree, cell) elements
 # a routing pass holds: a forest grows and predicts in chunks of as many trees
 # as this many allow, and at least one.  Larger chunks make fewer calls per tree
-# but hold larger arrays: at the peak, about 150 bytes an element growing, 34 routing.
+# but hold larger arrays: at the peak, about 125 bytes an element growing one
+# feature's intervals, 160 partitioning two features' rows, and 34 routing.
 _CHUNK_ELEMENTS = 10_000
 
 
@@ -164,57 +169,80 @@ def _tally(key, y, draws, trees, size):
 
 
 def _best_cuts(sx, count, run, n, cuttable, seg, start):
-    """Each segment's first highest-gain cut, as (segments, thresholds, gains).
+    """Each segment's first highest-gain cut, as (segments, cut positions,
+    thresholds, gains); a cut at position p puts elements up to p on the left.
     ``sx`` holds the segments' values in order, ``count`` their drawn counts
     and ``run`` each segment's own running sum of its centred y sums, ``n``
     each segment's count; ``cuttable`` marks where a split may fall, ``seg``
     is each element's segment and ``start`` bounds the segments."""
     cut = np.flatnonzero(cuttable[:-1] & (sx[:-1] < sx[1:]))  # the last row of a value block
     if not cut.size:
-        return cut, sx[:0], sx[:0]
+        return cut, cut, sx[:0], sx[:0]
     cs = seg.take(cut)
     left = run.take(cut)
-    right = run.take(start.take(cs + 1) - 1) - left
+    right = run.take(start[1:] - 1).take(cs)  # each segment's total, less the left sum
+    right -= left
     # counts are whole, so a flat running sum is exact
     n_left = np.cumsum(count)
-    n_left = n_left.take(cut) - (n_left - count).take(start[:-1]).take(cs)
-    gain = _gain(n_left, left, n.take(cs) - n_left, right)
+    base = n_left.take(start[:-1]) - count.take(start[:-1])
+    n_left = n_left.take(cut)
+    n_left -= base.take(cs)
+    n_right = n.take(cs) - n_left
+    gain = left * left  # _gain, in place
+    gain /= n_left
+    right *= right
+    right /= n_right
+    gain += right
     head = np.ones(cut.size, dtype=bool)
     np.not_equal(cs[1:], cs[:-1], out=head[1:])
-    first = np.flatnonzero(head)
-    best = np.maximum.reduceat(gain, first)
-    at_top = np.where(gain == best.take(np.cumsum(head) - 1), np.arange(cut.size), cut.size)
-    at = cut.take(np.minimum.reduceat(at_top, first))  # first maximum: lowest threshold
+    segs = cs.compress(head)
+    best = np.full(n.size, -np.inf)
+    best[segs] = np.maximum.reduceat(gain, np.flatnonzero(head))
+    top = np.flatnonzero(gain == best.take(cs))
+    at = cut.take(top.take(np.searchsorted(cs.take(top), segs)))  # first maximum: lowest threshold
     lo, hi = sx.take(at), sx.take(at + 1)
-    mid = (lo + hi) / 2.0
-    return cs.take(first), np.where(lo < mid, mid, hi), best  # adjacent floats: mid rounds onto lo
+    mid = (lo + hi) / 2.0  # adjacent floats: mid rounds onto lo
+    return segs, at, np.where(lo < mid, mid, hi), best.take(segs)
 
 
 def _grow(kept, values, order, stats, max_depth) -> list:
     """Grow one tree per ``order.shape[1]`` columns of the ``_tally`` ``stats``
     on the ``kept`` features, a depth level at a time across all of them.  A
-    level's nodes are contiguous segments: ``rows[j]`` lists each node's drawn
-    rows, as columns of ``stats``, node after node, in stable order of
-    ``values[j]`` (``rows[0]`` is key order), and ``start`` bounds the nodes.
-    Every sum that decides a node runs over its own segment in the order one
-    tree fitted alone would use, so each tree is bitwise that tree."""
+    level's nodes are contiguous segments, bounded by ``start``.  With one
+    feature, key order is value order: a node is an interval of its tree's
+    drawn rows in that order, gathered once, and a split cuts it in place.
+    Otherwise ``rows[j]`` lists each node's drawn rows, as columns of
+    ``stats``, node after node, in stable order of ``values[j]`` (``rows[0]``
+    is key order), and a split stably partitions them.  Every sum that decides
+    a node runs over its own segment in the order one tree fitted alone would
+    use, so each tree is bitwise that tree."""
     count, total, lo, hi = stats
     size = order.shape[1]
     drawn = count.reshape(-1, size) > 0
     trees = drawn.shape[0]
-    # tree t's drawn rows in each feature's order, as columns t * size + r
-    rows = np.broadcast_to(order[:, np.newaxis], (order.shape[0], *drawn.shape))
-    rows = rows[drawn[:, order].swapaxes(0, 1)].reshape(order.shape[0], -1)
     per_tree = np.count_nonzero(drawn, axis=1)
-    rows += np.repeat(np.arange(trees) * size, per_tree)
     start = np.concatenate([[0], np.cumsum(per_tree)])
     values = np.broadcast_to(values[:, np.newaxis], (len(values), *drawn.shape))
     values = values.reshape(len(values), count.size)  # a view for one tree
-    roots, parents = None, []
+    interval = len(order) == 1
+    if interval:  # each tree's drawn rows' count, y sum, y bounds and value, compressed in place
+        held = np.empty((len(stats) + len(values), start[-1]))
+        np.compress(drawn.ravel(), stats, axis=1, out=held[:len(stats)])
+        np.compress(drawn.ravel(), values, axis=1, out=held[len(stats):])
+    else:  # tree t's drawn rows in each feature's order, as columns t * size + r
+        rows = np.broadcast_to(order[:, np.newaxis], (order.shape[0], *drawn.shape))
+        rows = rows[drawn[:, order].swapaxes(0, 1)].reshape(order.shape[0], -1)
+        rows += np.repeat(np.arange(trees) * size, per_tree)
+    roots, parents, kids = None, [], (slice(0), slice(0))
     for depth in range(max_depth + 1):
         lengths = start[1:] - start[:-1]
         seg = np.repeat(np.arange(lengths.size), lengths)
-        c, y_sum = count.take(rows), total.take(rows)
+        if interval:
+            c, y_sum, bounds, x = held[:1], held[1:2], held[2:4], held[4:]
+        else:  # each feature's values are taken as its search needs them
+            c, y_sum = count.take(rows), total.take(rows)
+            bounds = lo.take(rows[0]), hi.take(rows[0])
+            x = (v.take(r) for v, r in zip(values, rows))
         key_count, key_total = c[0], y_sum[0]
         n = np.add.reduceat(key_count, start[:-1])
         # a node mean is the pairwise .sum() of its key-ordered y sums, as
@@ -222,14 +250,15 @@ def _grow(kept, values, order, stats, max_depth) -> list:
         spans = list(zip(start[:-1].tolist(), start[1:].tolist()))
         mean = np.array([key_total[a:b].sum() for a, b in spans]) / n
         nodes = [TreeNode(int(k), m) for k, m in zip(n.tolist(), mean.tolist())]
-        for i, parent in enumerate(parents):  # left children first, then right
-            parent.left, parent.right = nodes[i], nodes[len(parents) + i]
+        for parent, left, right in zip(parents, nodes[kids[0]], nodes[kids[1]]):
+            parent.left, parent.right = left, right
         roots = roots or nodes
         if depth == max_depth or not len(values):
             break
         # a split falls inside an impure node of two or more rows, never after its last row
-        can_split = (np.minimum.reduceat(lo.take(rows[0]), start[:-1])
-                     < np.maximum.reduceat(hi.take(rows[0]), start[:-1])) & (lengths > 1)
+        can_split = (np.minimum.reduceat(bounds[0], start[:-1])
+                     < np.maximum.reduceat(bounds[1], start[:-1])) & (lengths > 1)
+        del bounds  # before the search's peak
         cuttable = can_split.take(seg)
         cuttable[start[1:] - 1] = False
         # every feature's centred y sums, then each such node's running sums as one
@@ -241,9 +270,10 @@ def _grow(kept, values, order, stats, max_depth) -> list:
             np.add.accumulate(sums, axis=1, out=sums)
         threshold = np.full((len(values), lengths.size), np.nan)
         gain = np.full_like(threshold, -np.inf)
-        for j, x in enumerate(values):
-            segs, threshold[j, segs], gain[j, segs] = _best_cuts(
-                x.take(rows[j]), c[j], run[j], n, cuttable, seg, start)
+        cut = np.zeros(threshold.shape, dtype=np.intp)
+        for j, sx in enumerate(x):
+            segs, cut[j, segs], threshold[j, segs], gain[j, segs] = _best_cuts(
+                sx, c[j], run[j], n, cuttable, seg, start)
         offered = ~np.isnan(threshold)
         feature = gain.argmax(axis=0)  # the highest gain; of equal ones, the lowest feature
         many = np.flatnonzero(offered.sum(axis=0) > 1)
@@ -274,18 +304,27 @@ def _grow(kept, values, order, stats, max_depth) -> list:
         for node, j, t in zip(parents, np.flatnonzero(kept).take(feature.take(split)).tolist(),
                               threshold.take(split).tolist()):
             node.split = (j, t)
-        # every split node's rows go, in order, to its left child among the
-        # left children, then to its right child among the right children
+        # a cut at p sends the rows of node [a, b) up to p left, in its feature's order
+        n_left = cut[feature.take(split), split] + 1 - start.take(split)
+        sizes = (n_left, lengths.take(split) - n_left)
         keep = splits.take(seg)
-        goes_left = np.zeros(count.size, dtype=bool)
-        goes_left[rows[0]] = keep & (values.take(feature.take(seg) * count.size + rows[0])
-                                     < threshold.take(seg))
-        left = goes_left.take(rows)
-        right = keep > left
-        n_left = np.add.reduceat(left[0], start[:-1], dtype=np.intp).take(split)
-        d = len(rows)
-        rows = np.concatenate([rows[left].reshape(d, -1), rows[right].reshape(d, -1)], axis=1)
-        start = np.concatenate([[0], np.cumsum(np.r_[n_left, lengths.take(split) - n_left])])
+        if interval:
+            # each child is an interval where it lies; the rows of nodes that stop go
+            if split.size < lengths.size:
+                held = held.compress(keep, axis=1)
+            sizes, kids = np.column_stack(sizes), (slice(0, None, 2), slice(1, None, 2))
+        else:
+            # every split node's rows go, in order, to its left child among the
+            # left children, then to its right child among the right children
+            goes_left = np.zeros(count.size, dtype=bool)
+            goes_left[rows[0]] = keep & (values.take(feature.take(seg) * count.size + rows[0])
+                                         < threshold.take(seg))
+            left = goes_left.take(rows)
+            right = keep > left
+            d = len(rows)
+            rows = np.concatenate([rows[left].reshape(d, -1), rows[right].reshape(d, -1)], axis=1)
+            kids = (slice(split.size), slice(split.size, None))
+        start = np.concatenate([[0], np.cumsum(np.ravel(sizes))])
     return roots
 
 

@@ -85,9 +85,9 @@ def test_an_exact_cross_feature_tie_is_rescored_and_goes_to_feature_0():
     offered, rescored = [], []
 
     def recording_cuts(*args):
-        segs, thresholds, gains = best_cuts(*args)
-        offered.append(gains.tolist())
-        return segs, thresholds, gains
+        found = best_cuts(*args)
+        offered.append(found[-1].tolist())  # the gains
+        return found
 
     def recording_gain(*args):
         if np.ndim(args[1]) == 0:  # a rescored candidate; _best_cuts passes arrays
@@ -137,7 +137,7 @@ def test_the_rounding_bound_covers_running_and_rescored_gains(node, data):
     sx = np.sort(np.array(data.draw(st.lists(st.integers(0, 6), min_size=m, max_size=m)), float))
     cuttable = np.ones(m, dtype=bool)
     cuttable[-1] = False
-    segs, threshold, gain = forest_module._best_cuts(
+    segs, _, threshold, gain = forest_module._best_cuts(
         sx, count[order], np.cumsum(centred[order]), np.array([count.sum()]), cuttable,
         np.zeros(m, dtype=np.intp), np.array([0, m]))
     assume(segs.size)  # two or more values to cut between
@@ -262,21 +262,28 @@ def test_mu0_ignores_the_session_column_tree_for_tree():
                 _assert_same_nodes(tree, ref, [0])
 
 
-@pytest.mark.parametrize("depth", [3, 6])
-def test_forests_across_chunk_boundaries_grow_each_tree_alone(depth):
+@pytest.mark.parametrize("depth, features", [
+    pytest.param(3, 2, id="3"),
+    pytest.param(6, 2, id="6"),
+    pytest.param(3, 1, id="3-one-feature"),
+    pytest.param(6, 1, id="6-one-feature"),
+])
+def test_forests_across_chunk_boundaries_grow_each_tree_alone(depth, features):
     # as many distinct rows as put three trees in a chunk, and trees for three
     # chunks; outcomes are constant below x0 = 40, so a child of the root
-    # stops pure while its sibling and the other trees of its chunk go on; at
-    # depth 6 a level also holds one-row nodes beside nodes thousands of rows long
+    # stops pure while its sibling and the other trees of its chunk go on (with
+    # one feature, its rows leave the chunk's intervals); at depth 6 a level
+    # also holds one-row nodes beside nodes thousands of rows long
     size = _CHUNK_ELEMENTS // 3
     per_chunk = _CHUNK_ELEMENTS // size
     n_trees = 2 * per_chunk + 2
     i = np.arange(size)
-    X = np.column_stack([i // 7, i % 7]).astype(float)
+    X = np.column_stack([i // 7, i % 7]).astype(float) if features == 2 else (i / 7)[:, None]
     rng = np.random.default_rng(3)
     y = np.round(rng.normal(50, 10, size), 1)
     X, y = np.concatenate([X, X[::3]]), np.concatenate([y, y[::3] + 1.0])
     y[X[:, 0] < 40] = 5.0
+    assert np.unique(X, axis=0).shape[0] == size
     rows = [(X[k], y[k]) for k in range(y.size)]
     full = fit_forest(rows, depth, n_trees, seed=4).trees
     refs = oracles.distinct_row_forest(X, y, n_trees, 4, depth)
@@ -285,7 +292,10 @@ def test_forests_across_chunk_boundaries_grow_each_tree_alone(depth):
         oracles.assert_same_tree(full[t], ref, mean_tol=0.0)
         oracles.assert_same_tree(fit_forest(rows, depth, t + 1, seed=4).trees[t], ref,
                                  mean_tol=0.0)
-        pure_stops += ref["split"] == (0, 39.5) and ref["left"]["split"] is None
+        # the cut between the tree's drawn x0 values either side of 40: 39.5 with two features
+        x0 = X[np.random.default_rng([4, t]).integers(0, y.size, y.size), 0]
+        pure_cut = (x0[x0 < 40].max() + x0[x0 >= 40].min()) / 2.0
+        pure_stops += ref["split"] == (0, pure_cut) and ref["left"]["split"] is None
     assert pure_stops == n_trees
 
 
@@ -334,8 +344,11 @@ def test_forest_on_70000_distinct_values_splits_as_per_node_sort():
     n = 70_000
     X = np.column_stack([rng.permutation(n) / 7.0, rng.integers(0, 4, n)])
     y = np.round(rng.normal(0, 1, n), 2)
-    fitted = fit_forest([(X[i], y[i]) for i in range(n)], 2, n_trees=2, seed=5).trees
-    _assert_same_structure(fitted, oracles.per_node_sort_forest(X, y, 2, 5, 2))
+    # two columns, then the first alone: one tree a chunk, as an arm of
+    # continuous_deep's cohort at ten times its size
+    for columns in (X, X[:, :1]):
+        fitted = fit_forest([(columns[i], y[i]) for i in range(n)], 2, n_trees=2, seed=5).trees
+        _assert_same_structure(fitted, oracles.per_node_sort_forest(columns, y, 2, 5, 2))
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e6, -1e6, 1e9, -1e9, 1e12, -1e12])

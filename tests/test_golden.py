@@ -7,6 +7,9 @@ match byte for byte (``Generator`` streams are only stable within one numpy
 version).  Under any other version, structure, strings and integers must
 match exactly and floats to 1e-12 relative.
 
+``golden/forest_digests.json`` pins every tree of the learners and of
+``fit_tree`` on the benchmark's cohorts, by a sha256 over each node.
+
 Regenerate (only in a change that says why) with
 
     PYTHONPATH=src python tests/test_golden.py --write
@@ -14,17 +17,24 @@ Regenerate (only in a change that says why) with
 
 import argparse
 import csv
+import hashlib
 import json
 import math
 import re
 import shutil
+import struct
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from catebench import dataset, synth
 from catebench.cli import main
+from catebench.forest import fit_tree
+from catebench.tlearner import fit_t_learner
+from catebench.treatcount import fit_t_learner2
 
 GOLDEN = Path(__file__).parent / "golden"
 REL_TOL = 1e-12
@@ -53,6 +63,13 @@ CASES = {
     },
 }
 COMMANDS = ("summarize", "cate", "phi", "tree", "dose-reg")
+# the benchmark's forest cohorts, generated with seed 1: continuous_deep's has
+# every x1 distinct, so each arm grows a tree a chunk; dose_surface's rounds x1
+# to about 75 values, so each arm grows as one chunk
+DIGEST_COHORTS = {
+    "continuous_deep": {"preset": "standard_biased", "n": 8000, "round_x1": False},
+    "dose_surface": {"preset": "biased_dose", "n": 10000, "round_x1": True},
+}
 
 
 def _run(argv):
@@ -82,6 +99,40 @@ def _produce(name, case, out: Path, cohort_csv=None) -> None:
 
 def _files(root: Path) -> list:
     return sorted(p.relative_to(root) for p in root.rglob("*") if p.is_file())
+
+
+def _node_digest(trees) -> str:
+    """sha256 over every node in depth-first order: split feature (-1 at a
+    leaf), threshold bits, n and mean bits."""
+    digest = hashlib.sha256()
+
+    def walk(node):
+        feature, threshold = node.split or (-1, 0.0)
+        digest.update(struct.pack("<qdqd", feature, threshold, node.n, node.mean))
+        if node.split is not None:
+            walk(node.left)
+            walk(node.right)
+
+    for tree in trees:
+        walk(tree)
+    return digest.hexdigest()
+
+
+def forest_digests(work: Path) -> dict:
+    """Each fit's node digest, on each cohort as the CLI reads it from CSV."""
+    digests = {}
+    for name, config in DIGEST_COHORTS.items():
+        csv_path = work / f"{name}.csv"
+        synth.save_synthetic(*synth.generate(synth.scenario_from_dict(config), 1), csv_path)
+        cohort, _ = dataset.load_cohort(csv_path)
+        for depth in (2, 4):
+            for fit in (fit_t_learner, fit_t_learner2):
+                model = fit(cohort, depth, 1, 100)
+                digests[f"{name}/{fit.__name__}/depth{depth}"] = _node_digest(
+                    model.mu1.trees + model.mu0.trees)
+        X = np.column_stack([cohort.x1, cohort.x2, cohort.aux])  # the tree command's features
+        digests[f"{name}/fit_tree/depth4"] = _node_digest([fit_tree(X, cohort.y, 4)])
+    return digests
 
 
 # --- tolerant comparison ---------------------------------------------------------
@@ -168,6 +219,13 @@ def test_cli_outputs_match_golden(tmp_path, name):
             assert _same_file(got, want), f"{name}/{rel} differs beyond {REL_TOL:g} relative"
 
 
+@pytest.mark.skipif(np.__version__ != _manifest()["numpy"],
+                    reason="Generator streams are pinned only under the manifest's numpy")
+def test_every_tree_matches_its_digest(tmp_path):
+    want = json.loads((GOLDEN / "forest_digests.json").read_text(encoding="utf-8"))
+    assert forest_digests(tmp_path) == want
+
+
 def test_tolerant_comparison_separates_drift_from_change(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     a.write_text(json.dumps({"x": [1.0, 2, None], "s": "k"}))
@@ -188,6 +246,10 @@ def write_goldens() -> None:
         _produce(name, case, GOLDEN / name)
     manifest = {"numpy": np.__version__, "python": sys.version.split()[0]}
     (GOLDEN / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+    with tempfile.TemporaryDirectory() as work:
+        digests = forest_digests(Path(work))
+    text = json.dumps(digests, indent=2, sort_keys=True) + "\n"
+    (GOLDEN / "forest_digests.json").write_text(text, encoding="utf-8")
 
 
 if __name__ == "__main__":
