@@ -13,6 +13,11 @@ outcome are dropped and counted, while a missing count reads as zero sessions.
 A sidecar config of ``canonical = actual`` lines may rename columns, each to
 its own header.
 
+A record is one CSV record as the csv module reads it.  In a file with no '"'
+and no NUL, that is one line (ended by "\\n", "\\r\\n" or a lone "\\r") split
+at every ",", and the loader splits such a file's lines itself; any other
+file, with quoted records, goes through ``csv.reader``.
+
 A record is treated iff its ``f2f`` count is at least 1; the treated/control
 partition is always derived from that count, never stored separately.
 """
@@ -268,62 +273,111 @@ class LoadReport:
     columns: dict
 
 
-def _chunks(reader):
-    """The reader's records in lists of up to ``_CHUNK_ROWS``.  A csv.Error (a
-    record the csv module refuses) is raised after the records before it have
-    been yielded and checked, so errors in those rows are reported first."""
+def _chunks(records):
+    """The records (csv rows, or a file's lines) in lists of up to
+    ``_CHUNK_ROWS``.  A csv.Error (a record the csv module refuses) is raised
+    after the records before it have been yielded and checked, so errors in
+    those rows are reported first."""
     while True:
-        rows = []
+        chunk = []
         try:
-            rows.extend(islice(reader, _CHUNK_ROWS))
+            chunk.extend(islice(records, _CHUNK_ROWS))
         except csv.Error:
-            yield rows
+            yield chunk
             raise
-        if not rows:
+        if not chunk:
             return
-        yield rows
+        yield chunk
 
 
-def _bulk_columns(rows, width, positions, names):
-    """The one copy of each cell rule.  One chunk's mapped columns, stripped
-    and converted column by column: (ids, x1, y, counts, rows read, rows
-    dropped); or, when a row breaks a rule, the message tail (", column 'f2f':
-    not an integer count: 'x'") of the first rule broken, in the order row
-    width, id, covariate, outcome, counts.  Blank and dropped rows break none.
-    A tail quotes the column's first cell, so it is exact only for one row,
-    the only call whose tail is shown (see ``load_cohort``)."""
-    rows = [row for row in rows if "".join(row).strip()]
-    for row in rows:
-        if len(row) != width:
-            return f": expected {width} fields, got {len(row)}"
-    columns = list(zip(*rows)) or [()] * width
-    cells = [tuple(map(str.strip, columns[pos])) for pos in positions]
-    if "" in cells[1] or "" in cells[8]:
-        keep = [a != "" and b != "" for a, b in zip(cells[1], cells[8])]
-        cells = [tuple(compress(column, keep)) for column in cells]
-    if not _ids_ok(cells[0]):  # a stripped cell of UTF-8 text can only break it with "\r" or NUL
-        return f", column {names[0]!r}: an id may not hold '\\r' or NUL: {cells[0][0]!r}"
-    n = len(cells[0])
+def _split_lines(lines, width):
+    """Lines of a file with no '"' and no NUL, each one record, as (cells,
+    width + 1) for ``_bulk_columns``: one ``split(",")`` of the chunk, each
+    line's cells followed by one "\\n" cell for its line end.  None unless
+    every line holds ``width`` cells, each within the csv module's field size
+    limit: only then are these csv's rows."""
+    text = "".join(lines)
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    if not text.endswith("\n"):  # the file's last line
+        text += "\n"
+    cells = text.replace("\n", ",\n,").split(",")
+    cells.pop()  # the empty cell after the last line end
+    n, stride = len(lines), width + 1
+    if len(cells) != n * stride or cells[width::stride].count("\n") != n:
+        return None  # a blank or ragged line
+    limit = csv.field_size_limit()
+    if len(text) > limit and max(map(len, cells)) > limit:
+        return None
+    return cells, stride
+
+
+def _convert(records, plain, width, positions, names):
+    """One chunk's records, lines of a file with no '"' and no NUL when
+    ``plain`` and csv rows otherwise, through ``_bulk_columns``; or the message
+    tail of the first rule broken.  Lines that ``_split_lines`` cannot take
+    whole are split by csv.reader; a record csv refuses is a broken rule, and
+    so is a row of another width that is not blank, before any cell rule."""
+    flat = _split_lines(records, width) if plain else None
+    if flat is None:
+        if plain:
+            try:
+                records = list(csv.reader(records))
+            except csv.Error as exc:  # a field above the csv module's size limit
+                return f": {exc}"
+        for row in records:
+            if len(row) != width and "".join(row).strip():
+                return f": expected {width} fields, got {len(row)}"
+        flat = [cell for row in records if len(row) == width for cell in row], width
+    return _bulk_columns(*flat, positions, names)
+
+
+def _bulk_columns(cells, stride, positions, names):
+    """The one copy of each cell rule.  One chunk's records, each a run of
+    ``stride`` cells in ``cells``, converted column by column: (ids, x1, y,
+    counts, rows read, rows dropped); or, when a record breaks a rule, the
+    message tail (", column 'f2f': not an integer count: 'x'") of the first
+    rule broken, in the order id, covariate, outcome, counts.  Only the id,
+    covariate and outcome columns are stripped; a record is blank when those
+    three are empty and all its cells strip to nothing.  Blank and dropped
+    records break no rule.  A tail quotes the column's first cell, so it is
+    exact only for one record, the only call whose tail is shown (see
+    ``load_cohort``)."""
+    columns = [cells[pos::stride] for pos in positions]
+    ids, x1, y = (tuple(map(str.strip, columns[k])) for k in (0, 1, 8))
+    n_read = len(ids)
+    if "" in x1 or "" in y:
+        empty = [i for i, cell in enumerate(map("".join, zip(ids, x1, y))) if not cell]
+        n_read -= sum(not "".join(cells[i * stride:(i + 1) * stride]).strip() for i in empty)
+        keep = [a != "" and b != "" for a, b in zip(x1, y)]
+        ids, x1, y = (tuple(compress(column, keep)) for column in (ids, x1, y))
+        columns = [list(compress(column, keep)) for column in columns]
+    if not _ids_ok(ids):  # a stripped cell of UTF-8 text can only break it with "\r" or NUL
+        return f", column {names[0]!r}: an id may not hold '\\r' or NUL: {ids[0]!r}"
+    n = len(ids)
     decimals = []  # x1, y
-    for k in (1, 8):
+    for k, column in ((1, x1), (8, y)):
         try:
-            decimals.append(np.fromiter(map(float, cells[k]), np.float64, n))
+            decimals.append(np.fromiter(map(float, column), np.float64, n))
         except ValueError:
-            return f", column {names[k]!r}: not a number: {cells[k][0]!r}"
+            return f", column {names[k]!r}: not a number: {column[0]!r}"
         if not in_decimal_range(decimals[-1]):
-            return f", column {names[k]!r}: {cells[k][0]!r} is not in {DECIMAL_RANGE}"
+            return f", column {names[k]!r}: {column[0]!r} is not in {DECIMAL_RANGE}"
     counts = np.empty((len(COUNT_COLUMNS), n), dtype=np.int64)
     for k, out in enumerate(counts, start=2):
-        try:  # counts repeat, so each distinct cell is parsed once; "" reads as 0
-            parsed = {cell: int(cell or "0") for cell in set(cells[k])}
+        try:  # counts repeat, so each distinct raw cell is parsed once; "" reads as 0
+            parsed = {cell: int(cell.strip() or "0") for cell in set(columns[k])}
         except ValueError:
-            return f", column {names[k]!r}: not an integer count: {cells[k][0]!r}"
+            return f", column {names[k]!r}: not an integer count: {columns[k][0].strip()!r}"
         if min(parsed.values(), default=0) < 0:
             return f", column {names[k]!r}: negative count"
         if max(parsed.values(), default=0) > _COUNT_MAX:
             return f", column {names[k]!r}: count above {_COUNT_MAX}"
-        out[:] = np.fromiter(map(parsed.__getitem__, cells[k]), np.int64, n)
-    return cells[0], *decimals, counts.T, len(rows), len(rows) - n
+        if len(parsed) == 1:  # one value, as most auxiliary counts hold
+            out[:] = parsed.popitem()[1]
+        else:
+            out[:] = np.fromiter(map(parsed.__getitem__, columns[k]), np.int64, n)
+    return ids, *decimals, counts.T, n_read, n_read - n
 
 
 def config_lines(text):
@@ -359,8 +413,13 @@ def load_cohort(path, config: SchemaConfig | None = None, precision=1.0):
 
     Rows missing the covariate or outcome are dropped and counted in the
     report; empty count cells default to 0 (no sessions recorded).  The file
-    is read in chunks of records, each checked and converted column by column
-    by ``_bulk_columns``; a chunk that fails is checked again a row at a time.
+    is read in chunks of ``_CHUNK_ROWS`` records, each checked and converted
+    column by column by ``_bulk_columns``; a chunk that fails is checked again
+    a row at a time.  A file with no '"' and no NUL is read a chunk of lines at
+    a time, each line one record: one ``split(",")`` per chunk, columns by
+    stride (``_split_lines``).  Any other file is read by ``csv.reader``, the
+    one reader of quoted records (and, on Python 3.10, the one that refuses
+    NUL), so both give csv's records.
     The bytes are checked whole first (``read_text``), so a byte that is not
     UTF-8 is named by its physical line before any header or row is checked.
     Otherwise an error names the first bad row (rows count CSV records, blank
@@ -373,7 +432,9 @@ def load_cohort(path, config: SchemaConfig | None = None, precision=1.0):
         if name in names[:k]:
             keys = CANONICAL_COLUMNS[names.index(name)], CANONICAL_COLUMNS[k]
             raise SchemaError(f"{path}: {keys[0]!r} and {keys[1]!r} both map to {name!r}")
-    read_text(path)  # the byte check, first: a bad byte is named before any header or row
+    text = read_text(path)  # the byte check, first: a bad byte is named before any header or row
+    plain = '"' not in text and "\0" not in text  # so each line is one record
+    del text  # not held while parsing
     with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         rownum = 1  # the header, then the first record of the chunk being read
@@ -390,17 +451,19 @@ def load_cohort(path, config: SchemaConfig | None = None, precision=1.0):
                 raise SchemaError(f"{path}: column {repeated[0]!r} appears twice in the header")
             positions = [header.index(name) for name in names]  # CANONICAL_COLUMNS order
 
-            bulk = partial(_bulk_columns, width=len(header), positions=positions, names=names)
-            parts = [bulk([])]  # empty columns to start from
+            convert = partial(
+                _convert, plain=plain, width=len(header), positions=positions, names=names
+            )
+            parts = [_bulk_columns([], 1, positions, names)]  # empty columns to start from
             rownum = 2
-            for rows in _chunks(reader):
-                part = bulk(rows)
+            for records in _chunks(fh if plain else reader):
+                part = convert(records)
                 if isinstance(part, str):  # the same check, a row at a time, finds the bad row
-                    for k, row in enumerate(rows, start=rownum):
-                        if isinstance(why := bulk([row]), str):
+                    for k, record in enumerate(records, start=rownum):
+                        if isinstance(why := convert([record]), str):
                             raise ParseError(f"{path}: row {k}{why}")
                 parts.append(part)
-                rownum += len(rows)
+                rownum += len(records)
         except csv.Error as exc:
             # a record the csv module refuses, such as a field above its size limit
             raise ParseError(f"{path}: row {rownum}: {exc}") from None
