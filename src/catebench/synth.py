@@ -175,23 +175,24 @@ class GroundTruth:
     true_atu: float | None
 
     def to_json(self, path) -> None:
+        """The truth file; ``write_json`` formats the number arrays as lists."""
         write_json(path, {
             "true_ate": self.true_ate,
             "true_att": self.true_att,
             "true_atu": self.true_atu,
-            "treated": self.treated.astype(int).tolist(),
-            "latent_dose": self.latent_dose.tolist(),
-            "y0": self.y0.tolist(),
-            "y1": self.y1.tolist(),
-            "noise": self.noise.tolist(),
+            "treated": self.treated.astype(int),
+            "latent_dose": self.latent_dose,
+            "y0": self.y0,
+            "y1": self.y1,
+            "noise": self.noise,
             "scenario": self.scenario.to_dict(),
         })
 
 
 def generate(scenario: Scenario, seed: int = 0):
     """Draw one cohort plus its ground truth; bitwise-deterministic per seed.
-    A draw outside [-1e100, 1e100] raises InvalidScenario naming its field, so
-    every mean effect is finite."""
+    Row i's id is "s%05d" % i.  A draw outside [-1e100, 1e100] raises
+    InvalidScenario naming its field, so every mean effect is finite."""
     scenario.validate()
     rng = np.random.default_rng(seed % _SEED_SPACE)
     # extreme but finite fields can overflow a draw; that is checked below
@@ -216,7 +217,7 @@ def generate(scenario: Scenario, seed: int = 0):
     true_att = float(np.mean(effect[treated])) if treated.any() else None
     true_atu = float(np.mean(effect[~treated])) if (~treated).any() else None
 
-    ids = tuple(f"s{i:05d}" for i in range(scenario.n))
+    ids = tuple(("s%05d\n" * scenario.n % tuple(range(scenario.n))).splitlines())
     cohort = Cohort(ids, x1, x2, y, np.zeros((scenario.n, len(AUX_FIELDS)), dtype=np.int64))
     truth = GroundTruth(
         scenario, y0, y1, latent_dose, noise, treated, true_ate, true_att, true_atu

@@ -505,6 +505,39 @@ def test_write_csv_gives_the_bytes_of_the_csv_module(table):
         assert path.read_bytes() == oracles.csv_bytes(header, columns)
 
 
+def _long_csv_columns():
+    """A table of 3,000 rows, past the first 1,024 values that ``_cells``
+    looks at: float and int columns whose prefix is distinct and whose tail
+    repeats, and the other way round; a float column with NaN and -0.0 in
+    both parts; and ids of which only the last needs quotes."""
+    rng = np.random.default_rng(11)
+    distinct, repeated = rng.normal(50.0, 10.0, 3000), np.rint(rng.normal(50.0, 10.0, 3000))
+    counts, labels = rng.integers(0, 2**62, 3000), rng.integers(0, 4, 3000)
+    specials = np.tile([math.nan, -0.0, 0.0, 5e-324, 1.5], 300)
+    header = ["id", "distinct_first", "repeats_first", "special", "count_first", "label_first"]
+    return header, [
+        tuple(f"s{i}" for i in range(2999)) + ('last, "quoted"',),
+        np.concatenate([distinct[:1024], repeated[1024:]]),
+        np.concatenate([repeated[:1024], distinct[1024:]]),
+        np.concatenate([specials[:1000], distinct[:1500], specials[:500]]),
+        np.concatenate([counts[:1024], labels[1024:]]),
+        np.concatenate([labels[:1024], counts[1024:]]),
+    ]
+
+
+def test_write_csv_of_long_columns_gives_the_bytes_of_the_csv_module(tmp_path):
+    header, columns = _long_csv_columns()
+    distinct = [[np.unique(part).size == part.size for part in (c[:1024], c[1024:])]
+                for c in columns[1:]]
+    assert distinct == [[True, False], [False, True], [False, False], [True, False], [False, True]]
+    special = columns[3]
+    for part in (special[:1024], special[1024:]):
+        assert np.isnan(part).any() and np.signbit(part[part == 0]).any()
+    path = tmp_path / "long.csv"
+    dataset.write_csv(path, header, columns)
+    assert path.read_bytes() == oracles.csv_bytes(header, columns)
+
+
 # --- columnar bin keys and count limits -------------------------------------
 
 _WIDTHS = st.one_of(
@@ -949,3 +982,40 @@ def test_write_json_bytes_are_those_of_indent_two(payload):
         path = Path(tmp) / "out.json"
         dataset.write_json(path, payload)
         assert path.read_bytes() == (json.dumps(payload, indent=2) + "\n").encode("utf-8")
+
+
+def _json_arrays():
+    """Numeric arrays as the truth file holds them, and the edge values of each
+    dtype, at lengths below and past the 1,024 values ``_cells`` looks at,
+    with a distinct or a repeating prefix."""
+    rng = np.random.default_rng(3)
+    specials = np.array([-0.0, 0.0, 5e-324, -2.5e-320, 1e-310, 1e100, -1e100, 1.5,
+                         math.nan, math.inf, -math.inf])
+    distinct, repeated = rng.normal(50.0, 10.0, 3000), np.rint(rng.normal(50.0, 10.0, 3000))
+    return {
+        "specials": specials,
+        "int_edges": np.array([0, 2**63 - 1, -(2**63 - 1), 0, 7], dtype=np.int64),
+        "treated": (distinct > 52.0).astype(int),
+        "empty_float": np.array([]),
+        "empty_int": np.array([], dtype=np.int64),
+        "short_distinct": distinct[:100],
+        "short_repeats": repeated[:100],
+        "distinct": distinct,
+        "distinct_then_repeats": np.concatenate([distinct[:1024], repeated[1024:]]),
+        "repeats_then_distinct": np.concatenate([repeated[:1024], distinct[1024:]]),
+        "distinct_then_specials": np.concatenate([distinct, specials]),
+        "specials_then_distinct": np.concatenate([np.tile(specials, 100), distinct]),
+        "int_distinct": rng.integers(-(2**63 - 1), 2**63 - 1, 2000),
+        "int_repeats": rng.integers(0, 15, 2000),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_json_arrays()))
+def test_write_json_writes_numpy_arrays_as_their_lists(tmp_path, name):
+    array = _json_arrays()[name]
+    payload = {"true_ate": 3.0, name: array, "n": [1, 2], "scenario": {"n": array.size}}
+    path = tmp_path / "out.json"
+    dataset.write_json(path, payload)
+    listed = {key: value.tolist() if isinstance(value, np.ndarray) else value
+              for key, value in payload.items()}
+    assert path.read_bytes() == (json.dumps(listed, indent=2) + "\n").encode("utf-8")

@@ -42,6 +42,13 @@ def test_same_seed_is_bitwise_identical():
     assert helpers.cohort_columns(c_cohort) != helpers.cohort_columns(a_cohort)
 
 
+@pytest.mark.parametrize("n", [1, 100_001])
+def test_ids_are_s_and_the_row_number_in_five_digits_or_more(n):
+    cohort, _ = generate(standard_biased_scenario(n), seed=1)
+    assert cohort.ids == tuple(f"s{i:05d}" for i in range(n))
+    assert cohort.ids[-1] == ("s00000" if n == 1 else "s100000")
+
+
 def test_observed_outcome_is_potential_plus_noise_exactly():
     cohort, truth = generate(standard_biased_scenario(500), seed=1)
     y = cohort.y
