@@ -29,15 +29,17 @@ arithmetic.
 Trees grow a depth level at a time, a chunk of trees together: each level
 is a few numpy passes over the (tree, node, distinct row) segments of the
 whole chunk, and no node sorts.  With one coded feature, key order is value
-order: the chunk gathers its drawn rows' statistics once, a node is an
-interval [a, b) of its tree's drawn rows in that order, and a split is a cut
-position p, with children [a, p + 1) and [p + 1, b).  With more, a child is a
-stable partition of its parent's segment in each feature's order.  Each sum
-that decides a node is taken over that node's rows in the order one tree
-grown alone would use (a node's y sum pairwise, its running sums one
-``cumsum`` over its own slice of the level), so a tree is bitwise the same
-whichever chunk grows it.  Prediction takes chunks by the
-same rule and routes each as one (tree, cell) node array, a level at a time.
+order: the chunk gathers its drawn rows' statistics once and drops its
+tally, a node is an interval [a, b) of its tree's drawn rows in that order,
+and a split is a cut position p, with children [a, p + 1) and [p + 1, b);
+such a pass holds about half the bytes an element, so its chunks hold twice
+the trees.  With more, a child is a stable partition of its parent's segment in
+each feature's order.  Each sum that decides a node is taken over that node's
+rows in the order one tree grown alone would use (a node's y sum pairwise,
+its running sums one ``cumsum`` over its own slice of the level), so a tree is
+bitwise the same whichever chunk grows it.  Prediction takes chunks by the
+two-feature rule and routes each as one (tree, cell) node array, a level at a
+time.
 """
 
 from __future__ import annotations
@@ -51,12 +53,18 @@ from .dataset import DECIMAL_RANGE, in_decimal_range
 from .errors import DimensionMismatch, DomainError, EmptyInput
 
 _SEED_SPACE = 2**64
-# (tree, distinct row) elements a level pass holds, and (tree, cell) elements
-# a routing pass holds: a forest grows and predicts in chunks of as many trees
-# as this many allow, and at least one.  Larger chunks make fewer calls per tree
-# but hold larger arrays: at the peak, about 125 bytes an element growing one
-# feature's intervals, 160 partitioning two features' rows, and 34 routing.
+# (tree, distinct row) elements a level pass of two or more features holds, and
+# (tree, cell) elements a routing pass holds: a forest grows and predicts in
+# chunks of as many trees as this many allow, and at least one.  Larger chunks
+# make fewer calls per tree but hold larger arrays: at the peak (tracemalloc,
+# rows all distinct), about 138 bytes an element partitioning two features' rows
+# and 33 routing.
 _CHUNK_ELEMENTS = 10_000
+# The same for a one-feature level pass, which holds 64 to 71 bytes an element
+# at its peak (tracemalloc, rows all distinct): at most 1.42 MB a chunk, under
+# the 1.46 MB (146 bytes an element) that a two-feature chunk peaked at when
+# this rule was set.
+_INTERVAL_ELEMENTS = 20_000
 
 
 def _tree_rng(seed: int, index: int) -> np.random.Generator:
@@ -171,65 +179,61 @@ def _tally(key, y, draws, trees, size):
 def _best_cuts(sx, count, run, n, cuttable, seg, start):
     """Each segment's first highest-gain cut, as (segments, cut positions,
     thresholds, gains); a cut at position p puts elements up to p on the left.
-    ``sx`` holds the segments' values in order, ``count`` their drawn counts
-    and ``run`` each segment's own running sum of its centred y sums, ``n``
-    each segment's count; ``cuttable`` marks where a split may fall, ``seg``
-    is each element's segment and ``start`` bounds the segments."""
-    cut = np.flatnonzero(cuttable[:-1] & (sx[:-1] < sx[1:]))  # the last row of a value block
-    if not cut.size:
-        return cut, cut, sx[:0], sx[:0]
-    cs = seg.take(cut)
-    left = run.take(cut)
-    right = run.take(start[1:] - 1).take(cs)  # each segment's total, less the left sum
-    right -= left
+    ``sx`` holds the segments' values in order, ``count`` their drawn counts,
+    ``run`` each segment's own running sum of its centred y sums and ``n`` its
+    count; ``cuttable`` marks where a split may fall (never a segment's last
+    element), ``seg`` is each element's segment and ``start`` bounds them.
+    Every position is scored in place, and those that may not cut score -inf."""
+    ok = cuttable.copy()
+    ok[:-1] &= sx[:-1] < sx[1:]  # the last row of a value block
     # counts are whole, so a flat running sum is exact
     n_left = np.cumsum(count)
-    base = n_left.take(start[:-1]) - count.take(start[:-1])
-    n_left = n_left.take(cut)
-    n_left -= base.take(cs)
-    n_right = n.take(cs) - n_left
-    gain = left * left  # _gain, in place
+    n_left -= (n_left.take(start[:-1]) - count.take(start[:-1])).take(seg)
+    right = run.take(start[1:] - 1).take(seg)  # each segment's total, less the left sum
+    right -= run
+    right *= right  # _gain, in place; a segment's last row has none on its right
+    np.divide(right, n.take(seg) - n_left, out=right, where=ok)
+    gain = run * run
     gain /= n_left
-    right *= right
-    right /= n_right
     gain += right
-    head = np.ones(cut.size, dtype=bool)
-    np.not_equal(cs[1:], cs[:-1], out=head[1:])
-    segs = cs.compress(head)
-    best = np.full(n.size, -np.inf)
-    best[segs] = np.maximum.reduceat(gain, np.flatnonzero(head))
-    top = np.flatnonzero(gain == best.take(cs))
-    at = cut.take(top.take(np.searchsorted(cs.take(top), segs)))  # first maximum: lowest threshold
+    gain[~ok] = -np.inf
+    best = np.maximum.reduceat(gain, start[:-1])
+    segs = np.flatnonzero(best > -np.inf)
+    top = np.flatnonzero(gain == best.take(seg))
+    at = top.take(np.searchsorted(seg.take(top), segs))  # first maximum: lowest threshold
     lo, hi = sx.take(at), sx.take(at + 1)
     mid = (lo + hi) / 2.0  # adjacent floats: mid rounds onto lo
     return segs, at, np.where(lo < mid, mid, hi), best.take(segs)
 
 
-def _grow(kept, values, order, stats, max_depth) -> list:
-    """Grow one tree per ``order.shape[1]`` columns of the ``_tally`` ``stats``
-    on the ``kept`` features, a depth level at a time across all of them.  A
-    level's nodes are contiguous segments, bounded by ``start``.  With one
-    feature, key order is value order: a node is an interval of its tree's
-    drawn rows in that order, gathered once, and a split cuts it in place.
-    Otherwise ``rows[j]`` lists each node's drawn rows, as columns of
-    ``stats``, node after node, in stable order of ``values[j]`` (``rows[0]``
-    is key order), and a split stably partitions them.  Every sum that decides
-    a node runs over its own segment in the order one tree fitted alone would
-    use, so each tree is bitwise that tree."""
-    count, total, lo, hi = stats
+def _grow(kept, values, key, order, y, draws, trees, max_depth) -> list:
+    """Grow one tree per draw of ``draws`` (``trees`` of them) on the ``kept``
+    features, a depth level at a time across all of them, from the ``_tally``
+    ``stats`` of the draws.  A level's nodes are contiguous segments, bounded
+    by ``start``.  With one feature, key order is value order: a node is an
+    interval of its tree's drawn rows in that order, gathered once in place of
+    the tally, and a split cuts it in place.  Otherwise ``rows[j]`` lists each
+    node's drawn rows, as columns of ``stats``, node after node, in stable
+    order of ``values[j]`` (``rows[0]`` is key order), and a split stably
+    partitions them.  Every sum that decides a node runs over its own segment
+    in the order one tree fitted alone would use, so each tree is bitwise that
+    tree."""
     size = order.shape[1]
-    drawn = count.reshape(-1, size) > 0
-    trees = drawn.shape[0]
+    stats = _tally(key, y, draws, trees, size)
+    drawn = stats[0].reshape(trees, size) > 0
     per_tree = np.count_nonzero(drawn, axis=1)
     start = np.concatenate([[0], np.cumsum(per_tree)])
-    values = np.broadcast_to(values[:, np.newaxis], (len(values), *drawn.shape))
-    values = values.reshape(len(values), count.size)  # a view for one tree
     interval = len(order) == 1
-    if interval:  # each tree's drawn rows' count, y sum, y bounds and value, compressed in place
+    if interval:  # each tree's drawn rows' count, y sum, y bounds and value, then no tally
         held = np.empty((len(stats) + len(values), start[-1]))
-        np.compress(drawn.ravel(), stats, axis=1, out=held[:len(stats)])
-        np.compress(drawn.ravel(), values, axis=1, out=held[len(stats):])
+        at = np.flatnonzero(drawn)  # 'wrap' takes value r at t * size + r; neither mode buffers out
+        stats.take(at, axis=1, out=held[:len(stats)], mode="clip")
+        values.take(at, axis=1, out=held[len(stats):], mode="wrap")
+        del stats, at  # the tally goes before the search's peak
     else:  # tree t's drawn rows in each feature's order, as columns t * size + r
+        count, total, lo, hi = stats
+        values = np.broadcast_to(values[:, np.newaxis], (len(values), *drawn.shape))
+        values = values.reshape(len(values), count.size)
         rows = np.broadcast_to(order[:, np.newaxis], (order.shape[0], *drawn.shape))
         rows = rows[drawn[:, order].swapaxes(0, 1)].reshape(order.shape[0], -1)
         rows += np.repeat(np.arange(trees) * size, per_tree)
@@ -274,6 +278,7 @@ def _grow(kept, values, order, stats, max_depth) -> list:
         for j, sx in enumerate(x):
             segs, cut[j, segs], threshold[j, segs], gain[j, segs] = _best_cuts(
                 sx, c[j], run[j], n, cuttable, seg, start)
+        del sx, run  # no view of held outlives the level, so a compress below frees it
         offered = ~np.isnan(threshold)
         feature = gain.argmax(axis=0)  # the highest gain; of equal ones, the lowest feature
         many = np.flatnonzero(offered.sum(axis=0) > 1)
@@ -331,8 +336,7 @@ def _grow(kept, values, order, stats, max_depth) -> list:
 def fit_tree(X, y, max_depth: int = 2) -> TreeNode:
     """Fit one CART regression tree on an (n, d) feature matrix and n outcomes."""
     kept, values, key, order, y = _training_set(X, y, max_depth)
-    stats = _tally(key, y, [np.arange(y.size)], 1, order.shape[1])
-    return _grow(kept, values, order, stats, max_depth)[0]
+    return _grow(kept, values, key, order, y, [np.arange(y.size)], 1, max_depth)[0]
 
 
 @dataclass(frozen=True)
@@ -415,19 +419,20 @@ def fit_forest(
     ``rows`` are (feature vector, outcome) pairs, unzipped into ``fit_tree``'s
     (X, y) checks, because ``perfbench/spans.py`` counts a forest's training
     rows by iterating them.  Trees grow level by level in chunks of as many
-    as ``_CHUNK_ELEMENTS`` (tree, distinct row) elements hold, in the calling
-    thread; tree i is the same in any chunk.
+    as ``_INTERVAL_ELEMENTS`` (tree, distinct row) elements hold with one coded
+    feature, and ``_CHUNK_ELEMENTS`` with more, in the calling thread; tree i
+    is the same in any chunk.
     """
     rows = list(rows)
     kept, values, key, order, y = _training_set([r[0] for r in rows], [r[1] for r in rows],
                                                 max_depth, n_trees)
     size = order.shape[1]
-    per_chunk = max(1, _CHUNK_ELEMENTS // size)
+    per_chunk = max(1, (_INTERVAL_ELEMENTS if len(order) == 1 else _CHUNK_ELEMENTS) // size)
     trees = []
     for first in range(0, n_trees, per_chunk):
         chunk = range(first, min(first + per_chunk, n_trees))
         draws = (_tree_rng(seed, i).integers(0, y.size, size=y.size) for i in chunk)
-        trees += _grow(kept, values, order, _tally(key, y, draws, len(chunk), size), max_depth)
+        trees += _grow(kept, values, key, order, y, draws, len(chunk), max_depth)
     return RegressionForest(tuple(trees), kept.size)
 
 

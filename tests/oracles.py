@@ -221,6 +221,38 @@ def distinct_row_tree(X, y, draw, max_depth):
     return grow(sorted(tally), 0)
 
 
+def per_segment_best_cuts(sx, count, run, n, cuttable, start):
+    """Reference ``forest._best_cuts``, one segment and one position at a time.
+
+    Segment s is elements ``start[s]`` to ``start[s + 1]``.  A cut at p puts
+    the elements up to p on the left; it is offered where ``cuttable[p]`` holds
+    and p is the last element of a run of equal values.  Its gain is
+    L*L/n_left + R*R/n_right, with L = run[p], R the segment's last running sum
+    less L, n_left the counts up to p added one by one (whole, so exact), and
+    n_right = n[s] - n_left.  The first strict maximum wins; the threshold is
+    the midpoint of the values either side of the cut, or the upper value
+    where the midpoint rounds onto the lower.  Returns (segment, cut position,
+    threshold, gain) for each segment with a cut, as Python scalars.
+    """
+    found = []
+    for s, (a, b) in enumerate(zip(start[:-1].tolist(), start[1:].tolist())):
+        best, n_left = None, 0.0
+        for p in range(a, b - 1):
+            n_left += float(count[p])
+            if not (cuttable[p] and sx[p] < sx[p + 1]):
+                continue
+            left, right = float(run[p]), float(run[b - 1]) - float(run[p])
+            gain = left * left / n_left + right * right / (float(n[s]) - n_left)
+            if best is None or gain > best[1]:
+                best = (p, gain)
+        if best is not None:
+            p, gain = best
+            lo, hi = float(sx[p]), float(sx[p + 1])
+            mid = (lo + hi) / 2.0
+            found.append((s, p, mid if lo < mid else hi, gain))
+    return found
+
+
 def distinct_row_forest(X, y, n_trees, seed, max_depth):
     """Bagged distinct_row_tree: tree i tallies the rows drawn by
     ``default_rng([seed mod 2**64, i]).integers(0, n, size=n)``."""

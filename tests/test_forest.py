@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from catebench import forest as forest_module
@@ -150,6 +150,47 @@ def test_the_rounding_bound_covers_running_and_rescored_gains(node, data):
         assert abs(Fraction(computed) - exact) <= bound
 
 
+@st.composite
+def cut_levels(draw):
+    """A level of 1-6 segments of 1-8 elements, as ``_grow`` passes one to
+    ``_best_cuts``: each segment's values sorted, from a pool with -0.0 beside
+    0.0 and adjacent floats (their midpoint rounds onto the lower); whole
+    counts; running sums of centred sums on a coarse grid, so gains often
+    tie; and no cut after a segment's last element, some segments none at all."""
+    lengths = draw(st.lists(st.integers(1, 8), min_size=1, max_size=6))
+    start = np.concatenate([[0], np.cumsum(lengths)])
+    adjacent = [1.0, float(np.nextafter(1.0, 2.0)), 2.0**53, 2.0**53 + 2]
+    value = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0] + adjacent)
+    sx = np.concatenate([np.sort(draw(st.lists(value, min_size=k, max_size=k))) for k in lengths])
+    m = int(start[-1])
+    count = np.array(draw(st.lists(st.integers(1, 4), min_size=m, max_size=m)), dtype=float)
+    centred = st.sampled_from([-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 3.0])
+    run = np.array(draw(st.lists(centred, min_size=m, max_size=m)))
+    for a, b in zip(start[:-1], start[1:]):
+        np.add.accumulate(run[a:b], out=run[a:b])
+    cuttable = np.array(draw(st.lists(st.booleans(), min_size=m, max_size=m)))
+    cuttable[start[1:] - 1] = False
+    for s in draw(st.lists(st.integers(0, len(lengths) - 1), max_size=2)):
+        cuttable[start[s]:start[s + 1]] = False
+    return sx, count, run, cuttable, start
+
+
+@settings(max_examples=300, deadline=None)
+@given(cut_levels())
+@example((np.arange(4.0), np.ones(4), np.array([1.0, 0.0, 1.0, 0.0]),
+          np.array([True, True, True, False]), np.array([0, 4])))  # p = 0 and 2 tie
+def test_best_cuts_equal_a_per_segment_scorer_bitwise(level):
+    # every position is scored, so a segment's last one divides by n_right == 0:
+    # pyproject's error::RuntimeWarning makes any warning from that fail here
+    sx, count, run, cuttable, start = level
+    n = np.add.reduceat(count, start[:-1])
+    seg = np.repeat(np.arange(start.size - 1), np.diff(start))
+    got = forest_module._best_cuts(sx, count, run, n, cuttable, seg, start)
+    want = oracles.per_segment_best_cuts(sx, count, run, n, cuttable, start)
+    for column, expected in zip(got, zip(*want) if want else [[]] * 4):
+        assert column.tobytes() == np.array(expected, dtype=column.dtype).tobytes()
+
+
 def test_zero_variance_feature_never_selected():
     rng = np.random.default_rng(1)
     X = np.column_stack([rng.uniform(0, 10, 40), np.zeros(40)])
@@ -274,8 +315,9 @@ def test_forests_across_chunk_boundaries_grow_each_tree_alone(depth, features):
     # stops pure while its sibling and the other trees of its chunk go on (with
     # one feature, its rows leave the chunk's intervals); at depth 6 a level
     # also holds one-row nodes beside nodes thousands of rows long
-    size = _CHUNK_ELEMENTS // 3
-    per_chunk = _CHUNK_ELEMENTS // size
+    elements = forest_module._INTERVAL_ELEMENTS if features == 1 else _CHUNK_ELEMENTS
+    size = elements // 3
+    per_chunk = elements // size
     n_trees = 2 * per_chunk + 2
     i = np.arange(size)
     X = np.column_stack([i // 7, i % 7]).astype(float) if features == 2 else (i / 7)[:, None]
@@ -285,7 +327,15 @@ def test_forests_across_chunk_boundaries_grow_each_tree_alone(depth, features):
     y[X[:, 0] < 40] = 5.0
     assert np.unique(X, axis=0).shape[0] == size
     rows = [(X[k], y[k]) for k in range(y.size)]
-    full = fit_forest(rows, depth, n_trees, seed=4).trees
+    grow, chunks = forest_module._grow, []
+
+    def recording_grow(*args):
+        chunks.append(args[-2])  # the chunk's trees
+        return grow(*args)
+
+    with mock.patch.object(forest_module, "_grow", recording_grow):
+        full = fit_forest(rows, depth, n_trees, seed=4).trees
+    assert len(chunks) >= 3 and chunks[-1] < chunks[0] == per_chunk, chunks
     refs = oracles.distinct_row_forest(X, y, n_trees, 4, depth)
     pure_stops = 0
     for t, ref in enumerate(refs):
@@ -605,6 +655,38 @@ def test_routing_memory_is_bounded_by_the_chunk_rule():
     assert chunked.tobytes() == whole.tobytes()
     assert chunked.tobytes() == oracles.per_row_forest_mean(trees, probe).tobytes()
     assert small * 10 < large, (small, large)
+
+
+def _traced_growth(X, depth, trees):
+    """The traced peak of ``_grow`` over a chunk of ``trees`` trees, in bytes,
+    and the chunk's (tree, distinct row) elements."""
+    y = np.random.default_rng(5).normal(50, 10, len(X))
+    kept, values, key, order, y = forest_module._training_set(X, y, depth, trees)
+    draws = (forest_module._tree_rng(5, i).integers(0, y.size, size=y.size) for i in range(trees))
+    tracemalloc.start()
+    try:
+        forest_module._grow(kept, values, key, order, y, draws, trees, depth)
+        return tracemalloc.get_traced_memory()[1], trees * order.shape[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("features", [1, 2])
+def test_growth_memory_is_bounded_by_the_chunk_rule(features):
+    # rows all distinct: 2,100 x1 values with one feature, a chunk of 9 trees
+    # by the one-feature rule (18,900 elements at about 70 bytes each), and
+    # 1,050 (x1, x2) rows with two, a chunk of 9 (9,450 at about 138).  Bound:
+    # 1.46 MB, the peak of a two-feature chunk of 10,000 elements at 146 bytes
+    # each when the one-feature rule was set; and a 60-tree forest grown as one
+    # chunk peaks at over four times a chunk.
+    i = np.arange(2100 // features)
+    X = (i / 7)[:, None] if features == 1 else np.column_stack([i / 7, i % 5])
+    elements = forest_module._INTERVAL_ELEMENTS if features == 1 else _CHUNK_ELEMENTS
+    peak, grown = _traced_growth(X, 4, elements // len(X))
+    whole, _ = _traced_growth(X, 4, 60)
+    assert grown > 0.9 * elements  # the chunk is the rule's, not a smaller one
+    assert peak <= 1_460_000, peak
+    assert peak * 4 < whole, (peak, whole)
 
 
 def test_mutating_returned_thresholds_changes_no_prediction():
