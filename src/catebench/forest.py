@@ -28,18 +28,18 @@ arithmetic.
 
 Trees grow a depth level at a time, a chunk of trees together: each level
 is a few numpy passes over the (tree, node, distinct row) segments of the
-whole chunk, and no node sorts.  With one coded feature, key order is value
-order: the chunk gathers its drawn rows' statistics once and drops its
-tally, a node is an interval [a, b) of its tree's drawn rows in that order,
-and a split is a cut position p, with children [a, p + 1) and [p + 1, b);
-such a pass holds about half the bytes an element, so its chunks hold twice
-the trees.  With more, a child is a stable partition of its parent's segment in
-each feature's order.  Each sum that decides a node is taken over that node's
-rows in the order one tree grown alone would use (a node's y sum pairwise,
-its running sums one ``cumsum`` over its own slice of the level), so a tree is
-bitwise the same whichever chunk grows it.  Prediction takes chunks by the
-two-feature rule and routes each as one (tree, cell) node array, a level at a
-time.
+whole chunk, and no node sorts.  The chunk gathers its drawn rows once, in
+each coded feature's order, and drops its tally.  A split at cut position p
+of node [a, b) in its feature's order leaves children [a, p + 1) and
+[p + 1, b) where they lie in that order, and stably partitions the node's
+rows, left child then right, in every other feature's order; a fit of one
+coded feature only drops the rows of nodes that stop.  A chunk holds a fixed
+number of (tree, distinct row) elements per coded feature.  Each sum that
+decides a node is taken over that node's rows in the order one tree grown
+alone would use (a node's y sum pairwise, its running sums one ``cumsum`` over
+its own slice of the level), so a tree is bitwise the same whichever chunk
+grows it.  Prediction routes a chunk of trees as one (tree, cell) node array,
+a level at a time.
 """
 
 from __future__ import annotations
@@ -53,17 +53,17 @@ from .dataset import DECIMAL_RANGE, in_decimal_range
 from .errors import DimensionMismatch, DomainError, EmptyInput
 
 _SEED_SPACE = 2**64
-# (tree, distinct row) elements a level pass of two or more features holds, and
-# (tree, cell) elements a routing pass holds: a forest grows and predicts in
-# chunks of as many trees as this many allow, and at least one.  Larger chunks
-# make fewer calls per tree but hold larger arrays: at the peak (tracemalloc,
-# rows all distinct), about 138 bytes an element partitioning two features' rows
-# and 33 routing.
+# (tree, cell) elements a routing pass holds: a forest predicts in chunks of as
+# many trees as this many allow, and at least one.  Larger chunks make fewer
+# calls per tree but hold larger arrays: about 33 bytes an element at the peak
+# (tracemalloc).
 _CHUNK_ELEMENTS = 10_000
-# The same for a one-feature level pass, which holds 64 to 71 bytes an element
-# at its peak (tracemalloc, rows all distinct): at most 1.42 MB a chunk, under
-# the 1.46 MB (146 bytes an element) that a two-feature chunk peaked at when
-# this rule was set.
+# (tree, distinct row) elements per coded feature that a growth chunk holds:
+# a forest grows in chunks of as many trees as this many, over the number of
+# coded features, allow, and at least one.  At the peak (tracemalloc, rows all
+# distinct) a chunk holds about 69 bytes an element with one coded feature, 103
+# with two and 144 with three, so 1.3-1.4 MB for one to three, under the
+# 1.46 MB that a two-feature chunk peaked at when this rule was set.
 _INTERVAL_ELEMENTS = 20_000
 
 
@@ -136,14 +136,14 @@ def _distinct_rows(X):
     values over the distinct rows, in ascending key order; every row's
     distinct-row index; and each kept feature's stable order of the distinct
     rows.  A row's key is its kept features' ``np.unique`` codes, so order 0
-    is key order, and with no kept feature it still orders the one row."""
+    is key order.  With no kept feature, a column of zeros stands in: the one
+    distinct row still has a value and an order, and nothing splits."""
     kept = X.min(axis=0) < X.max(axis=0)  # -0.0 and 0.0 are one value
-    columns = X.T[kept]
+    columns = X.T[kept] if kept.any() else np.zeros((1, X.shape[0]))
     coded = (np.unique(x, return_inverse=True) for x in columns)
     first, key = _cells(X.shape[0], ((code, values.size) for values, code in coded))
     values = columns.take(first, axis=1)
-    order = [np.argsort(x, kind="stable") for x in values] or [np.arange(first.size)]
-    return kept, values, key, np.array(order)
+    return kept, values, key, np.argsort(values, axis=1, kind="stable")
 
 
 def _gain(n_left, left, n_right, right):  # between-child sum of squares
@@ -206,68 +206,79 @@ def _best_cuts(sx, count, run, n, cuttable, seg, start):
     return segs, at, np.where(lo < mid, mid, hi), best.take(segs)
 
 
+def _partition(held, values, seg, splits, feature, threshold):
+    """``held`` (see ``_grow``) with only the rows of the nodes ``splits``
+    marks, moved in place a row at a time: in each feature's order, each
+    node's rows go stably to its left child, then its right.  A row goes right
+    where its value of the node's ``feature`` is at or above the node's
+    ``threshold``; in the order of that feature, a node's rows already lie so."""
+    stay = np.arange(seg.size) if splits.all() else np.flatnonzero(splits.take(seg))
+    for j in range(len(values)):
+        moved = stay
+        if (feature[splits] != j).any():
+            s = seg.take(stay)
+            r = held[j, 4].take(stay).astype(np.intp) % values.shape[1]
+            goes_right = values.take(feature.take(s) * values.shape[1] + r) >= threshold.take(s)
+            moved = stay.take(np.argsort(2 * s + goes_right, kind="stable"))
+        elif splits.all():
+            continue
+        for row in held[j]:  # a row at a time, in place
+            row[:moved.size] = row.take(moved)
+    return held[..., :stay.size]
+
+
 def _grow(kept, values, key, order, y, draws, trees, max_depth) -> list:
     """Grow one tree per draw of ``draws`` (``trees`` of them) on the ``kept``
     features, a depth level at a time across all of them, from the ``_tally``
-    ``stats`` of the draws.  A level's nodes are contiguous segments, bounded
-    by ``start``.  With one feature, key order is value order: a node is an
-    interval of its tree's drawn rows in that order, gathered once in place of
-    the tally, and a split cuts it in place.  Otherwise ``rows[j]`` lists each
-    node's drawn rows, as columns of ``stats``, node after node, in stable
-    order of ``values[j]`` (``rows[0]`` is key order), and a split stably
-    partitions them.  Every sum that decides a node runs over its own segment
-    in the order one tree fitted alone would use, so each tree is bitwise that
+    of the draws.  ``held[j]`` holds each tree's drawn rows, node after node,
+    in stable order of ``values[j]`` (``held[0]`` is key order): as rows, their
+    drawn count, y sum, y (NaN where their draws' y differ), value of feature
+    j and tally column.  A level's nodes are contiguous segments of every
+    ``held[j]``, bounded by ``start``; ``_partition`` moves them to the next
+    level's.  Every sum that decides a node runs over its own segment in the
+    order one tree fitted alone would use, so each tree is bitwise that
     tree."""
     size = order.shape[1]
     stats = _tally(key, y, draws, trees, size)
     drawn = stats[0].reshape(trees, size) > 0
     per_tree = np.count_nonzero(drawn, axis=1)
     start = np.concatenate([[0], np.cumsum(per_tree)])
-    interval = len(order) == 1
-    if interval:  # each tree's drawn rows' count, y sum, y bounds and value, then no tally
-        held = np.empty((len(stats) + len(values), start[-1]))
-        at = np.flatnonzero(drawn)  # 'wrap' takes value r at t * size + r; neither mode buffers out
-        stats.take(at, axis=1, out=held[:len(stats)], mode="clip")
-        values.take(at, axis=1, out=held[len(stats):], mode="wrap")
-        del stats, at  # the tally goes before the search's peak
-    else:  # tree t's drawn rows in each feature's order, as columns t * size + r
-        count, total, lo, hi = stats
-        values = np.broadcast_to(values[:, np.newaxis], (len(values), *drawn.shape))
-        values = values.reshape(len(values), count.size)
-        rows = np.broadcast_to(order[:, np.newaxis], (order.shape[0], *drawn.shape))
-        rows = rows[drawn[:, order].swapaxes(0, 1)].reshape(order.shape[0], -1)
-        rows += np.repeat(np.arange(trees) * size, per_tree)
-    roots, parents, kids = None, [], (slice(0), slice(0))
+    held = np.empty((len(order), 5, start[-1]))
+    for j, o in enumerate(order):  # tree t's drawn rows in feature j's order, o[i] at t * size + i
+        column = np.flatnonzero(drawn.take(o, axis=1))
+        column += (o - np.arange(size)).take(column, mode="wrap")  # the tally's t * size + o[i]
+        held[j, 4] = column
+        # 'wrap' takes value o[i] at t * size + o[i]; 'clip' and 'wrap' do not buffer out
+        values[j].take(column, out=held[j, 3], mode="wrap")
+        stats[:3].take(column, axis=1, out=held[j, :3], mode="clip")
+        np.copyto(held[j, 2], np.nan, where=stats[3].take(column) != held[j, 2])  # y differs
+    del stats, column  # the tally goes before the search's peak
+    roots, parents = None, []
     for depth in range(max_depth + 1):
         lengths = start[1:] - start[:-1]
         seg = np.repeat(np.arange(lengths.size), lengths)
-        if interval:
-            c, y_sum, bounds, x = held[:1], held[1:2], held[2:4], held[4:]
-        else:  # each feature's values are taken as its search needs them
-            c, y_sum = count.take(rows), total.take(rows)
-            bounds = lo.take(rows[0]), hi.take(rows[0])
-            x = (v.take(r) for v, r in zip(values, rows))
-        key_count, key_total = c[0], y_sum[0]
+        count, total = held[:, 0], held[:, 1]
+        key_count, key_total = count[0], total[0]
         n = np.add.reduceat(key_count, start[:-1])
         # a node mean is the pairwise .sum() of its key-ordered y sums, as
         # one tree's node takes it; counts are whole, so any order is exact
         spans = list(zip(start[:-1].tolist(), start[1:].tolist()))
         mean = np.array([key_total[a:b].sum() for a, b in spans]) / n
         nodes = [TreeNode(int(k), m) for k, m in zip(n.tolist(), mean.tolist())]
-        for parent, left, right in zip(parents, nodes[kids[0]], nodes[kids[1]]):
+        for parent, left, right in zip(parents, nodes[::2], nodes[1::2]):
             parent.left, parent.right = left, right
         roots = roots or nodes
-        if depth == max_depth or not len(values):
+        if depth == max_depth:
             break
-        # a split falls inside an impure node of two or more rows, never after its last row
-        can_split = (np.minimum.reduceat(bounds[0], start[:-1])
-                     < np.maximum.reduceat(bounds[1], start[:-1])) & (lengths > 1)
-        del bounds  # before the search's peak
+        # a split falls inside a node of two or more rows whose y differ (a NaN y
+        # equals nothing), never after its last row
+        can_split = ~(np.minimum.reduceat(held[0, 2], start[:-1])
+                      == np.maximum.reduceat(held[0, 2], start[:-1])) & (lengths > 1)
         cuttable = can_split.take(seg)
         cuttable[start[1:] - 1] = False
         # every feature's centred y sums, then each such node's running sums as one
         # tree's node takes them: a cumsum (np.add.accumulate) in place on its rows
-        run = y_sum - c * mean.take(seg)
+        run = total - count * mean.take(seg)
         for s in np.flatnonzero(can_split).tolist():
             a, b = spans[s]
             sums = run[:, a:b]
@@ -275,10 +286,9 @@ def _grow(kept, values, key, order, y, draws, trees, max_depth) -> list:
         threshold = np.full((len(values), lengths.size), np.nan)
         gain = np.full_like(threshold, -np.inf)
         cut = np.zeros(threshold.shape, dtype=np.intp)
-        for j, sx in enumerate(x):
+        for j in range(len(values)):
             segs, cut[j, segs], threshold[j, segs], gain[j, segs] = _best_cuts(
-                sx, c[j], run[j], n, cuttable, seg, start)
-        del sx, run  # no view of held outlives the level, so a compress below frees it
+                held[j, 3], held[j, 0], run[j], n, cuttable, seg, start)
         offered = ~np.isnan(threshold)
         feature = gain.argmax(axis=0)  # the highest gain; of equal ones, the lowest feature
         many = np.flatnonzero(offered.sum(axis=0) > 1)
@@ -293,9 +303,10 @@ def _grow(kept, values, key, order, y, draws, trees, max_depth) -> list:
             # candidates that split the rows alike score bitwise equal
             a, b = spans[s]
             count_s, centred = key_count[a:b], key_total[a:b] - key_count[a:b] * mean[s]
+            column = held[0, 4, a:b].astype(np.intp)
             scores = []
             for j in np.flatnonzero(offered[:, s]).tolist():
-                side = values[j].take(rows[0][a:b]) < threshold[j, s]
+                side = values[j].take(column, mode="wrap") < threshold[j, s]
                 scores.append(_gain(count_s[side].sum(), centred[side].sum(),
                                     count_s[~side].sum(), centred[~side].sum()))
             # the first of equal scores: lowest feature
@@ -305,31 +316,16 @@ def _grow(kept, values, key, order, y, draws, trees, max_depth) -> list:
         split = np.flatnonzero(splits)
         if not split.size:
             break
+        on = feature.take(split)
         parents = [nodes[s] for s in split.tolist()]
-        for node, j, t in zip(parents, np.flatnonzero(kept).take(feature.take(split)).tolist(),
+        for node, j, t in zip(parents, np.flatnonzero(kept).take(on).tolist(),
                               threshold.take(split).tolist()):
             node.split = (j, t)
         # a cut at p sends the rows of node [a, b) up to p left, in its feature's order
-        n_left = cut[feature.take(split), split] + 1 - start.take(split)
-        sizes = (n_left, lengths.take(split) - n_left)
-        keep = splits.take(seg)
-        if interval:
-            # each child is an interval where it lies; the rows of nodes that stop go
-            if split.size < lengths.size:
-                held = held.compress(keep, axis=1)
-            sizes, kids = np.column_stack(sizes), (slice(0, None, 2), slice(1, None, 2))
-        else:
-            # every split node's rows go, in order, to its left child among the
-            # left children, then to its right child among the right children
-            goes_left = np.zeros(count.size, dtype=bool)
-            goes_left[rows[0]] = keep & (values.take(feature.take(seg) * count.size + rows[0])
-                                         < threshold.take(seg))
-            left = goes_left.take(rows)
-            right = keep > left
-            d = len(rows)
-            rows = np.concatenate([rows[left].reshape(d, -1), rows[right].reshape(d, -1)], axis=1)
-            kids = (slice(split.size), slice(split.size, None))
-        start = np.concatenate([[0], np.cumsum(np.ravel(sizes))])
+        n_left = cut[on, split] + 1 - start.take(split)
+        sizes = np.column_stack((n_left, lengths.take(split) - n_left))
+        held = _partition(held, values, seg, splits, feature, threshold)
+        start = np.concatenate([[0], np.cumsum(sizes.ravel())])
     return roots
 
 
@@ -419,15 +415,14 @@ def fit_forest(
     ``rows`` are (feature vector, outcome) pairs, unzipped into ``fit_tree``'s
     (X, y) checks, because ``perfbench/spans.py`` counts a forest's training
     rows by iterating them.  Trees grow level by level in chunks of as many
-    as ``_INTERVAL_ELEMENTS`` (tree, distinct row) elements hold with one coded
-    feature, and ``_CHUNK_ELEMENTS`` with more, in the calling thread; tree i
-    is the same in any chunk.
+    as ``_INTERVAL_ELEMENTS`` (tree, distinct row) elements per coded feature
+    hold, in the calling thread; tree i is the same in any chunk.
     """
     rows = list(rows)
     kept, values, key, order, y = _training_set([r[0] for r in rows], [r[1] for r in rows],
                                                 max_depth, n_trees)
     size = order.shape[1]
-    per_chunk = max(1, (_INTERVAL_ELEMENTS if len(order) == 1 else _CHUNK_ELEMENTS) // size)
+    per_chunk = max(1, _INTERVAL_ELEMENTS // (size * len(order)))
     trees = []
     for first in range(0, n_trees, per_chunk):
         chunk = range(first, min(first + per_chunk, n_trees))

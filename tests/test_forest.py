@@ -13,7 +13,6 @@ from catebench import forest as forest_module
 from catebench.dataset import Cohort
 from catebench.errors import DimensionMismatch, DomainError, EmptyInput
 from catebench.forest import (
-    _CHUNK_ELEMENTS,
     RegressionForest,
     TreeNode,
     export_tree,
@@ -308,19 +307,22 @@ def test_mu0_ignores_the_session_column_tree_for_tree():
     pytest.param(6, 2, id="6"),
     pytest.param(3, 1, id="3-one-feature"),
     pytest.param(6, 1, id="6-one-feature"),
+    pytest.param(6, 3, id="6-three-features"),
 ])
 def test_forests_across_chunk_boundaries_grow_each_tree_alone(depth, features):
     # as many distinct rows as put three trees in a chunk, and trees for three
     # chunks; outcomes are constant below x0 = 40, so a child of the root
-    # stops pure while its sibling and the other trees of its chunk go on (with
-    # one feature, its rows leave the chunk's intervals); at depth 6 a level
-    # also holds one-row nodes beside nodes thousands of rows long
-    elements = forest_module._INTERVAL_ELEMENTS if features == 1 else _CHUNK_ELEMENTS
+    # stops pure while its sibling and the other trees of its chunk go on (its
+    # rows leave the chunk); at depth 6 a level also holds one-row nodes beside
+    # nodes thousands of rows long.  With three features, a node that splits on
+    # x1 moves x2's rows, in neither key order nor its own feature's
+    elements = forest_module._INTERVAL_ELEMENTS // features
     size = elements // 3
     per_chunk = elements // size
     n_trees = 2 * per_chunk + 2
     i = np.arange(size)
-    X = np.column_stack([i // 7, i % 7]).astype(float) if features == 2 else (i / 7)[:, None]
+    X = (i / 7)[:, None] if features == 1 else np.column_stack([i // 7, i % 7, i % 3][:features])
+    X = X.astype(float)
     rng = np.random.default_rng(3)
     y = np.round(rng.normal(50, 10, size), 1)
     X, y = np.concatenate([X, X[::3]]), np.concatenate([y, y[::3] + 1.0])
@@ -671,18 +673,31 @@ def _traced_growth(X, depth, trees):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("features", [1, 2])
+def _first_chunk(X, depth):
+    """The trees ``fit_forest`` grows in its first chunk on ``X``."""
+    chunks = []
+
+    def recording_grow(*args):
+        chunks.append(args[-2])  # the chunk's trees
+        return [TreeNode(1, 0.0)] * args[-2]
+
+    with mock.patch.object(forest_module, "_grow", recording_grow):
+        fit_forest(list(zip(X, np.zeros(len(X)))), depth, 100)
+    return chunks[0]
+
+
+@pytest.mark.parametrize("features", [1, 2, 3])
 def test_growth_memory_is_bounded_by_the_chunk_rule(features):
-    # rows all distinct: 2,100 x1 values with one feature, a chunk of 9 trees
-    # by the one-feature rule (18,900 elements at about 70 bytes each), and
-    # 1,050 (x1, x2) rows with two, a chunk of 9 (9,450 at about 138).  Bound:
-    # 1.46 MB, the peak of a two-feature chunk of 10,000 elements at 146 bytes
-    # each when the one-feature rule was set; and a 60-tree forest grown as one
-    # chunk peaks at over four times a chunk.
+    # rows all distinct: 2,100 x1 values with one feature, 1,050 (x1, x2) rows
+    # with two and 700 (x1, x2, x3) rows with three; fit_forest's chunk rule
+    # gives each a chunk of 9 trees (18,900, 9,450 and 6,300 elements, at about
+    # 69, 103 and 144 bytes each).  Bound: 1.46 MB, the peak of a two-feature
+    # chunk of 10,000 elements at 146 bytes each when the one-feature rule was
+    # set; and a 60-tree forest grown as one chunk peaks at over four times a chunk.
     i = np.arange(2100 // features)
-    X = (i / 7)[:, None] if features == 1 else np.column_stack([i / 7, i % 5])
-    elements = forest_module._INTERVAL_ELEMENTS if features == 1 else _CHUNK_ELEMENTS
-    peak, grown = _traced_growth(X, 4, elements // len(X))
+    X = np.column_stack([i / 7, i % 5, i % 3][:features])
+    elements = forest_module._INTERVAL_ELEMENTS // features
+    peak, grown = _traced_growth(X, 4, _first_chunk(X, 4))
     whole, _ = _traced_growth(X, 4, 60)
     assert grown > 0.9 * elements  # the chunk is the rule's, not a smaller one
     assert peak <= 1_460_000, peak
