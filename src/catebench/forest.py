@@ -1,5 +1,5 @@
 """Depth-limited CART regression trees, deterministically seeded bagging, and
-one forest predictor: a node table that a forest compiles once from its trees.
+one forest predictor: a forest is one node table, which growth writes.
 
 Depth is the one setting, a plain int.  Split search is exhaustive: candidate
 thresholds are the midpoints of consecutive distinct sorted values of each
@@ -20,7 +20,7 @@ is keyed by its coded features' ``np.unique`` codes (-0.0 merges with 0.0),
 and each stable-orders the distinct rows.  A tree weights each distinct
 row by its bootstrap draw (``fit_tree`` draws every row once): a count and
 a y sum added in draw order, and a y min and max for the pure-node stop.
-``TreeNode.n`` counts drawn rows.  A node holds only drawn distinct rows and
+A node's ``n`` counts drawn rows.  A node holds only drawn distinct rows and
 a threshold separates two values, so a split leaves drawn rows on each side.
 Summing per distinct row only reassociates a per-row fit's sums: node means
 move by a few ulps, and a split only between partitions that tie in exact
@@ -38,8 +38,7 @@ number of (tree, distinct row) elements per coded feature.  Each sum that
 decides a node is taken over that node's rows in the order one tree grown
 alone would use (a node's y sum pairwise, its running sums one ``cumsum`` over
 its own slice of the level), so a tree is bitwise the same whichever chunk
-grows it.  Prediction routes a chunk of trees as one (tree, cell) node array,
-a level at a time.
+grows it.  The chunks' levels, laid out level by level, are the node table.
 """
 
 from __future__ import annotations
@@ -72,11 +71,11 @@ def _tree_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng([seed % _SEED_SPACE, index])
 
 
-@dataclass
+@dataclass(frozen=True)
 class TreeNode:
-    """A fitted node as plain data.  ``split`` is (feature index, threshold);
-    internal nodes have both children, leaves neither.  A tree of d features
-    is predicted by ``RegressionForest((tree,), d)``."""
+    """A read-only view of a forest's node, or a hand-made node for
+    ``RegressionForest.from_trees``.  ``split`` is (feature index, threshold);
+    internal nodes have both children, leaves neither."""
 
     n: int
     mean: float
@@ -213,13 +212,14 @@ def _partition(held, values, seg, splits, feature, threshold):
     where its value of the node's ``feature`` is at or above the node's
     ``threshold``; in the order of that feature, a node's rows already lie so."""
     stay = np.arange(seg.size) if splits.all() else np.flatnonzero(splits.take(seg))
+    narrow = np.min_scalar_type(2 * splits.size)  # (node, side) keys: radix sorts at 16 bits
     for j in range(len(values)):
         moved = stay
         if (feature[splits] != j).any():
             s = seg.take(stay)
             r = held[j, 4].take(stay).astype(np.intp) % values.shape[1]
             goes_right = values.take(feature.take(s) * values.shape[1] + r) >= threshold.take(s)
-            moved = stay.take(np.argsort(2 * s + goes_right, kind="stable"))
+            moved = stay.take(np.argsort((2 * s + goes_right).astype(narrow), kind="stable"))
         elif splits.all():
             continue
         for row in held[j]:  # a row at a time, in place
@@ -230,14 +230,15 @@ def _partition(held, values, seg, splits, feature, threshold):
 def _grow(kept, values, key, order, y, draws, trees, max_depth) -> list:
     """Grow one tree per draw of ``draws`` (``trees`` of them) on the ``kept``
     features, a depth level at a time across all of them, from the ``_tally``
-    of the draws.  ``held[j]`` holds each tree's drawn rows, node after node,
-    in stable order of ``values[j]`` (``held[0]`` is key order): as rows, their
-    drawn count, y sum, y (NaN where their draws' y differ), value of feature
-    j and tally column.  A level's nodes are contiguous segments of every
-    ``held[j]``, bounded by ``start``; ``_partition`` moves them to the next
-    level's.  Every sum that decides a node runs over its own segment in the
-    order one tree fitted alone would use, so each tree is bitwise that
-    tree."""
+    of the draws; returns each level's node columns n, mean, feature and
+    threshold (0 and NaN at a leaf).  ``held[j]`` holds each tree's drawn rows,
+    node after node, in stable order of ``values[j]`` (``held[0]`` is key
+    order): as rows, their drawn count, y sum, y (NaN where their draws' y
+    differ), value of feature j and tally column.  A level's nodes are
+    contiguous segments of every ``held[j]``, bounded by ``start``;
+    ``_partition`` moves them to the next level's, a split's children left then
+    right.  Every sum that decides a node runs over its own segment in the
+    order one tree fitted alone would use, so each tree is bitwise that tree."""
     size = order.shape[1]
     stats = _tally(key, y, draws, trees, size)
     drawn = stats[0].reshape(trees, size) > 0
@@ -253,7 +254,7 @@ def _grow(kept, values, key, order, y, draws, trees, max_depth) -> list:
         stats[:3].take(column, axis=1, out=held[j, :3], mode="clip")
         np.copyto(held[j, 2], np.nan, where=stats[3].take(column) != held[j, 2])  # y differs
     del stats, column  # the tally goes before the search's peak
-    roots, parents = None, []
+    levels = []
     for depth in range(max_depth + 1):
         lengths = start[1:] - start[:-1]
         seg = np.repeat(np.arange(lengths.size), lengths)
@@ -264,10 +265,7 @@ def _grow(kept, values, key, order, y, draws, trees, max_depth) -> list:
         # one tree's node takes it; counts are whole, so any order is exact
         spans = list(zip(start[:-1].tolist(), start[1:].tolist()))
         mean = np.array([key_total[a:b].sum() for a, b in spans]) / n
-        nodes = [TreeNode(int(k), m) for k, m in zip(n.tolist(), mean.tolist())]
-        for parent, left, right in zip(parents, nodes[::2], nodes[1::2]):
-            parent.left, parent.right = left, right
-        roots = roots or nodes
+        levels.append([n.astype(np.intp), mean, np.zeros(n.size, np.intp), np.full(n.size, np.nan)])
         if depth == max_depth:
             break
         # a split falls inside a node of two or more rows whose y differ (a NaN y
@@ -317,34 +315,66 @@ def _grow(kept, values, key, order, y, draws, trees, max_depth) -> list:
         if not split.size:
             break
         on = feature.take(split)
-        parents = [nodes[s] for s in split.tolist()]
-        for node, j, t in zip(parents, np.flatnonzero(kept).take(on).tolist(),
-                              threshold.take(split).tolist()):
-            node.split = (j, t)
+        levels[-1][2:] = np.where(splits, np.flatnonzero(kept).take(feature), 0), threshold
         # a cut at p sends the rows of node [a, b) up to p left, in its feature's order
         n_left = cut[on, split] + 1 - start.take(split)
         sizes = np.column_stack((n_left, lengths.take(split) - n_left))
         held = _partition(held, values, seg, splits, feature, threshold)
         start = np.concatenate([[0], np.cumsum(sizes.ravel())])
-    return roots
+    return levels
 
 
 def fit_tree(X, y, max_depth: int = 2) -> TreeNode:
     """Fit one CART regression tree on an (n, d) feature matrix and n outcomes."""
     kept, values, key, order, y = _training_set(X, y, max_depth)
-    return _grow(kept, values, key, order, y, [np.arange(y.size)], 1, max_depth)[0]
+    return _forest([_grow(kept, values, key, order, y, [np.arange(y.size)], 1, max_depth)],
+                   1, kept.size).trees[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegressionForest:
-    """Bagged CART trees; the prediction is the mean of per-tree predictions.
+    """Bagged CART trees, predicting the mean of their predictions, as one read-only node
+    table in scikit-learn's ``Tree`` layout: a row a node, level by level, tree t's root row t."""
 
-    On first use the trees compile into one node table, in scikit-learn's
-    ``Tree`` layout: tree t's root is row t, and a leaf is its own child.
-    """
-
-    trees: tuple
+    n: np.ndarray  # drawn rows
+    mean: np.ndarray
+    feature: np.ndarray  # a split row's feature, 0 at a leaf
+    threshold: np.ndarray  # NaN at a leaf
+    left: np.ndarray  # child rows: a leaf is its own child
+    right: np.ndarray
+    depth: int  # the deepest split's level plus one: every tree routes this deep
+    n_trees: int
     feature_count: int
+
+    def __post_init__(self):  # read-only columns, and each feature's sorted split thresholds
+        for column in (self.n, self.mean, self.feature, self.threshold, self.left, self.right):
+            column.flags.writeable = False
+        split = self.left != np.arange(self.left.size)
+        object.__setattr__(self, "_cuts", [np.unique(self.threshold[split & (self.feature == j)])
+                                           for j in range(self.feature_count)])
+
+    @classmethod
+    def from_trees(cls, trees, feature_count: int) -> RegressionForest:
+        """The forest of ``trees``, root ``TreeNode``s, tabulated breadth first."""
+        queue = [(node, 0) for node in trees]
+        rows, depth = [], 0
+        for i, (node, level) in enumerate(queue):  # breadth first, as the queue grows
+            kids = (i, i)
+            if node.split is not None:  # levels never fall, so the last split sets the depth
+                kids, depth = (len(queue), len(queue) + 1), level + 1
+                queue += [(node.left, level + 1), (node.right, level + 1)]
+            rows.append((node.n, float(node.mean), *(node.split or (0, np.nan)), *kids))
+        return cls(*map(np.array, zip(*rows)), depth, len(trees), feature_count)
+
+    @cached_property
+    def trees(self) -> tuple:
+        """Each tree's root ``TreeNode``: a read-only view of the table, built on first use."""
+        nodes = [None] * self.n.size
+        rows = zip(self.n.tolist(), self.mean.tolist(), self.feature.tolist(),
+                   self.threshold.tolist(), self.left.tolist(), self.right.tolist())
+        for i, (k, m, j, t, a, b) in reversed(list(enumerate(rows))):  # children follow parents
+            nodes[i] = TreeNode(k, m) if a == i else TreeNode(k, m, (j, t), nodes[a], nodes[b])
+        return tuple(nodes[:self.n_trees])
 
     def predict(self, x) -> float:
         x = np.asarray(x, dtype=float)
@@ -368,39 +398,34 @@ class RegressionForest:
         # right at every split.  A chunk of trees (fit_forest's rule) routes as one
         # (tree, cell) node array, a level a step.  Leaf means are summed in tree order
         # from -0.0 (-0.0 + m is m) and divided: a per-row mean's arithmetic, bitwise.
-        feature, threshold, left, right, mean, depth, cuts = self._table
         codes = ((np.searchsorted(thr, X[:, j], side="right"), thr.size + 1)
-                 for j, thr in enumerate(cuts) if thr.size)
+                 for j, thr in enumerate(self._cuts) if thr.size)
         first, inverse = _cells(X.shape[0], codes)
         cells = X.take(first, axis=0).ravel()
         base = np.arange(first.size) * self.feature_count
-        trees, step, acc = len(self.trees), max(1, _CHUNK_ELEMENTS // max(1, first.size)), -0.0
+        trees, step, acc = self.n_trees, max(1, _CHUNK_ELEMENTS // max(1, first.size)), -0.0
         for roots in np.split(np.arange(trees), range(step, trees, step)):
             node = roots.repeat(first.size).reshape(roots.size, first.size)
-            for _ in range(depth):  # a leaf is its own child: every tree routes to depth
-                goes_left = cells.take(base + feature.take(node)) < threshold.take(node)
-                node = np.where(goes_left, left.take(node), right.take(node))
-            acc = sum(mean.take(node), acc)  # tree after tree, not np.sum's pairwise order
+            for _ in range(self.depth):  # a leaf is its own child: every tree routes to depth
+                goes_left = cells.take(base + self.feature.take(node)) < self.threshold.take(node)
+                node = np.where(goes_left, self.left.take(node), self.right.take(node))
+            acc = sum(self.mean.take(node), acc)  # tree after tree, not np.sum's pairwise order
         return (acc / trees)[inverse]
-
-    @cached_property
-    def _table(self):  # columns feature, threshold, left, right, mean; depth; thresholds
-        queue = [(node, 0) for node in self.trees]
-        rows, depth = [], 0
-        for i, (node, level) in enumerate(queue):  # breadth first, as the queue grows
-            kids = (i, i)
-            if node.split is not None:  # levels never fall, so the last split sets the depth
-                kids, depth = (len(queue), len(queue) + 1), level + 1
-                queue += [(node.left, level + 1), (node.right, level + 1)]
-            rows.append((*(node.split or (0, np.nan)), *kids, node.mean))
-        feature, threshold, left, right, mean = map(np.array, zip(*rows))
-        split = left != np.arange(left.size)
-        cuts = [np.unique(threshold[split & (feature == j)]) for j in range(self.feature_count)]
-        return feature, threshold, left, right, mean.astype(float), depth, cuts
 
     def thresholds(self) -> list:
         """Copies of the sorted distinct thresholds of the split rows, one array per feature."""
-        return [cuts.copy() for cuts in self._table[6]]
+        return [cuts.copy() for cuts in self._cuts]
+
+
+def _forest(chunks, n_trees, feature_count) -> RegressionForest:
+    """The forest of consecutive chunks' ``_grow`` levels, rows as ``from_trees`` lays them
+    out: level by level, chunk after chunk, so split row k's children are n_trees + 2k, + 1."""
+    depth = max(map(len, chunks))
+    levels = [chunk[d] for d in range(depth) for chunk in chunks if d < len(chunk)]
+    n, mean, feature, threshold = columns = list(map(np.concatenate, zip(*levels)))
+    split, left = ~np.isnan(threshold), np.arange(n.size)
+    left[split] = n_trees + 2 * np.arange(np.count_nonzero(split))
+    return RegressionForest(*columns, left, left + split, depth - 1, n_trees, feature_count)
 
 
 def fit_forest(
@@ -414,21 +439,21 @@ def fit_forest(
 
     ``rows`` are (feature vector, outcome) pairs, unzipped into ``fit_tree``'s
     (X, y) checks, because ``perfbench/spans.py`` counts a forest's training
-    rows by iterating them.  Trees grow level by level in chunks of as many
-    as ``_INTERVAL_ELEMENTS`` (tree, distinct row) elements per coded feature
-    hold, in the calling thread; tree i is the same in any chunk.
+    rows by iterating them.  Trees grow in the calling thread, in chunks of as
+    many as ``_INTERVAL_ELEMENTS`` (tree, distinct row) elements per coded
+    feature hold, whose levels are the node table; tree i is the same in any chunk.
     """
     rows = list(rows)
     kept, values, key, order, y = _training_set([r[0] for r in rows], [r[1] for r in rows],
                                                 max_depth, n_trees)
     size = order.shape[1]
     per_chunk = max(1, _INTERVAL_ELEMENTS // (size * len(order)))
-    trees = []
+    chunks = []
     for first in range(0, n_trees, per_chunk):
         chunk = range(first, min(first + per_chunk, n_trees))
         draws = (_tree_rng(seed, i).integers(0, y.size, size=y.size) for i in chunk)
-        trees += _grow(kept, values, key, order, y, draws, len(chunk), max_depth)
-    return RegressionForest(tuple(trees), kept.size)
+        chunks.append(_grow(kept, values, key, order, y, draws, len(chunk), max_depth))
+    return _forest(chunks, n_trees, kept.size)
 
 
 @dataclass(frozen=True)

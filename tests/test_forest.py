@@ -474,7 +474,7 @@ def test_conservation_and_refit_invariants():
         check(node.right)
 
     check(tree)
-    preds = RegressionForest((tree,), 2).predict_many(X)
+    preds = RegressionForest.from_trees((tree,), 2).predict_many(X)
     root_sse = float(np.sum((y - y.mean()) ** 2))
     assert float(np.sum((y - preds) ** 2)) <= root_sse + 1e-9
 
@@ -489,7 +489,7 @@ def test_single_leaf_predicts_mean_everywhere():
 
 
 def test_boundary_value_routes_right():
-    tree = RegressionForest((fit_tree(STUMP_X, STUMP_Y, 1),), 1)
+    tree = RegressionForest.from_trees((fit_tree(STUMP_X, STUMP_Y, 1),), 1)
     assert tree.predict([5.0]) == 10.0
     assert tree.predict([4.999]) == 0.0
     assert tree.predict([5.1]) == 10.0
@@ -610,12 +610,12 @@ def test_hand_built_forest_splitting_on_second_feature(data):
                   node(0, 7.5, leaf(-2.0), node(1, 4.0, leaf(1e-3), leaf(9.0))),
                   leaf(-1e16))),
     )
-    forest = RegressionForest(trees, 2)
+    forest = RegressionForest.from_trees(trees, 2)
     _assert_thresholds_match_node_walk(forest)
     _assert_matches_per_row_mean(forest, data)
     # every leaf -0.0: the per-row mean is -0.0, sign bit set, so the running
     # sum over trees must not start at +0.0 (+0.0 + -0.0 is +0.0)
-    signed = RegressionForest(tuple(_with_leaf_means(t, -0.0) for t in trees), 2)
+    signed = RegressionForest.from_trees(tuple(_with_leaf_means(t, -0.0) for t in trees), 2)
     _assert_matches_per_row_mean(signed, data)
     probe = np.array([[-5.0, -5.0], [2.5, 7.5], [6.0, 0.5], [np.nan, np.inf]])
     assert np.signbit(signed.predict_many(probe)).all()
@@ -627,7 +627,7 @@ def test_a_leaf_beside_a_depth_3_tree_predicts_as_the_per_row_mean(data, leaf_fi
     # every tree routes to the forest's depth: the leaf stays on itself
     deep = node(0, 1.0, leaf(-1.0), node(1, 0.5, node(0, 3.0, leaf(0.25), leaf(4.0)), leaf(1e16)))
     trees = (leaf(2.5), deep) if leaf_first else (deep, leaf(2.5))
-    _assert_matches_per_row_mean(RegressionForest(trees, 2), data)
+    _assert_matches_per_row_mean(RegressionForest.from_trees(trees, 2), data)
 
 
 def _traced_peak(forest, probe, chunk):
@@ -648,10 +648,10 @@ def test_routing_memory_is_bounded_by_the_chunk_rule():
     # peak stays below a tenth of the unchunked one.
     trees = tuple(node(0, float(t), leaf(float(t)), node(0, t + 0.5, leaf(-float(t)), leaf(1.0)))
                   for t in range(100))
-    forest = RegressionForest(trees, 1)
+    forest = RegressionForest.from_trees(trees, 1)
     probe = np.arange(-0.25, 99.5, 0.5)[:, np.newaxis]
     assert _cell_count(forest, probe) * len(trees) >= 50 * 400
-    forest.predict_many(probe[:1])  # compile the node table outside the trace
+    forest.predict_many(probe[:1])  # a first call outside the trace
     chunked, small = _traced_peak(forest, probe, 400)
     whole, large = _traced_peak(forest, probe, 10**9)
     assert chunked.tobytes() == whole.tobytes()
@@ -678,8 +678,10 @@ def _first_chunk(X, depth):
     chunks = []
 
     def recording_grow(*args):
-        chunks.append(args[-2])  # the chunk's trees
-        return [TreeNode(1, 0.0)] * args[-2]
+        trees = args[-2]  # the chunk's trees
+        chunks.append(trees)
+        return [[np.ones(trees, np.intp), np.zeros(trees), np.zeros(trees, np.intp),
+                 np.full(trees, np.nan)]]  # one level of leaves: n, mean, feature, threshold
 
     with mock.patch.object(forest_module, "_grow", recording_grow):
         fit_forest(list(zip(X, np.zeros(len(X)))), depth, 100)
@@ -730,6 +732,74 @@ def test_thresholds_equal_a_node_walk():
             forest = fit_forest(rows, depth, n_trees=6, seed=d)
             _assert_thresholds_match_node_walk(forest)
             assert sum(thr.size for thr in forest.thresholds()) > 0
+
+
+_COLUMNS = ("n", "mean", "feature", "threshold", "left", "right")
+
+
+def _count_nodes(node):
+    return 1 if node.split is None else 1 + _count_nodes(node.left) + _count_nodes(node.right)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_a_grown_table_equals_its_tree_views_tabulated(data):
+    # growth writes the node table level by level, chunk after chunk; its
+    # TreeNode view, tabulated breadth first again, gives the same bytes.  A
+    # small chunk rule puts trees of one forest in different chunks, which
+    # stop growing at different depths
+    features = data.draw(st.integers(min_value=1, max_value=3))
+    depth = data.draw(st.integers(min_value=1, max_value=6))
+    n_trees = data.draw(st.integers(min_value=1, max_value=7))
+    seed = data.draw(st.integers(min_value=0, max_value=2**32))
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 80))
+    X = np.round(rng.uniform(0, 6, (n, features)), int(rng.integers(0, 2)))
+    if data.draw(st.booleans()):
+        X[:, data.draw(st.integers(min_value=0, max_value=features - 1))] = 0.0  # never coded
+    y = np.round(rng.normal(50, 10, n), int(rng.integers(0, 2)))
+    elements = data.draw(st.integers(min_value=1, max_value=400))
+    with mock.patch.object(forest_module, "_INTERVAL_ELEMENTS", elements):
+        forest = fit_forest(list(zip(X, y)), depth, n_trees, seed)
+    table = RegressionForest.from_trees(forest.trees, features)
+    for name in _COLUMNS:
+        got, want = getattr(forest, name), getattr(table, name)
+        assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes()), name
+    assert (forest.depth, forest.n_trees, len(forest.trees)) == (table.depth, n_trees, n_trees)
+    assert [t.tobytes() for t in forest.thresholds()] == [t.tobytes() for t in table.thresholds()]
+    # the count perfbench's node walk takes is the table's length
+    assert forest.n.size == sum(map(_count_nodes, forest.trees))
+
+
+def test_a_forest_table_is_read_only():
+    forest = fit_forest(STUMP_ROWS, 1, n_trees=2, seed=0)
+    for name in _COLUMNS:
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(forest, name)[0] = 1
+    with pytest.raises(AttributeError):
+        forest.trees[0].mean = 1.0
+
+
+@pytest.mark.parametrize("nodes", [127, 128, 129, 32_767, 32_768, 32_769])
+def test_partition_sorts_narrowed_keys_as_int64_keys(nodes):
+    # every node of a level of one tree splits on feature 0, so feature 1's
+    # rows move by their (node, side) key, up to 2 * nodes - 1: keys in the
+    # narrowest unsigned dtype, 8, 16 or 32 bits here, sort as int64 keys
+    rng = np.random.default_rng(nodes)
+    size = 3 * nodes  # three distinct rows a node
+    values = np.stack([rng.permutation(size), rng.permutation(size)]).astype(float)
+    seg = np.repeat(np.arange(nodes), 3)
+    held = np.zeros((2, 5, size))
+    held[0, 4] = np.arange(size)
+    held[1, 4] = seg * 3 + rng.permuted(np.tile([0, 1, 2], (nodes, 1)), axis=1).ravel()
+    held[1, :4] = rng.normal(size=(4, size))
+    splits, feature = np.ones(nodes, dtype=bool), np.zeros(nodes, dtype=np.intp)
+    threshold = values[0].take(np.arange(nodes) * 3 + rng.integers(0, 3, nodes))  # a node's row
+    goes_right = values[0].take(held[1, 4].astype(np.intp)) >= threshold.take(seg)
+    want = held[1].take(np.argsort(2 * seg.astype(np.int64) + goes_right, kind="stable"), axis=1)
+    got = forest_module._partition(held.copy(), values, seg, splits, feature, threshold)
+    assert got[1].tobytes() == want.tobytes()
+    assert got[0].tobytes() == held[0].tobytes()  # the split feature's rows stay
 
 
 # --- fit_forest -------------------------------------------------------------

@@ -104,7 +104,7 @@ def test_independence_detector_flags_adversarial_model():
         left=TreeNode(n=2, mean=48.0),
         right=TreeNode(n=1, mean=53.0),
     )
-    bad_mu0 = RegressionForest(trees=(bad_tree,), feature_count=2)
+    bad_mu0 = RegressionForest.from_trees((bad_tree,), 2)
     tampered = fit_t_learner2(cohort, n_trees=1)
     object.__setattr__(tampered, "mu0", bad_mu0)
     report = check_base_independence(tampered, cohort, probe_x2=[0, 1, 2])
