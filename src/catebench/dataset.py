@@ -296,9 +296,7 @@ def _split_lines(lines, width):
     line's cells followed by one "\\n" cell for its line end.  None unless
     every line holds ``width`` cells, each within the csv module's field size
     limit: only then are these csv's rows."""
-    text = "".join(lines)
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    text = _newlines("".join(lines))
     if not text.endswith("\n"):  # the file's last line
         text += "\n"
     cells = text.replace("\n", ",\n,").split(",")
@@ -405,7 +403,12 @@ def read_text(path) -> str:
         lineno = len(exc.object[: exc.start + 1].splitlines())  # the bad byte ends no line
         reason = f"byte 0x{exc.object[exc.start]:02x} is not UTF-8 ({exc.reason})"
         raise ParseError(f"{path}: line {lineno}: {reason}") from None
-    return text.replace("\r\n", "\n").replace("\r", "\n")
+    return _newlines(text)
+
+
+def _newlines(text) -> str:
+    """``text`` with each "\\r\\n" and lone "\\r" line end as "\\n", as csv reads them."""
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def load_cohort(path, config: SchemaConfig | None = None, precision=1.0):

@@ -26,19 +26,20 @@ Summing per distinct row only reassociates a per-row fit's sums: node means
 move by a few ulps, and a split only between partitions that tie in exact
 arithmetic.
 
-Trees grow a depth level at a time, a chunk of trees together: each level
-is a few numpy passes over the (tree, node, distinct row) segments of the
-whole chunk, and no node sorts.  The chunk gathers its drawn rows once, in
-each coded feature's order, and drops its tally.  A split at cut position p
-of node [a, b) in its feature's order leaves children [a, p + 1) and
-[p + 1, b) where they lie in that order, and stably partitions the node's
-rows, left child then right, in every other feature's order; a fit of one
-coded feature only drops the rows of nodes that stop.  A chunk holds a fixed
-number of (tree, distinct row) elements per coded feature.  Each sum that
-decides a node is taken over that node's rows in the order one tree grown
-alone would use (a node's y sum pairwise, its running sums one ``cumsum`` over
-its own slice of the level), so a tree is bitwise the same whichever chunk
-grows it.  The chunks' levels, laid out level by level, are the node table.
+Trees grow a depth level at a time, a chunk of trees together: each level is a
+few numpy passes over the (tree, node, distinct row) segments of the whole
+chunk, and no node sorts.  The chunk gathers its drawn rows once, in each coded
+feature's order, and drops its tally.  A split at cut position p of node [a, b)
+in its feature's order leaves children [a, p + 1) and [p + 1, b) where they
+lie in that order, and stably partitions the node's rows, left child then
+right, in every other feature's order; a fit of one coded feature only drops
+the rows of nodes that stop.  A chunk holds ``_CHUNK_ELEMENTS`` (tree, distinct
+row) elements per coded feature, as a routing chunk holds (tree, cell)
+elements.  Each sum that decides a node is taken over that node's rows in the
+order one tree grown alone would use (a node's y sum pairwise, its running
+sums one ``cumsum`` over its own slice of the level), so a tree is bitwise the
+same whichever chunk grows it.  ``_forest`` lays the chunks' levels out level
+by level as the node table, and hand-made trees' levels too (``from_trees``).
 """
 
 from __future__ import annotations
@@ -52,18 +53,12 @@ from .dataset import DECIMAL_RANGE, in_decimal_range
 from .errors import DimensionMismatch, DomainError, EmptyInput
 
 _SEED_SPACE = 2**64
-# (tree, cell) elements a routing pass holds: a forest predicts in chunks of as
-# many trees as this many allow, and at least one.  Larger chunks make fewer
-# calls per tree but hold larger arrays: about 33 bytes an element at the peak
-# (tracemalloc).
-_CHUNK_ELEMENTS = 10_000
-# (tree, distinct row) elements per coded feature that a growth chunk holds:
-# a forest grows in chunks of as many trees as this many, over the number of
-# coded features, allow, and at least one.  At the peak (tracemalloc, rows all
-# distinct) a chunk holds about 69 bytes an element with one coded feature, 103
-# with two and 144 with three, so 1.3-1.4 MB for one to three, under the
-# 1.46 MB that a two-feature chunk peaked at when this rule was set.
-_INTERVAL_ELEMENTS = 20_000
+# Elements a chunk holds: growth, (tree, distinct row) elements per coded feature;
+# routing, (tree, cell) elements.  A forest grows and routes in chunks of as many
+# trees as this many allow, and at least one.  At the peak (tracemalloc, rows all
+# distinct) a growth chunk holds about 69 bytes an element with one coded feature,
+# 103 with two and 144 with three, so 1.3-1.4 MB; a routing chunk about 35 bytes.
+_CHUNK_ELEMENTS = 20_000
 
 
 def _tree_rng(seed: int, index: int) -> np.random.Generator:
@@ -353,18 +348,15 @@ class RegressionForest:
         object.__setattr__(self, "_cuts", [np.unique(self.threshold[split & (self.feature == j)])
                                            for j in range(self.feature_count)])
 
-    @classmethod
-    def from_trees(cls, trees, feature_count: int) -> RegressionForest:
-        """The forest of ``trees``, root ``TreeNode``s, tabulated breadth first."""
-        queue = [(node, 0) for node in trees]
-        rows, depth = [], 0
-        for i, (node, level) in enumerate(queue):  # breadth first, as the queue grows
-            kids = (i, i)
-            if node.split is not None:  # levels never fall, so the last split sets the depth
-                kids, depth = (len(queue), len(queue) + 1), level + 1
-                queue += [(node.left, level + 1), (node.right, level + 1)]
-            rows.append((node.n, float(node.mean), *(node.split or (0, np.nan)), *kids))
-        return cls(*map(np.array, zip(*rows)), depth, len(trees), feature_count)
+    @staticmethod
+    def from_trees(trees, feature_count: int) -> RegressionForest:
+        """The forest of ``trees``, root ``TreeNode``s: ``_forest`` lays out their levels."""
+        levels, nodes = [], list(trees)
+        while nodes:  # a level, then its splits' children, left then right, as _grow yields them
+            rows = zip(*((node.n, node.mean, *(node.split or (0, np.nan))) for node in nodes))
+            levels.append([np.array(c, t) for c, t in zip(rows, (np.intp, float, np.intp, float))])
+            nodes = [kid for node in nodes if not node.is_leaf for kid in (node.left, node.right)]
+        return _forest([levels], len(trees), feature_count)
 
     @cached_property
     def trees(self) -> tuple:
@@ -395,7 +387,7 @@ class RegressionForest:
         # row.  A row's cell along feature j is the number of thresholds <= x_j; since
         # a value at a threshold routes right, every row of a cell takes the same path
         # through every tree.  NaN and +inf land in the last cell, whose rows all go
-        # right at every split.  A chunk of trees (fit_forest's rule) routes as one
+        # right at every split.  A chunk of trees (_CHUNK_ELEMENTS) routes as one
         # (tree, cell) node array, a level a step.  Leaf means are summed in tree order
         # from -0.0 (-0.0 + m is m) and divided: a per-row mean's arithmetic, bitwise.
         codes = ((np.searchsorted(thr, X[:, j], side="right"), thr.size + 1)
@@ -418,8 +410,9 @@ class RegressionForest:
 
 
 def _forest(chunks, n_trees, feature_count) -> RegressionForest:
-    """The forest of consecutive chunks' ``_grow`` levels, rows as ``from_trees`` lays them
-    out: level by level, chunk after chunk, so split row k's children are n_trees + 2k, + 1."""
+    """The forest of consecutive chunks' levels (``_grow``'s, or ``from_trees``'), the one
+    table layout: level by level, chunk after chunk, so tree t's root is row t and split
+    row k's children are rows n_trees + 2k and + 1; a leaf is its own child."""
     depth = max(map(len, chunks))
     levels = [chunk[d] for d in range(depth) for chunk in chunks if d < len(chunk)]
     n, mean, feature, threshold = columns = list(map(np.concatenate, zip(*levels)))
@@ -440,14 +433,14 @@ def fit_forest(
     ``rows`` are (feature vector, outcome) pairs, unzipped into ``fit_tree``'s
     (X, y) checks, because ``perfbench/spans.py`` counts a forest's training
     rows by iterating them.  Trees grow in the calling thread, in chunks of as
-    many as ``_INTERVAL_ELEMENTS`` (tree, distinct row) elements per coded
-    feature hold, whose levels are the node table; tree i is the same in any chunk.
+    many as ``_CHUNK_ELEMENTS`` (tree, distinct row) elements per coded
+    feature hold, whose levels ``_forest`` lays out; tree i is the same in any chunk.
     """
     rows = list(rows)
     kept, values, key, order, y = _training_set([r[0] for r in rows], [r[1] for r in rows],
                                                 max_depth, n_trees)
     size = order.shape[1]
-    per_chunk = max(1, _INTERVAL_ELEMENTS // (size * len(order)))
+    per_chunk = max(1, _CHUNK_ELEMENTS // (size * len(order)))
     chunks = []
     for first in range(0, n_trees, per_chunk):
         chunk = range(first, min(first + per_chunk, n_trees))

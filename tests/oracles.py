@@ -333,6 +333,33 @@ def per_row_forest_mean(trees, X):
     return np.asarray(out, dtype=float)
 
 
+def breadth_first_table(trees):
+    """The node table of root ``TreeNode``s by a breadth-first queue walk, as
+    (columns n, mean, feature, threshold, left, right; depth; tree count): a
+    row a node in queue order, a split's children appended to the queue, a
+    leaf its own child, and the depth the deepest split's level plus one."""
+    queue = [(node, 0) for node in trees]
+    rows, depth = [], 0
+    for i, (node, level) in enumerate(queue):  # breadth first, as the queue grows
+        kids = (i, i)
+        if node.split is not None:  # levels never fall, so the last split sets the depth
+            kids, depth = (len(queue), len(queue) + 1), level + 1
+            queue += [(node.left, level + 1), (node.right, level + 1)]
+        rows.append((node.n, float(node.mean), *(node.split or (0, np.nan)), *kids))
+    return list(map(np.array, zip(*rows))), depth, len(trees)
+
+
+def assert_breadth_first_table(forest, trees):
+    """``forest``'s node table is ``breadth_first_table(trees)``, column by
+    column in dtype and bytes, with its depth and tree count."""
+    columns, depth, n_trees = breadth_first_table(trees)
+    names = ("n", "mean", "feature", "threshold", "left", "right")
+    for name, want in zip(names, columns, strict=True):
+        got = getattr(forest, name)
+        assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes()), name
+    assert (forest.depth, forest.n_trees) == (depth, n_trees)
+
+
 def phi_per_record(model, cohort, b, dose):
     """phi the per-record way: each member of bin ``b`` predicted alone with
     ``RegressionForest.predict``, the differences averaged with ``np.mean``."""

@@ -316,7 +316,7 @@ def test_forests_across_chunk_boundaries_grow_each_tree_alone(depth, features):
     # rows leave the chunk); at depth 6 a level also holds one-row nodes beside
     # nodes thousands of rows long.  With three features, a node that splits on
     # x1 moves x2's rows, in neither key order nor its own feature's
-    elements = forest_module._INTERVAL_ELEMENTS // features
+    elements = forest_module._CHUNK_ELEMENTS // features
     size = elements // 3
     per_chunk = elements // size
     n_trees = 2 * per_chunk + 2
@@ -611,11 +611,14 @@ def test_hand_built_forest_splitting_on_second_feature(data):
                   leaf(-1e16))),
     )
     forest = RegressionForest.from_trees(trees, 2)
+    oracles.assert_breadth_first_table(forest, trees)
     _assert_thresholds_match_node_walk(forest)
     _assert_matches_per_row_mean(forest, data)
     # every leaf -0.0: the per-row mean is -0.0, sign bit set, so the running
     # sum over trees must not start at +0.0 (+0.0 + -0.0 is +0.0)
-    signed = RegressionForest.from_trees(tuple(_with_leaf_means(t, -0.0) for t in trees), 2)
+    signed_trees = tuple(_with_leaf_means(t, -0.0) for t in trees)
+    signed = RegressionForest.from_trees(signed_trees, 2)
+    oracles.assert_breadth_first_table(signed, signed_trees)
     _assert_matches_per_row_mean(signed, data)
     probe = np.array([[-5.0, -5.0], [2.5, 7.5], [6.0, 0.5], [np.nan, np.inf]])
     assert np.signbit(signed.predict_many(probe)).all()
@@ -627,7 +630,9 @@ def test_a_leaf_beside_a_depth_3_tree_predicts_as_the_per_row_mean(data, leaf_fi
     # every tree routes to the forest's depth: the leaf stays on itself
     deep = node(0, 1.0, leaf(-1.0), node(1, 0.5, node(0, 3.0, leaf(0.25), leaf(4.0)), leaf(1e16)))
     trees = (leaf(2.5), deep) if leaf_first else (deep, leaf(2.5))
-    _assert_matches_per_row_mean(RegressionForest.from_trees(trees, 2), data)
+    forest = RegressionForest.from_trees(trees, 2)
+    oracles.assert_breadth_first_table(forest, trees)
+    _assert_matches_per_row_mean(forest, data)
 
 
 def _traced_peak(forest, probe, chunk):
@@ -649,6 +654,7 @@ def test_routing_memory_is_bounded_by_the_chunk_rule():
     trees = tuple(node(0, float(t), leaf(float(t)), node(0, t + 0.5, leaf(-float(t)), leaf(1.0)))
                   for t in range(100))
     forest = RegressionForest.from_trees(trees, 1)
+    oracles.assert_breadth_first_table(forest, trees)
     probe = np.arange(-0.25, 99.5, 0.5)[:, np.newaxis]
     assert _cell_count(forest, probe) * len(trees) >= 50 * 400
     forest.predict_many(probe[:1])  # a first call outside the trace
@@ -657,6 +663,33 @@ def test_routing_memory_is_bounded_by_the_chunk_rule():
     assert chunked.tobytes() == whole.tobytes()
     assert chunked.tobytes() == oracles.per_row_forest_mean(trees, probe).tobytes()
     assert small * 10 < large, (small, large)
+
+
+def test_routing_memory_follows_the_chunk_rule():
+    # probe rows in distinct cells of a 20-tree forest, as many as give a
+    # routing chunk 20 trees; a 60-tree forest fitted on the same rows holds
+    # those 20 trees first, so the rows stay one a cell in it, and it routes
+    # three chunks of 20 trees.  Bound: its peak is within 1.25 times the
+    # 20-tree forest's, where one pass of all 60 trees peaks above twice that
+    k = 20
+    cells = forest_module._CHUNK_ELEMENTS // k
+    rng = np.random.default_rng(8)
+    x = rng.permutation(3000) / 7.0
+    rows = list(zip(x[:, np.newaxis], np.sin(x / 9.0) + rng.normal(0, 0.3, x.size)))
+    few, many = (fit_forest(rows, 8, n_trees, seed=3) for n_trees in (k, 60))
+    cuts = few.thresholds()[0]
+    assert cuts.size >= cells
+    probe = cuts[:cells, np.newaxis]  # a value at a cut routes right: one row a cell
+    assert _cell_count(few, probe) == _cell_count(many, probe) == cells
+    peaks = {}
+    for name, forest, chunk in (("few", few, forest_module._CHUNK_ELEMENTS),
+                                ("many", many, forest_module._CHUNK_ELEMENTS),
+                                ("whole", many, 10**9)):
+        forest.predict_many(probe[:1])  # a first call outside the trace
+        got, peaks[name] = _traced_peak(forest, probe, chunk)
+        assert got.tobytes() == oracles.per_row_forest_mean(forest.trees, probe).tobytes()
+    assert peaks["many"] <= 1.25 * peaks["few"], peaks
+    assert peaks["whole"] > 2 * peaks["few"], peaks
 
 
 def _traced_growth(X, depth, trees):
@@ -698,7 +731,7 @@ def test_growth_memory_is_bounded_by_the_chunk_rule(features):
     # set; and a 60-tree forest grown as one chunk peaks at over four times a chunk.
     i = np.arange(2100 // features)
     X = np.column_stack([i / 7, i % 5, i % 3][:features])
-    elements = forest_module._INTERVAL_ELEMENTS // features
+    elements = forest_module._CHUNK_ELEMENTS // features
     peak, grown = _traced_growth(X, 4, _first_chunk(X, 4))
     whole, _ = _traced_growth(X, 4, 60)
     assert grown > 0.9 * elements  # the chunk is the rule's, not a smaller one
@@ -759,9 +792,11 @@ def test_a_grown_table_equals_its_tree_views_tabulated(data):
         X[:, data.draw(st.integers(min_value=0, max_value=features - 1))] = 0.0  # never coded
     y = np.round(rng.normal(50, 10, n), int(rng.integers(0, 2)))
     elements = data.draw(st.integers(min_value=1, max_value=400))
-    with mock.patch.object(forest_module, "_INTERVAL_ELEMENTS", elements):
+    with mock.patch.object(forest_module, "_CHUNK_ELEMENTS", elements):
         forest = fit_forest(list(zip(X, y)), depth, n_trees, seed)
     table = RegressionForest.from_trees(forest.trees, features)
+    oracles.assert_breadth_first_table(forest, forest.trees)
+    oracles.assert_breadth_first_table(table, forest.trees)
     for name in _COLUMNS:
         got, want = getattr(forest, name), getattr(table, name)
         assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes()), name

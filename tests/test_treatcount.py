@@ -105,6 +105,7 @@ def test_independence_detector_flags_adversarial_model():
         right=TreeNode(n=1, mean=53.0),
     )
     bad_mu0 = RegressionForest.from_trees((bad_tree,), 2)
+    oracles.assert_breadth_first_table(bad_mu0, (bad_tree,))
     tampered = fit_t_learner2(cohort, n_trees=1)
     object.__setattr__(tampered, "mu0", bad_mu0)
     report = check_base_independence(tampered, cohort, probe_x2=[0, 1, 2])
